@@ -19,6 +19,7 @@ from .kdq import (
     ActionSpectrum,
     KDDistribution,
     NegativityReport,
+    PostSelectionError,
     UndefinedOverlapError,
     kd_joint,
     marginals,
@@ -26,6 +27,7 @@ from .kdq import (
     overlap_direct,
     overlap_from_kd,
     unitary_from_actions,
+    weak_value,
 )
 from .qcore import TOL
 from .scenario_file import ScenarioFile, ScenarioFileError, load_scenario_file
@@ -37,13 +39,13 @@ from .weaksim import (
     post_selection_probability,
     sample,
 )
-from .kdq import PostSelectionError, weak_value
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 SWEEP_RATIOS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+MAX_SHOTS = 10**8  # readings and outcome indices take 16 bytes per shot
 
 
 def _fmt(x: float) -> str:
@@ -291,6 +293,12 @@ def _parse_kappa(text: str, dim: int) -> tuple[float, ...]:
 
 
 def _cmd_weak(args: argparse.Namespace) -> int:
+    if not 1 <= args.shots <= MAX_SHOTS:
+        print(f"error: --shots must be in 1..{MAX_SHOTS}, got {args.shots}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= args.seed < 2**64:
+        print(f"error: --seed must be in 0..2**64-1, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     config = _load_file(args.file)
     if config is None:
         return EXIT_USAGE
@@ -304,9 +312,6 @@ def _cmd_weak(args: argparse.Namespace) -> int:
         cfg = PointerConfig(coupling=args.coupling, width=args.width, eigenvalue=kappa)
     except (ScenarioFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.shots < 1:
-        print("error: --shots must be at least 1", file=sys.stderr)
         return EXIT_USAGE
 
     a, basis_m, basis_b = config.state_a, config.basis_m, config.basis_b

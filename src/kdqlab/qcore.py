@@ -8,7 +8,7 @@ whole module is safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -140,10 +140,15 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """Complete labeled orthonormal set spanning the whole space."""
+    """Complete labeled orthonormal set spanning the whole space.
+
+    ``matrix`` is the read-only stack of the vectors: row i holds the
+    amplitudes of basis vector i.
+    """
 
     labels: tuple[str, ...]
     vectors: tuple[StateVector, ...]
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = tuple(str(lab) for lab in self.labels)
@@ -164,17 +169,14 @@ class OrthonormalBasis:
         defect = float(np.max(np.abs(gram - np.eye(dim))))
         if defect > TOL:
             raise ValueError(f"vectors are not orthonormal (max |<v_i|v_j> - delta_ij| = {defect:.3e})")
+        mat.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.vectors[0].dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Row i holds the amplitudes of basis vector i."""
-        return np.stack([v.amp for v in self.vectors])
 
     def index_of(self, label: str) -> int:
         try:

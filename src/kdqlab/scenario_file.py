@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qcore import OrthonormalBasis, StateVector
+from .qcore import MAX_DIM, OrthonormalBasis, StateVector
 
 _ALLOWED_KEYS = {
     "dim",
@@ -110,8 +110,8 @@ def parse_scenario_text(text: str) -> ScenarioFile:
             raise ScenarioFileError(f"missing required key {required!r}")
 
     dim = raw["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 16:
-        raise ScenarioFileError(f"dim must be an integer in 1..16, got {dim!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+        raise ScenarioFileError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
 
     warnings: list[str] = []
     amp = _complex_vector(raw["state_a"], dim, "state_a")

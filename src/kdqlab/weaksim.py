@@ -7,6 +7,11 @@ non-negative probability for every pointer width, which is how the negative
 and imaginary structure of the underlying joint table stays covered up: wide
 pointers read out real weak values, narrow pointers recover projective
 statistics, and nothing in between ever exposes a negative density.
+
+Sampling is exact in every regime. Summed over b the joint density is the
+Gaussian mixture ``sum_m |<m|a>|^2 N(coupling * eigenvalue[m], width^2)``,
+because ``sum_b |b><b|`` is the identity; ``sample`` draws the reading from
+that mixture and then b from the discrete conditional ``p(x, b) / p(x)``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from scipy import integrate
 from .kdq import PostSelectionError
 from .qcore import TOL, Operator, OrthonormalBasis, StateVector, _same_dim
 
-CHUNK = 65536  # fixed sampling chunk; chunk k draws from generator (seed, k)
-GRID_POINTS = 2**14
+CHUNK = 8192  # fixed sampling chunk; chunk k draws from generator (seed, k)
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,23 @@ def observable_from_eigenvalues(basis_m: OrthonormalBasis, eigenvalue: tuple[flo
 
 
 def _coefficients(
-    a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int
+    a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int | None = None
 ) -> np.ndarray:
+    """``<b|m><m|a>`` with rows b and columns m; only row ``b_index`` when one is given."""
     dim = _same_dim(a.dim, basis_m.dim, basis_b.dim)
     if len(cfg.eigenvalue) != dim:
         raise ValueError(f"config lists {len(cfg.eigenvalue)} eigenvalues for dimension {dim}")
-    if not 0 <= b_index < dim:
+    if b_index is not None and not 0 <= b_index < dim:
         raise ValueError(f"b_index {b_index} out of range for dimension {dim}")
-    b_vec = basis_b.vectors[b_index].amp
-    bm = b_vec.conj() @ basis_m.matrix.T  # <b|m>
-    ma = basis_m.matrix.conj() @ a.amp  # <m|a>
-    return bm * ma
+    c = (basis_b.matrix.conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
+    return c if b_index is None else c[b_index]
+
+
+def _density(c: np.ndarray, centers: np.ndarray, width: float, x: float | np.ndarray) -> np.ndarray:
+    """``|sum_m c_m A(x - centers_m)|^2`` for one coefficient row ``c``."""
+    prefactor = (2.0 * np.pi * width**2) ** -0.25
+    amps = prefactor * np.exp(-((np.asarray(x, dtype=float)[..., None] - centers) ** 2) / (4.0 * width**2))
+    return np.abs(amps @ c) ** 2
 
 
 def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
@@ -122,11 +132,7 @@ def pointer_joint_density(
     construction; integrates over x to the outcome probability of b.
     """
     c = _coefficients(a, basis_m, basis_b, cfg, b_index)
-    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    xs = np.asarray(x, dtype=float)
-    prefactor = (2.0 * np.pi * cfg.width**2) ** -0.25
-    amps = prefactor * np.exp(-((xs[..., None] - centers) ** 2) / (4.0 * cfg.width**2))
-    density = np.abs(amps @ c) ** 2
+    density = _density(c, cfg.coupling * np.asarray(cfg.eigenvalue), cfg.width, x)
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
 
 
@@ -161,37 +167,27 @@ def conditional_pointer_mean(
 def conditional_pointer_mean_quadrature(
     a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int
 ) -> float:
-    """Same conditional mean via adaptive quadrature of the joint density."""
+    """Same conditional mean via adaptive quadrature of the joint density.
+
+    The range runs 12 widths past the outermost centers. Breakpoints sit at
+    every center and 12 widths either side of it, so no narrow peak is
+    stepped over however far it lies from the others.
+    """
+    c = _coefficients(a, basis_m, basis_b, cfg, b_index)
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    span = float(np.max(np.abs(centers))) + 12.0 * cfg.width
-    interior = sorted(float(c) for c in centers if -span < c < span)
+    reach = 12.0 * cfg.width
+    lo, hi = float(centers.min()) - reach, float(centers.max()) + reach
+    points = sorted({float(p) for p in (*(centers - reach), *centers, *(centers + reach)) if lo < p < hi})
 
     def density(x: float) -> float:
-        return pointer_joint_density(a, basis_m, basis_b, cfg, x, b_index)
+        return float(_density(c, centers, cfg.width, x))
 
-    mass, _ = integrate.quad(density, -span, span, points=interior, limit=400, epsabs=1e-13, epsrel=1e-12)
+    options = {"points": points, "limit": 400, "epsabs": 1e-13, "epsrel": 1e-12}
+    mass, _ = integrate.quad(density, lo, hi, **options)
     if mass <= TOL:
         raise PostSelectionError(f"post-selection probability ~ 0 for b index {b_index}")
-    first, _ = integrate.quad(
-        lambda x: x * density(x), -span, span, points=interior, limit=400, epsabs=1e-13, epsrel=1e-12
-    )
+    first, _ = integrate.quad(lambda x: x * density(x), lo, hi, **options)
     return float(first / mass)
-
-
-def _tabulated_distributions(
-    a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome cumulative distributions of the reading on a fixed grid."""
-    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    span = float(np.max(np.abs(centers))) + 8.0 * cfg.width
-    grid = np.linspace(-span, span, GRID_POINTS)
-    step = grid[1] - grid[0]
-    cdfs = []
-    for b in range(basis_b.dim):
-        density = pointer_joint_density(a, basis_m, basis_b, cfg, grid, b)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * step)])
-        cdfs.append(cdf)
-    return grid, np.stack(cdfs)
 
 
 def sample(
@@ -202,39 +198,41 @@ def sample(
     shots: int,
     seed: int,
 ) -> SampleBatch:
-    """Draw (reading, outcome) pairs from the joint pointer density.
+    """Draw (reading, outcome) pairs exactly from the joint pointer density.
 
-    Sampling inverts grid-tabulated cumulative distributions with linear
-    interpolation. Shots are partitioned into fixed chunks of ``CHUNK``;
-    chunk k uses the generator derived from (seed, k) and chunks concatenate
-    in order, so the batch is a pure function of (seed, shots, config)
-    however the chunks are scheduled.
+    Each shot draws m from ``|<m|a>|^2``, sets the reading ``x = g k_m + width * z``
+    with z standard normal, and draws b from ``p(x, b) / p(x)``. Amplitudes are
+    taken relative to the drawn center: term n carries ``exp(-d (d + z))`` with
+    ``d = g (k_m - k_n) / (2 width)``, at most ``exp(z^2 / 4)`` and 1 for n = m, so
+    no width or eigenvalue spread overflows or empties the conditional, and
+    outcomes of zero weight are never drawn. Chunk k of ``CHUNK`` shots uses the
+    generator derived from (seed, k) and chunks concatenate in order, so the
+    batch is a pure function of (seed, shots, config).
     """
     if not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
-    grid, cdfs = _tabulated_distributions(a, basis_m, basis_b, cfg)
-    outcome_mass = cdfs[:, -1]
-    cumulative = np.cumsum(outcome_mass / outcome_mass.sum())
+    c = _coefficients(a, basis_m, basis_b, cfg)
+    dim = len(c)
+    stacked = np.concatenate([c.real, c.imag])  # one real matmul yields Re and Im of every amplitude
+    cumulative = np.cumsum(np.sum(c.real**2 + c.imag**2, axis=0))  # sum over b of |<b|m><m|a>|^2
+    cumulative /= cumulative[-1]
+    cumulative[-1] = 1.0
+    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
+    half_gap = (centers[None, :] - centers[:, None]) / (2.0 * cfg.width)  # [n, m] = (c_m - c_n) / 2w
 
     readings = np.empty(shots, dtype=float)
     b_index = np.empty(shots, dtype=np.int64)
-    position = 0
-    for chunk in range(-(-shots // CHUNK)):
-        count = min(CHUNK, shots - position)
-        rng = np.random.default_rng([int(seed), chunk])
-        u_outcome = rng.random(count)
-        u_reading = rng.random(count)
-        drawn = np.minimum(np.searchsorted(cumulative, u_outcome, side="right"), basis_b.dim - 1)
-        chunk_readings = np.empty(count, dtype=float)
-        for b in np.unique(drawn):
-            mask = drawn == b
-            chunk_readings[mask] = np.interp(u_reading[mask] * cdfs[b, -1], cdfs[b], grid)
-        readings[position : position + count] = chunk_readings
-        b_index[position : position + count] = drawn
-        position += count
-    return SampleBatch(
-        seed=int(seed), shots=int(shots), readings=readings, b_index=b_index, b_labels=basis_b.labels
-    )
+    for start in range(0, shots, CHUNK):
+        count = min(CHUNK, shots - start)
+        rng = np.random.default_rng([int(seed), start // CHUNK])
+        drawn = np.searchsorted(cumulative, rng.random(count), side="right")
+        z = rng.standard_normal(count)
+        d = half_gap[:, drawn]  # (dim, count)
+        amps = stacked @ np.exp(-d * (d + z))
+        weight = np.cumsum(amps[:dim] ** 2 + amps[dim:] ** 2, axis=0)
+        b_index[start : start + count] = np.sum(weight <= rng.random(count) * weight[-1], axis=0)
+        readings[start : start + count] = centers[drawn] + cfg.width * z
+    return SampleBatch(seed=int(seed), shots=int(shots), readings=readings, b_index=b_index, b_labels=basis_b.labels)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kdqlab import bell_chsh, three_box
-from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +282,30 @@ class TestWeakCommand:
             capsys, "weak", str(path), "--kappa", "0,1", "--coupling", "1", "--width", "50"
         )
         assert code == EXIT_USAGE and "3 values" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, capsys, tmp_path, seed):
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        code, out, err = run_cli(
+            capsys, "weak", str(path), "--coupling", "1", "--width", "50", "--shots", "10", "--seed", seed
+        )
+        assert code == EXIT_USAGE and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "--seed" in err
+
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**11])
+    def test_shots_above_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, shots):
+        import kdqlab.cli as cli_module
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started before the shot count was checked")
+
+        monkeypatch.setattr(cli_module, "sample", no_sampling)
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        code, out, err = run_cli(
+            capsys, "weak", str(path), "--coupling", "1", "--width", "50", "--shots", str(shots), "--seed", "1"
+        )
+        assert code == EXIT_USAGE and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and str(MAX_SHOTS) in err
 
     def test_replay_is_byte_identical(self, capsys, tmp_path):
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])

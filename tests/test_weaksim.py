@@ -165,6 +165,18 @@ class TestConditionalMean:
             quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
             assert abs(closed - quad) <= 1e-8
 
+    @pytest.mark.parametrize("kappa, width", [((0.0, 0.0, 1000.0), 0.01), ((-1000.0, 0.0, 1000.0), 0.001)])
+    def test_quadrature_with_narrow_pointer_and_wide_spectrum(self, kappa, width):
+        # peaks 1e5 and 1e6 widths apart: the quadrature must not step over any of them
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=kappa)
+        for j in range(3):
+            if post_selection_probability(a, basis_m, basis_b, cfg, j) <= TOL:
+                continue
+            closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+            assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
+
     def test_weak_limit_error_shrinks_quadratically(self):
         # quadrature oracle at successively halved coupling-to-width ratios
         a, basis_m, basis_b = three_box_setup()
@@ -276,3 +288,21 @@ class TestSampling:
         for m, center in enumerate((-1.0, 0.0, 1.0)):
             cluster = float(np.mean(np.abs(selected - center) < 4.0 * cfg.width))
             assert abs(cluster - born_weights[m]) <= 1e-2
+
+    def test_narrow_pointer_and_wide_spectrum_match_closed_form(self):
+        # a width 1e5 times smaller than the eigenvalue spread
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=0.01, eigenvalue=(0.0, 0.0, 1000.0))
+        shots = 200000
+        batch = sample(a, basis_m, basis_b, cfg, shots, 23)
+        for j in range(3):
+            p = post_selection_probability(a, basis_m, basis_b, cfg, j)
+            freq = float(np.mean(batch.b_index == j))
+            if p <= TOL:
+                assert freq == 0.0
+                continue
+            assert abs(freq - p) <= 4.0 * math.sqrt(p * (1 - p) / shots)
+            selected = batch.readings[batch.b_index == j]
+            stderr = float(selected.std(ddof=1)) / math.sqrt(selected.size)
+            closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+            assert abs(float(selected.mean()) - closed) <= 4.0 * stderr
