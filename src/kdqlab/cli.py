@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -396,10 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    return int(args.func(args))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code) if exc.code is not None else EXIT_OK
+        else:
+            code = int(args.func(args))
+        sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader stopped early (`| head`). Point stdout at devnull so that the
+        # flush at exit cannot raise again, as the SIGPIPE note of the signal docs shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

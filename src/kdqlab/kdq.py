@@ -19,7 +19,7 @@ from .qcore import (
     Operator,
     OrthonormalBasis,
     StateVector,
-    _same_dim,
+    same_dim,
 )
 
 
@@ -87,7 +87,7 @@ class KDDistribution:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = _same_dim(self.state_a.dim, self.basis_m.dim, self.basis_b.dim)
+        dim = same_dim(self.state_a.dim, self.basis_m.dim, self.basis_b.dim)
         table = np.array(self.table, dtype=complex)
         if table.shape != (dim, dim):
             raise ValueError(f"table must have shape {(dim, dim)}, got {table.shape}")
@@ -133,7 +133,7 @@ def kd_joint(a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasi
     ``table[m, b] = <b|m><m|a><a|b>``; the operator ordering matches a weak
     measurement of m followed by a projective measurement of b.
     """
-    _same_dim(a.dim, basis_m.dim, basis_b.dim)
+    same_dim(a.dim, basis_m.dim, basis_b.dim)
     m_mat = basis_m.matrix
     b_mat = basis_b.matrix
     bm = b_mat.conj() @ m_mat.T  # bm[b, m] = <b|m>
@@ -167,7 +167,7 @@ def marginals(dist: KDDistribution) -> tuple[np.ndarray, np.ndarray]:
 
 def weak_value(a: StateVector, b: StateVector, op: Operator) -> complex:
     """Weak value ``<b|A|a> / <b|a>`` between preparation and post-selection."""
-    _same_dim(a.dim, b.dim, op.dim)
+    same_dim(a.dim, b.dim, op.dim)
     denom = complex(np.vdot(b.amp, a.amp))
     if abs(denom) <= TOL:
         raise PostSelectionError("post-selection is orthogonal to the preparation (|<b|a>| ~ 0)")
@@ -183,7 +183,7 @@ def unitary_from_actions(spectrum: ActionSpectrum) -> Operator:
 
 def overlap_direct(a: StateVector, b: StateVector, unitary: Operator) -> float:
     """Transition probability ``|<b|U|a>|^2``."""
-    _same_dim(a.dim, b.dim, unitary.dim)
+    same_dim(a.dim, b.dim, unitary.dim)
     if not unitary.is_unitary():
         raise ValueError("operator is not unitary within tolerance")
     return float(abs(np.vdot(b.amp, unitary.mat @ a.amp)) ** 2)

@@ -25,7 +25,7 @@ class DimensionMismatchError(ValueError):
     """Operands live in spaces of different dimension."""
 
 
-def _same_dim(*dims: int) -> int:
+def same_dim(*dims: int) -> int:
     if any(d != dims[0] for d in dims):
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
     return dims[0]
@@ -103,11 +103,11 @@ class Operator:
         return cls(np.eye(dim, dtype=complex))
 
     def __add__(self, other: "Operator") -> "Operator":
-        _same_dim(self.dim, other.dim)
+        same_dim(self.dim, other.dim)
         return Operator(self.mat + other.mat)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        _same_dim(self.dim, other.dim)
+        same_dim(self.dim, other.dim)
         return Operator(self.mat - other.mat)
 
     def __neg__(self) -> "Operator":
@@ -119,7 +119,7 @@ class Operator:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        _same_dim(self.dim, other.dim)
+        same_dim(self.dim, other.dim)
         return Operator(self.mat @ other.mat)
 
     def dagger(self) -> "Operator":
@@ -130,7 +130,7 @@ class Operator:
 
     def apply(self, state: StateVector) -> np.ndarray:
         """Raw amplitudes of ``A|v>`` (not necessarily normalized)."""
-        _same_dim(self.dim, state.dim)
+        same_dim(self.dim, state.dim)
         return self.mat @ state.amp
 
     def is_unitary(self, tol: float = TOL) -> bool:
@@ -163,7 +163,7 @@ class OrthonormalBasis:
         if len(set(labels)) != len(labels):
             raise ValueError(f"basis labels must be unique, got {labels}")
         for v in vectors:
-            _same_dim(dim, v.dim)
+            same_dim(dim, v.dim)
         mat = np.stack([v.amp for v in vectors])
         gram = mat.conj() @ mat.T
         defect = float(np.max(np.abs(gram - np.eye(dim))))
@@ -194,7 +194,7 @@ class OrthonormalBasis:
 
 def inner(u: StateVector, v: StateVector) -> complex:
     """Hermitian inner product ``<u|v>`` (conjugate-linear in ``u``)."""
-    _same_dim(u.dim, v.dim)
+    same_dim(u.dim, v.dim)
     return complex(np.vdot(u.amp, v.amp))
 
 
@@ -252,7 +252,7 @@ def product_trace(ops: Sequence[Operator]) -> complex:
     """
     if not ops:
         raise ValueError("product_trace needs at least one operator")
-    _same_dim(*[op.dim for op in ops])
+    same_dim(*[op.dim for op in ops])
     prod = reduce(lambda acc, op: acc @ op.mat, ops[1:], ops[0].mat)
     return complex(np.trace(prod))
 
@@ -265,7 +265,7 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
     """
     if not seed_vectors:
         raise ValueError("at least one seed vector required")
-    dim = _same_dim(*[v.dim for v in seed_vectors])
+    dim = same_dim(*[v.dim for v in seed_vectors])
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels, got {len(labels)}")
     vecs = [np.array(v.amp, dtype=complex) for v in seed_vectors]
@@ -293,7 +293,7 @@ def post_selection_basis(a: StateVector, b: StateVector, labels: Sequence[str]) 
     further vectors are orthogonal to both, so they receive exactly zero
     joint weight.
     """
-    _same_dim(a.dim, b.dim)
+    same_dim(a.dim, b.dim)
     seeds = [b]
     rest = a.amp - b.amp * complex(np.vdot(b.amp, a.amp))
     if float(np.linalg.norm(rest)) > 1e-6:

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .kdq import PostSelectionError
-from .qcore import TOL, Operator, OrthonormalBasis, StateVector, _same_dim
+from .qcore import TOL, Operator, OrthonormalBasis, StateVector, same_dim
 
 CHUNK = 8192  # fixed sampling chunk; chunk k draws from generator (seed, k)
 
@@ -45,6 +44,17 @@ class PointerConfig:
         kappa = tuple(float(k) for k in self.eigenvalue)
         if not kappa or not all(np.isfinite(kappa)):
             raise ValueError("eigenvalue list must be non-empty and finite")
+        # The density, the overlap kernel and the sampler square these; an underflow
+        # to 0 or an overflow raises or silently empties the quadrature.
+        if not (np.finfo(float).tiny <= s * s and np.isfinite(8.0 * s * s)):
+            raise ValueError(f"width {s:g} is out of range: width**2 must be a finite normal float")
+        reach = g * max(abs(k) for k in kappa)
+        spread = g * (max(kappa) - min(kappa)) / s
+        if not all(np.isfinite(v * v) for v in (g, reach, spread)):
+            raise ValueError(
+                f"coupling {g:g} is too large for this width and eigenvalue spread: "
+                "coupling**2, (coupling*max|kappa|)**2 and (coupling*(max kappa - min kappa)/width)**2 must be finite"
+            )
         object.__setattr__(self, "coupling", g)
         object.__setattr__(self, "width", s)
         object.__setattr__(self, "eigenvalue", kappa)
@@ -94,7 +104,7 @@ def _coefficients(
     a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int | None = None
 ) -> np.ndarray:
     """``<b|m><m|a>`` with rows b and columns m; only row ``b_index`` when one is given."""
-    dim = _same_dim(a.dim, basis_m.dim, basis_b.dim)
+    dim = same_dim(a.dim, basis_m.dim, basis_b.dim)
     if len(cfg.eigenvalue) != dim:
         raise ValueError(f"config lists {len(cfg.eigenvalue)} eigenvalues for dimension {dim}")
     if b_index is not None and not 0 <= b_index < dim:
@@ -173,6 +183,8 @@ def conditional_pointer_mean_quadrature(
     every center and 12 widths either side of it, so no narrow peak is
     stepped over however far it lies from the others.
     """
+    from scipy import integrate  # scipy takes ~0.5 s to import; only this function needs it
+
     c = _coefficients(a, basis_m, basis_b, cfg, b_index)
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
     reach = 12.0 * cfg.width

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdqlab
 from kdqlab import bell_chsh, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
 
@@ -12,6 +17,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's kdqlab."""
+    src = str(Path(kdqlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def state_pairs(amp):
@@ -307,6 +319,22 @@ class TestWeakCommand:
         assert code == EXIT_USAGE and not out
         assert len(err.splitlines()) == 1 and err.startswith("error:") and str(MAX_SHOTS) in err
 
+    @pytest.mark.parametrize(
+        "pointer",
+        [
+            pytest.param(("--coupling", "1", "--width", "1e-300"), id="width-squared-underflows"),
+            pytest.param(("--coupling", "1e200", "--width", "1"), id="coupling-times-kappa-overflows"),
+            pytest.param(("--coupling", "1", "--width", "1e-160"), id="width-squared-subnormal"),
+            pytest.param(("--coupling", "1e200", "--width", "1", "--kappa", "0,0,1e-100"), id="coupling-squared-overflows"),
+            pytest.param(("--coupling", "1", "--width", "1e200"), id="width-squared-overflows"),
+        ],
+    )
+    def test_extreme_pointer_is_usage_error(self, capsys, tmp_path, pointer):
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        code, out, err = run_cli(capsys, "weak", str(path), *pointer, "--shots", "10", "--seed", "1")
+        assert code == EXIT_USAGE and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_replay_is_byte_identical(self, capsys, tmp_path):
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
         argv = ("weak", str(path), "--coupling", "1", "--width", "50", "--shots", "20000", "--seed", "7")
@@ -356,3 +384,52 @@ class TestExitCodeContract:
         code, out, _ = run_cli(capsys, "scenario", "three-box")
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out and "overall: FAIL" in out
+
+
+class TestProcess:
+    def test_closed_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(
+                "-m", "kdqlab", "scenario", "peres-mermin", "--format", "csv",
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert "Traceback" not in proc.stderr
+
+    IMPORT_CHECK = (
+        "import json, sys\n"
+        "import kdqlab\n"
+        "from kdqlab import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    cli.main(json.loads(argv))\n"
+        "print('scipy loaded:', 'scipy' in sys.modules)\n"
+    )
+
+    def test_scenario_and_kd_do_not_load_scipy(self, tmp_path):
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        proc = run_python(
+            "-c", self.IMPORT_CHECK, json.dumps(["scenario", "three-box"]), json.dumps(["kd", str(path)]),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: PASS" in proc.stdout and "P(m|a)" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "scipy loaded: False"
+
+    def test_weak_loads_scipy_for_the_quadrature(self, tmp_path):
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        proc = run_python(
+            "-c", self.IMPORT_CHECK,
+            json.dumps(["weak", str(path), "--coupling", "1", "--width", "50", "--shots", "1000", "--seed", "1"]),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        header = lines[1].split()
+        b_row = lines[2].split()
+        assert header[3] == "mean_quadrature" and b_row[0] == "b"
+        assert float(b_row[3]) == pytest.approx(float(b_row[2]), abs=1e-8)
+        assert lines[-1] == "scipy loaded: True"
