@@ -314,6 +314,14 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     except (ScenarioFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        swept = [
+            PointerConfig(coupling=cfg.coupling, width=ratio * cfg.coupling, eigenvalue=cfg.eigenvalue)
+            for ratio in (SWEEP_RATIOS if args.sweep else ())
+        ]
+    except ValueError as exc:
+        print(f"error: --sweep: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     a, basis_m, basis_b = config.state_a, config.basis_m, config.basis_b
     batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
@@ -350,12 +358,11 @@ def _cmd_weak(args: argparse.Namespace) -> int:
         print("target Re(weak value): " + "  ".join(f"{lab}={t}" for lab, t in zip(basis_b.labels, targets)))
         header = ["width/coupling"] + list(basis_b.labels)
         rows = []
-        for ratio in SWEEP_RATIOS:
-            swept = PointerConfig(coupling=cfg.coupling, width=ratio * cfg.coupling, eigenvalue=cfg.eigenvalue)
+        for ratio, swept_cfg in zip(SWEEP_RATIOS, swept):
             row = [_fmt(ratio)]
             for j in range(basis_b.dim):
                 try:
-                    row.append(_fmt(conditional_pointer_mean(a, basis_m, basis_b, swept, j) / cfg.coupling))
+                    row.append(_fmt(conditional_pointer_mean(a, basis_m, basis_b, swept_cfg, j) / cfg.coupling))
                 except PostSelectionError:
                     row.append("undefined")
             rows.append(row)

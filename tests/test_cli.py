@@ -342,6 +342,16 @@ class TestWeakCommand:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("coupling", ["1e-160", "1e152"], ids=["first-width-subnormal", "last-width-overflows"])
+    def test_sweep_out_of_range_is_usage_error(self, capsys, tmp_path, coupling):
+        # the sweep widths run from 2 to 64 times the coupling
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        code, out, err = run_cli(
+            capsys, "weak", str(path), "--coupling", coupling, "--width", "1", "--shots", "10", "--seed", "1", "--sweep"
+        )
+        assert code == EXIT_USAGE and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error: --sweep:")
+
     def test_sweep_converges_to_weak_value(self, capsys, tmp_path):
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
         code, out, _ = run_cli(
@@ -419,7 +429,7 @@ class TestProcess:
         assert "overall: PASS" in proc.stdout and "P(m|a)" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "scipy loaded: False"
 
-    def test_weak_loads_scipy_for_the_quadrature(self, tmp_path):
+    def test_weak_does_not_load_scipy(self, tmp_path):
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
         proc = run_python(
             "-c", self.IMPORT_CHECK,
@@ -432,4 +442,4 @@ class TestProcess:
         b_row = lines[2].split()
         assert header[3] == "mean_quadrature" and b_row[0] == "b"
         assert float(b_row[3]) == pytest.approx(float(b_row[2]), abs=1e-8)
-        assert lines[-1] == "scipy loaded: True"
+        assert lines[-1] == "scipy loaded: False"

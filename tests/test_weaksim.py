@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,38 @@ class TestConditionalMean:
             closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
             quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
             assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
+
+    @pytest.mark.parametrize("width", [1e-8, 1e-12, 1e-17, 1e-18, 1e-100])
+    def test_quadrature_with_width_far_below_the_centers(self, width):
+        # x - center and center +/- 12 widths would round away at these widths
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=(0.0, 0.0, 1.0))
+        for j in range(2):
+            closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+            assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
+
+    def test_quadrature_is_quiet_on_a_dim8_configuration(self):
+        rng = np.random.default_rng(0)
+        a = random_state(rng, 8)
+        basis_m = haar_basis(rng, 8, "m")
+        basis_b = haar_basis(rng, 8, "b")
+        cfg = PointerConfig(coupling=1.0, width=50.0, eigenvalue=tuple(rng.uniform(-1.0, 1.0, 8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(8):
+                closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+                quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+                assert abs(quad - closed) <= 1e-8
+
+    def test_quadrature_reports_its_error_estimate_at_huge_width(self):
+        # a mean 1e-12 widths off the anchor: rounding alone leaves ~1e-4
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=1e12, eigenvalue=(0.0, 0.0, 1.0))
+        with pytest.warns(RuntimeWarning, match=r"may be off by \S+: its error estimate") as record:
+            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, 0)
+        estimate = float(re.search(r"off by (\S+):", str(record[0].message)).group(1))
+        assert abs(quad - conditional_pointer_mean(a, basis_m, basis_b, cfg, 0)) <= estimate
 
     def test_weak_limit_error_shrinks_quadratically(self):
         # quadrature oracle at successively halved coupling-to-width ratios
