@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 
-from kdqlab import SCENARIO_NAMES, build, marginals
+from kdqlab import SCENARIO_NAMES, build
 
 
 def main() -> int:
@@ -16,7 +16,6 @@ def main() -> int:
     for name in SCENARIO_NAMES:
         report = build(name)
         neg = report.negativity
-        _, prob_b = marginals(report.kd)
         status = "PASS" if report.passed else "FAIL"
         all_ok &= report.passed
         print(

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -228,23 +229,13 @@ def _overlap_rows(config: ScenarioFile, dist: KDDistribution) -> list[dict]:
         direct = overlap_direct(config.state_a, config.basis_b.vectors[j], unitary)
         try:
             from_kd = overlap_from_kd(dist, spectrum, j)
-            rows.append(
-                {
-                    "b": label,
-                    "overlap_from_kd": _round12(from_kd),
-                    "overlap_direct": _round12(direct),
-                    "difference": _round12(abs(from_kd - direct)),
-                }
-            )
         except UndefinedOverlapError:
-            rows.append(
-                {
-                    "b": label,
-                    "overlap_from_kd": "undefined",
-                    "overlap_direct": _round12(direct),
-                    "difference": "undefined",
-                }
-            )
+            from_kd = difference = "undefined"
+        else:
+            from_kd, difference = _round12(from_kd), _round12(abs(from_kd - direct))
+        rows.append(
+            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": _round12(direct), "difference": difference}
+        )
     return rows
 
 
@@ -270,15 +261,7 @@ def _cmd_kd(args: argparse.Namespace) -> int:
             print()
             print("transformed overlap per final outcome (table route vs direct route)")
             header = ["b", "overlap_from_kd", "overlap_direct", "difference"]
-            rows = [
-                [
-                    str(row["b"]),
-                    str(row["overlap_from_kd"]) if isinstance(row["overlap_from_kd"], str) else _fmt(row["overlap_from_kd"]),
-                    _fmt(row["overlap_direct"]),
-                    str(row["difference"]) if isinstance(row["difference"], str) else _fmt(row["difference"]),
-                ]
-                for row in overlap_rows
-            ]
+            rows = [[v if isinstance(v, str) else _fmt(v) for v in row.values()] for row in overlap_rows]
             print(_format_table(header, rows))
     return EXIT_OK
 
@@ -340,7 +323,11 @@ def _cmd_weak(args: argparse.Namespace) -> int:
             rows.append([label, "undefined", "undefined", "undefined", "undefined", str(count)])
             continue
         closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
-        quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+        for caught_warning in caught:
+            print(f"warning: {caught_warning.message}", file=sys.stderr)
         empirical = _fmt(float(selected.mean())) if count else "n/a"
         rows.append([label, _fmt(mass), _fmt(closed), _fmt(quad), empirical, str(count)])
     print(_format_table(header, rows))

@@ -10,7 +10,7 @@ table. Pure functions over immutable values throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,13 +78,17 @@ class KDDistribution:
 
     Construction enforces the defining identities: the complex entries sum
     to 1, row sums reproduce ``|<m|a>|^2`` and column sums ``|<b|a>|^2``
-    within tolerance.
+    within tolerance, and each set of sums is real, inside [0, 1] and sums
+    to 1. ``prob_m`` and ``prob_b`` are the read-only row and column sums,
+    clamped to [0, 1] after those checks pass.
     """
 
     state_a: StateVector
     basis_m: OrthonormalBasis
     basis_b: OrthonormalBasis
     table: np.ndarray
+    prob_m: np.ndarray = field(init=False, repr=False)
+    prob_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = same_dim(self.state_a.dim, self.basis_m.dim, self.basis_b.dim)
@@ -96,18 +100,29 @@ class KDDistribution:
         if abs(total - 1.0) > TOL:
             raise ValueError(f"table entries must sum to 1, got {total}")
 
-        row_sums = table.sum(axis=1)
-        col_sums = table.sum(axis=0)
-        prob_m = np.abs(self.basis_m.matrix.conj() @ self.state_a.amp) ** 2
-        prob_b = np.abs(self.basis_b.matrix.conj() @ self.state_a.amp) ** 2
-        row_defect = float(np.max(np.abs(row_sums - prob_m)))
-        col_defect = float(np.max(np.abs(col_sums - prob_b)))
+        # row 0: row sums against |<m|a>|^2; row 1: column sums against |<b|a>|^2
+        sums = np.array((table.sum(axis=1), table.sum(axis=0)))
+        born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
+        row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
         if row_defect > TOL or col_defect > TOL:
             raise ValueError(
                 f"marginal identities violated (row defect {row_defect:.3e}, column defect {col_defect:.3e})"
             )
+        imag = float(abs(sums.imag).max())
+        if imag > TOL:
+            raise ValueError(f"marginal has non-vanishing imaginary part {imag:.3e}")
+        real = sums.real
+        if real.min() < -TOL or real.max() > 1.0 + TOL:
+            raise ValueError(f"marginal outside [0, 1]: {real}")
+        totals = real.sum(axis=1)
+        if abs(totals - 1.0).max() > TOL:
+            raise ValueError(f"marginal does not sum to 1: {totals}")
+        probs = real.clip(0.0, 1.0)
         table.setflags(write=False)
+        probs.setflags(write=False)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "prob_m", probs[0])
+        object.__setattr__(self, "prob_b", probs[1])
 
     @property
     def dim(self) -> int:
@@ -144,25 +159,12 @@ def kd_joint(a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasi
 
 
 def marginals(dist: KDDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Born probabilities (prob_m, prob_b) as row and column sums.
+    """Born probabilities (prob_m, prob_b): the table's row and column sums.
 
-    Each sum must be real and non-negative within tolerance (anything else
-    signals an upstream bug); values are clamped to [0, 1] only after that
-    check passes.
+    Both are computed, checked and clamped to [0, 1] once, when the
+    ``KDDistribution`` is constructed; this returns the stored read-only arrays.
     """
-    out = []
-    for axis in (1, 0):
-        sums = dist.table.sum(axis=axis)
-        imag = float(np.max(np.abs(sums.imag)))
-        if imag > TOL:
-            raise ValueError(f"marginal has non-vanishing imaginary part {imag:.3e}")
-        real = sums.real
-        if float(real.min()) < -TOL or float(real.max()) > 1.0 + TOL:
-            raise ValueError(f"marginal outside [0, 1]: {real}")
-        if abs(float(real.sum()) - 1.0) > TOL:
-            raise ValueError(f"marginal does not sum to 1: {real.sum()}")
-        out.append(np.clip(real, 0.0, 1.0))
-    return out[0], out[1]
+    return dist.prob_m, dist.prob_b
 
 
 def weak_value(a: StateVector, b: StateVector, op: Operator) -> complex:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,7 +69,10 @@ def _real_list(value: object, dim: int, where: str) -> tuple[float, ...]:
         or not all(isinstance(entry, (int, float)) and not isinstance(entry, bool) for entry in value)
     ):
         raise ScenarioFileError(f"{where}: expected a list of {dim} numbers")
-    return tuple(float(entry) for entry in value)
+    values = tuple(float(entry) for entry in value)
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioFileError(f"{where}: entries must be finite numbers, got {list(values)}")
+    return values
 
 
 def _labels(value: object, dim: int, prefix: str, where: str) -> tuple[str, ...]:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,15 @@ class TestKdCommand:
         assert "renormalized" in err
         assert "0.5" in out
 
+    @pytest.mark.parametrize("field", ["action_phase", "kappa"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_usage_errors(self, capsys, tmp_path, field, value):
+        path = three_box_file(tmp_path, **{field: [0.0, 0.0, float(value)]})
+        assert f"0.0, {value}]" in path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "kd", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}:")
+
 
 class TestWeakCommand:
     def test_three_box_pointer_run(self, capsys, tmp_path):
@@ -369,6 +379,28 @@ class TestWeakCommand:
             errors.append(abs(float(cells[1]) + 1.0))
         assert ratios == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+
+    def test_quadrature_warnings_are_one_line_each(self, tmp_path):
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        proc = run_python(
+            "-m", "kdqlab", "weak", str(path), "--coupling", "1", "--width", "1e12", "--shots", "1000", "--seed", "1",
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK
+        warning_lines = [line for line in proc.stderr.splitlines() if line.strip()]
+        assert warning_lines and all(line.startswith("warning: quadrature mean") for line in warning_lines)
+
+        kd = three_box().kd
+        cfg = kdqlab.PointerConfig(coupling=1.0, width=1e12, eigenvalue=(0.0, 0.0, 1.0))
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("pointer measurement: coupling=1 width=1e+12") and len(lines) == 5
+        for j, line in enumerate(lines[2:4]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                quad = kdqlab.conditional_pointer_mean_quadrature(kd.state_a, kd.basis_m, kd.basis_b, cfg, j)
+            closed = kdqlab.conditional_pointer_mean(kd.state_a, kd.basis_m, kd.basis_b, cfg, j)
+            assert line.split()[2:4] == [f"{closed:.12g}", f"{quad:.12g}"]
+        assert lines[4].split()[1:] == ["undefined"] * 4 + ["0"]
 
 
 class TestExitCodeContract:

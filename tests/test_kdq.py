@@ -143,6 +143,15 @@ class TestKDJoint:
         with pytest.raises(ValueError):
             KDDistribution(a, basis_m, basis_b, bad)
 
+    def test_column_shift_with_fixed_total_rejected(self):
+        # total and row 0 stay the same; only columns 0 and 1 move
+        a, _, basis_m, basis_b = three_box_setup()
+        bad = np.array(kd_joint(a, basis_m, basis_b).table)
+        bad[0, 0] += 1e-6
+        bad[0, 1] -= 1e-6
+        with pytest.raises(ValueError, match="column defect 1.000e-06"):
+            KDDistribution(a, basis_m, basis_b, bad)
+
     def test_dimension_mismatch_rejected(self):
         from kdqlab import DimensionMismatchError
 
@@ -182,6 +191,14 @@ class TestMarginals:
             assert probs.min() >= 0.0 and probs.max() <= 1.0
             born = np.abs(basis.matrix.conj() @ a.amp) ** 2
             np.testing.assert_allclose(probs, born, atol=TOL)
+
+    def test_returns_the_stored_read_only_arrays(self):
+        a, _, basis_m, basis_b = three_box_setup()
+        dist = kd_joint(a, basis_m, basis_b)
+        first, second = marginals(dist), marginals(dist)
+        for once, again in zip(first, second):
+            assert once is again
+            assert once.flags.writeable is False
 
 
 class TestWeakValue:
