@@ -198,7 +198,9 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
     ``overlap_direct`` for the unitary synthesized from the same spectrum.
     Undefined when ``P(b|a)`` vanishes.
     """
-    if not np.allclose(spectrum.basis.matrix, dist.basis_m.matrix, rtol=0.0, atol=TOL):
+    if spectrum.basis is not dist.basis_m and not np.allclose(
+        spectrum.basis.matrix, dist.basis_m.matrix, rtol=0.0, atol=TOL
+    ):
         raise ValueError("action spectrum basis differs from the joint table's m basis")
     _, prob_b = marginals(dist)
     p_b = float(prob_b[b_index])

@@ -1,9 +1,13 @@
 """Executable paradox scenarios built on the quasi-probability engine.
 
 Each builder assembles a preparation, an intermediate basis and a final
-basis, lets the engine produce the complex joint table, and wraps the
-published values and consistency identities of that scenario into a list of
-machine-checked ``Check`` records. Builders contain no arithmetic shortcuts:
+basis, lets the engine produce the complex joint table, and declares the
+transformation behind its paradox: action phases on the m basis and the
+target column b. ``_report`` turns the table, that transformation and the
+builder's published values into machine-checked ``Check`` records, and adds
+the checks every transformation gets: half-periodicity, the overlap identity
+against the direct overlap and, where the transformation maps a onto b, the
+half-periodic law for column b. Builders contain no arithmetic shortcuts:
 every number in a report comes from the engine.
 """
 
@@ -20,7 +24,6 @@ from .kdq import (
     NegativityReport,
     is_half_periodic,
     kd_joint,
-    marginals,
     negativity,
     overlap_direct,
     overlap_from_kd,
@@ -106,14 +109,56 @@ class BellReport:
     table_errors: np.ndarray
 
     def __post_init__(self) -> None:
-        target = 2.0 * (math.sin(self.theta) + math.cos(self.theta))
-        if abs(self.k_expectation - target) > TOL:
-            raise ValueError(
-                f"correlation sum <K> = {self.k_expectation!r} deviates from 2(sin+cos) = {target!r}"
-            )
         errors = np.array(self.table_errors, dtype=float)
         errors.setflags(write=False)
         object.__setattr__(self, "table_errors", errors)
+
+
+class _Transform:
+    """Transformation a builder declares: action phases on the m basis and a target column b.
+
+    The spectrum, its unitary, the direct overlap ``|<b|U|a>|^2`` and its value
+    from the table (None when P(b|a) <= TOL) are computed once; the builder's
+    own overlap checks and the generic checks of ``_report`` share them.
+    """
+
+    def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int, noun: str) -> None:
+        self.spectrum = ActionSpectrum(dist.basis_m, phases)
+        self.unitary = unitary_from_actions(self.spectrum)
+        self.b, self.noun = b, noun
+        self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
+        self.from_kd = overlap_from_kd(dist, self.spectrum, b) if dist.prob_b[b] > TOL else None
+
+
+def _report(
+    scenario: str,
+    dist: KDDistribution,
+    transform: _Transform,
+    checks: list[Check] | tuple[Check, ...],
+    column: dict[str, float] | None = None,
+    violated: str | None = None,
+) -> ScenarioReport:
+    """Scenario report: published column entries, the builder's checks, then the transformation's.
+
+    ``column`` maps a check name to the published value of each entry of
+    column b, in the order of the m basis. Whenever the half-periodic
+    transformation maps a onto b, column b must equal ``e^{i phase(m)} P(m|a) S``
+    with ``S = sum_n e^{-i phase(n)} P(n|a)``: its entries are real and their
+    signs follow the phases (Hofmann, NJP 13, 103009 (2011)).
+    """
+    col = dist.table[:, transform.b]
+    named = (column or {}).items()
+    entries = [make_check(name, complex(value, 0.0), complex(z)) for (name, value), z in zip(named, col)]
+    half = is_half_periodic(transform.spectrum)
+    generic = [make_flag_check(f"{transform.noun} is half-periodic", half)]
+    if transform.from_kd is not None:
+        name = "overlap identity agrees with the direct overlap"
+        generic.append(make_check(name, transform.direct, transform.from_kd))
+    if half and abs(transform.direct - 1.0) <= TOL:
+        phase = np.exp(1j * np.asarray(transform.spectrum.phase))
+        residual = float(np.max(np.abs(col - phase * dist.prob_m * np.sum(dist.prob_m / phase))))
+        generic.append(make_check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
+    return ScenarioReport(scenario, dist.dim, dist, negativity(dist), (*entries, *checks, *generic), violated)
 
 
 def _spin_basis(theta: float) -> OrthonormalBasis:
@@ -121,13 +166,16 @@ def _spin_basis(theta: float) -> OrthonormalBasis:
     return complete_basis([bloch_state(theta, 0.0)], ("+1", "-1"))
 
 
-def leggett_garg_joint_probability(theta: float) -> float:
-    """Engine value of P(spin_m = -1, spin_b = +1 | spin_a = +1) for coplanar spins at 0, theta, 2 theta."""
+def _leggett_garg_table(theta: float) -> KDDistribution:
+    """Joint table for coplanar spins: preparation along 0, m along ``theta``, b along ``2 theta``."""
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    a = bloch_state(0.0, 0.0)
-    dist = kd_joint(a, _spin_basis(theta), _spin_basis(2.0 * theta))
-    return float(dist.table[1, 0].real)
+    return kd_joint(bloch_state(0.0, 0.0), _spin_basis(theta), _spin_basis(2.0 * theta))
+
+
+def leggett_garg_joint_probability(theta: float) -> float:
+    """Engine value of P(spin_m = -1, spin_b = +1 | spin_a = +1) for coplanar spins at 0, theta, 2 theta."""
+    return float(_leggett_garg_table(theta).table[1, 0].real)
 
 
 def leggett_garg(theta: float) -> ScenarioReport:
@@ -140,13 +188,8 @@ def leggett_garg(theta: float) -> ScenarioReport:
     part of the joint table entry. It is negative for all theta < pi/2 and
     reaches -1/8 at cos(theta) = 1/2.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-
-    a = bloch_state(0.0, 0.0)
-    basis_m = _spin_basis(theta)
-    basis_b = _spin_basis(2.0 * theta)
-    dist = kd_joint(a, basis_m, basis_b)
+    dist = _leggett_garg_table(theta)
+    a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
     # route 1: separate expectation values of the three spin observables
@@ -164,12 +207,10 @@ def leggett_garg(theta: float) -> ScenarioReport:
 
     # route 3: half-periodic flip about the m axis; the signed difference of
     # the two joint probabilities is the real transformation amplitude
-    flip = ActionSpectrum(basis_m, (0.0, math.pi))
-    unitary = unitary_from_actions(flip)
+    flip = _Transform(dist, (0.0, math.pi), 0, "flip spectrum")
     b_plus = basis_b.vectors[0]
     p_b = float(abs(inner(b_plus, a)) ** 2)
-    p_b_after = overlap_direct(a, b_plus, unitary)
-    amplitude = inner(b_plus, StateVector(unitary.apply(a))) * inner(a, b_plus)
+    amplitude = inner(b_plus, StateVector(flip.unitary.apply(a))) * inner(a, b_plus)
     p_transform = 0.5 * (p_b - amplitude.real)
 
     checks = [
@@ -177,24 +218,11 @@ def leggett_garg(theta: float) -> ScenarioReport:
         make_check("joint probability via transformation overlap", p_closed, p_transform),
         make_check("joint probability equals Re of the joint table entry", p_closed, entry.real),
         make_check("joint table entry is real", 0.0, entry.imag),
-        make_check("flip about the m axis maps a onto b", 1.0, p_b_after),
-        make_check(
-            "transformation amplitude modulus",
-            math.sqrt(p_b * p_b_after),
-            abs(amplitude),
-        ),
-        make_flag_check("flip spectrum is half-periodic", is_half_periodic(flip)),
+        make_check("flip about the m axis maps a onto b", 1.0, flip.direct),
+        make_check("transformation amplitude modulus", math.sqrt(p_b * flip.direct), abs(amplitude)),
     ]
-    if p_b > TOL:  # the overlap identity divides by P(b|a); undefined at theta = pi/2
-        checks.append(
-            make_check(
-                "overlap identity agrees with the direct overlap",
-                p_b_after,
-                overlap_from_kd(dist, flip, 0),
-            )
-        )
     violated = "positivity of P(spin_m=-1, spin_b=+1)" if entry.real < -TOL else None
-    return ScenarioReport("leggett-garg", 2, dist, negativity(dist), tuple(checks), violated)
+    return _report("leggett-garg", dist, flip, checks, violated=violated)
 
 
 def three_box() -> ScenarioReport:
@@ -206,33 +234,20 @@ def three_box() -> ScenarioReport:
     basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
     a = StateVector.normalize([1.0, 1.0, 1.0])
     b = StateVector.normalize([1.0, 1.0, -1.0])
-    basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
-    dist = kd_joint(a, basis_m, basis_b)
-
-    _, prob_b = marginals(dist)
-    spectrum = ActionSpectrum(basis_m, (0.0, 0.0, math.pi))
-    unitary = unitary_from_actions(spectrum)
+    dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null")))
+    flip = _Transform(dist, (0.0, 0.0, math.pi), 0, "phase pattern")
     col = dist.table[:, 0]
 
     checks = (
-        make_check("P(box 1, b | a) = 1/9", complex(1.0 / 9.0, 0.0), complex(col[0])),
-        make_check("P(box 2, b | a) = 1/9", complex(1.0 / 9.0, 0.0), complex(col[1])),
-        make_check("P(box 3, b | a) = -1/9", complex(-1.0 / 9.0, 0.0), complex(col[2])),
-        make_check("post-selection probability P(b|a) = 1/9", 1.0 / 9.0, float(prob_b[0])),
-        make_check(
-            "phase pattern (0, 0, pi) transforms a onto b (overlap identity)",
-            1.0,
-            overlap_from_kd(dist, spectrum, 0),
-        ),
-        make_check("direct overlap after the phase flip", 1.0, overlap_direct(a, b, unitary)),
+        make_check("post-selection probability P(b|a) = 1/9", 1.0 / 9.0, float(dist.prob_b[0])),
+        make_check("phase pattern (0, 0, pi) transforms a onto b (overlap identity)", 1.0, flip.from_kd),
+        make_check("direct overlap after the phase flip", 1.0, flip.direct),
         make_check("boxes 2 and 3 cancel", complex(0.0, 0.0), complex(col[1] + col[2])),
         make_check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[0]))),
         make_check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[2]))),
-        make_flag_check("phase pattern is half-periodic", is_half_periodic(spectrum)),
     )
-    return ScenarioReport(
-        "three-box", 3, dist, negativity(dist), checks, "positivity of P(box 3, b | a)"
-    )
+    column = {**{f"P(box {k}, b | a) = 1/9": 1.0 / 9.0 for k in (1, 2)}, "P(box 3, b | a) = -1/9": -1.0 / 9.0}
+    return _report("three-box", dist, flip, checks, column, "positivity of P(box 3, b | a)")
 
 
 def cheshire_cat() -> ScenarioReport:
@@ -246,24 +261,18 @@ def cheshire_cat() -> ScenarioReport:
     basis_m = OrthonormalBasis.standard(4, labels)
     a = StateVector.normalize([1.0, 1.0, 1.0, 1.0])
     b = StateVector.normalize([1.0, 1.0, 1.0, -1.0])
-    basis_b = post_selection_basis(a, b, ("b", "rest", "null1", "null2"))
-    dist = kd_joint(a, basis_m, basis_b)
+    dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null1", "null2")))
+    flip = _Transform(dist, (0.0, 0.0, 0.0, math.pi), 0, "phase pattern")
 
-    _, prob_b = marginals(dist)
-    p_b = float(prob_b[0])
+    p_b = float(dist.prob_b[0])
     col = dist.table[:, 0]
     path1 = float((col[0] + col[1]).real) / p_b
     path2 = float((col[2] + col[3]).real) / p_b
     smile_p2 = float((col[2] - col[3]).real) / p_b
     pol_h = float((col[0] + col[2]).real) / p_b
     pol_v = float((col[1] + col[3]).real) / p_b
-    spectrum = ActionSpectrum(basis_m, (0.0, 0.0, 0.0, math.pi))
 
     checks = (
-        make_check("P(p1, H; b | a) = 1/8", complex(0.125, 0.0), complex(col[0])),
-        make_check("P(p1, V; b | a) = 1/8", complex(0.125, 0.0), complex(col[1])),
-        make_check("P(p2, H; b | a) = 1/8", complex(0.125, 0.0), complex(col[2])),
-        make_check("P(p2, V; b | a) = -1/8", complex(-0.125, 0.0), complex(col[3])),
         make_check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
         make_check("conditional weight of path p1", 1.0, path1),
         make_check("conditional weight of path p2", 0.0, path2),
@@ -275,16 +284,15 @@ def cheshire_cat() -> ScenarioReport:
             complex(path1, 0.0),
             weak_value(a, b, projector(basis_m.vectors[0]) + projector(basis_m.vectors[1])),
         ),
-        make_check(
-            "pi phase on (p2, V) maps a onto b (overlap identity)",
-            1.0,
-            overlap_from_kd(dist, spectrum, 0),
-        ),
-        make_flag_check("phase pattern is half-periodic", is_half_periodic(spectrum)),
+        make_check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
     )
-    return ScenarioReport(
-        "cheshire-cat", 4, dist, negativity(dist), checks, "positivity of P(p2, V; b | a)"
-    )
+    column = {
+        "P(p1, H; b | a) = 1/8": 0.125,
+        "P(p1, V; b | a) = 1/8": 0.125,
+        "P(p2, H; b | a) = 1/8": 0.125,
+        "P(p2, V; b | a) = -1/8": -0.125,
+    }
+    return _report("cheshire-cat", dist, flip, checks, column, "positivity of P(p2, V; b | a)")
 
 
 def hardy() -> ScenarioReport:
@@ -312,47 +320,31 @@ def hardy() -> ScenarioReport:
     )
     a = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
     dist = kd_joint(a, basis_m, basis_b)
-
-    _, prob_b = marginals(dist)
-    b_idx = 3
+    b_idx = 3  # both particles in the opposite ports
+    flip = _Transform(dist, (0.0, math.pi, math.pi, 0.0), b_idx, "double flip")
     col = dist.table[:, b_idx]
-    both_opposite = tensor_state(port_b, port_b)
 
     # mixed path/port events that are directly observable and vanish
     p_b1_outer2 = float(abs(inner(tensor_state(port_b, path.vectors[0]), a)) ** 2)
     p_outer1_b2 = float(abs(inner(tensor_state(path.vectors[0], port_b), a)) ** 2)
-
-    spectrum = ActionSpectrum(basis_m, (0.0, math.pi, math.pi, 0.0))
-    unitary = unitary_from_actions(spectrum)
-    p_after = overlap_direct(a, both_opposite, unitary)
-    signed_sum = complex(np.sum(col * np.exp(-1j * np.asarray(spectrum.phase))))
+    signed_sum = complex(np.sum(col * np.exp(-1j * np.asarray(flip.spectrum.phase))))
 
     checks = (
-        make_check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(prob_b[b_idx])),
-        make_check("P(O1, O2; b1, b2 | a) = -1/12", complex(-1.0 / 12.0, 0.0), complex(col[0])),
-        make_check("P(O1, I2; b1, b2 | a) = 1/12", complex(1.0 / 12.0, 0.0), complex(col[1])),
-        make_check("P(I1, O2; b1, b2 | a) = 1/12", complex(1.0 / 12.0, 0.0), complex(col[2])),
-        make_check("P(I1, I2; b1, b2 | a) = 0", complex(0.0, 0.0), complex(col[3])),
+        make_check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
         make_check("outer-1 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[1])),
         make_check("outer-2 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[2])),
         make_check("P(b1, O2 | a) = 0", 0.0, p_b1_outer2),
         make_check("P(O1, b2 | a) = 0", 0.0, p_outer1_b2),
-        make_check("overlap after the double phase flip = 3/4", 0.75, p_after),
-        make_check(
-            "signed joint sum = -sqrt(P(b|a) P(b|U a)) = -1/4",
-            complex(-0.25, 0.0),
-            signed_sum,
-        ),
-        make_check(
-            "overlap identity agrees with the direct overlap",
-            p_after,
-            overlap_from_kd(dist, spectrum, b_idx),
-        ),
-        make_flag_check("double flip is half-periodic", is_half_periodic(spectrum)),
+        make_check("overlap after the double phase flip = 3/4", 0.75, flip.direct),
+        make_check("signed joint sum = -sqrt(P(b|a) P(b|U a)) = -1/4", complex(-0.25, 0.0), signed_sum),
     )
-    return ScenarioReport(
-        "hardy", 4, dist, negativity(dist), checks, "positivity of P(O1, O2; b1, b2 | a)"
-    )
+    column = {
+        "P(O1, O2; b1, b2 | a) = -1/12": -1.0 / 12.0,
+        "P(O1, I2; b1, b2 | a) = 1/12": 1.0 / 12.0,
+        "P(I1, O2; b1, b2 | a) = 1/12": 1.0 / 12.0,
+        "P(I1, I2; b1, b2 | a) = 0": 0.0,
+    }
+    return _report("hardy", dist, flip, checks, column, "positivity of P(O1, O2; b1, b2 | a)")
 
 
 def _pm_label(s1: int, s2: int) -> str:
@@ -399,6 +391,7 @@ def peres_mermin_swap() -> ScenarioReport:
         tuple(tensor_state(_Y_EIGEN[t1], _X_EIGEN[t2]) for t1, t2 in order),
     )
     dist = kd_joint(a, basis_m, basis_b)
+    swap = _Transform(dist, (math.pi, 0.0, 0.0, 0.0), 0, "swap spectrum")
     col = dist.table[:, 0]
 
     xx = tensor_op(pauli("X"), pauli("X"))
@@ -407,16 +400,10 @@ def peres_mermin_swap() -> ScenarioReport:
     x1y2 = tensor_op(pauli("X"), pauli("Y"))
     y1x2 = tensor_op(pauli("Y"), pauli("X"))
 
-    # product-value dictionary of the swap eigenbasis, by direct application
-    eig = {
-        label: (
-            _eigenvalue_of(xx, vec),
-            _eigenvalue_of(yy, vec),
-            _eigenvalue_of(zz, vec),
-        )
-        for label, vec in zip(basis_m.labels, basis_m.vectors)
-    }
-    corr1_residual = max(abs(x * y + z) for x, y, z in eig.values())
+    # product values on the swap eigenbasis, by direct application: one row per
+    # swap eigenvector, columns X1X2, Y1Y2, Z1Z2
+    eig = np.array([[_eigenvalue_of(op, vec) for op in (xx, yy, zz)] for vec in basis_m.vectors])
+    corr1_residual = float(np.max(np.abs(eig[:, 0] * eig[:, 1] + eig[:, 2])))
 
     # the rearranged products form an operator identity with the opposite sign
     corr2_residual = float(np.max(np.abs((x1y2 @ y1x2).mat - zz.mat)))
@@ -428,21 +415,11 @@ def peres_mermin_swap() -> ScenarioReport:
         float(np.max(np.abs((x1y2 @ y1x2).apply(v) - zz.apply(v)))) for v in product_vectors
     )
 
-    _, prob_b = marginals(dist)
-    p_b = float(prob_b[0])
-    cond_xx = sum(eig[lab][0] * float(col[i].real) for i, lab in enumerate(basis_m.labels)) / p_b
-    cond_yy = sum(eig[lab][1] * float(col[i].real) for i, lab in enumerate(basis_m.labels)) / p_b
-    cond_zz = sum(eig[lab][2] * float(col[i].real) for i, lab in enumerate(basis_m.labels)) / p_b
-
-    spectrum = ActionSpectrum(basis_m, (math.pi, 0.0, 0.0, 0.0))
-    swap = unitary_from_actions(spectrum)
-    swap_literal = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    p_b = float(dist.prob_b[0])
+    cond_xx, cond_yy, cond_zz = (col.real @ eig / p_b).tolist()
+    literal_error = float(np.max(np.abs(swap.unitary.mat - np.eye(4, dtype=complex)[[0, 2, 1, 3]])))
 
     checks = (
-        make_check("P(S; b | a) = -1/8", complex(-0.125, 0.0), complex(col[0])),
-        make_check("P(Tx; b | a) = 1/8", complex(0.125, 0.0), complex(col[1])),
-        make_check("P(Ty; b | a) = 1/8", complex(0.125, 0.0), complex(col[2])),
-        make_check("P(Tz; b | a) = 1/8", complex(0.125, 0.0), complex(col[3])),
         make_check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
         make_check("(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors", 0.0, corr1_residual),
         make_check("(X1X2)(Y1Y2) + Z1Z2 vanishes as an operator", 0.0, corr1_operator_residual),
@@ -454,18 +431,11 @@ def peres_mermin_swap() -> ScenarioReport:
         make_check("conditional average of Z1Z2", 1.0, cond_zz),
         make_check("preparation has X1Y2 = +1", 1.0, _eigenvalue_of(x1y2, a)),
         make_check("post-selection has Y1X2 = +1", 1.0, _eigenvalue_of(y1x2, b)),
-        make_check("swap maps a onto b", 1.0, overlap_direct(a, b, swap)),
-        make_check(
-            "overlap identity agrees with the direct overlap",
-            1.0,
-            overlap_from_kd(dist, spectrum, 0),
-        ),
-        make_check("spectrum synthesizes the literal swap", 0.0, float(np.max(np.abs(swap.mat - swap_literal)))),
-        make_flag_check("swap spectrum is half-periodic", is_half_periodic(spectrum)),
+        make_check("swap maps a onto b", 1.0, swap.direct),
+        make_check("spectrum synthesizes the literal swap", 0.0, literal_error),
     )
-    return ScenarioReport(
-        "peres-mermin", 4, dist, negativity(dist), checks, "context independence of spin products"
-    )
+    column = {"P(S; b | a) = -1/8": -0.125, **{f"P({label}; b | a) = 1/8": 0.125 for label in ("Tx", "Ty", "Tz")}}
+    return _report("peres-mermin", dist, swap, checks, column, "context independence of spin products")
 
 
 _CHSH_ORDER = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
@@ -568,9 +538,12 @@ def bell_scenario(theta: float) -> ScenarioReport:
     bound_violated = report.k_expectation > 2.0 + TOL
     negative_mass = report.p_k_minus2 < -TOL
 
-    # conditional flip diagonal in the (X1, X2) basis, pi phase on (-1, -1):
-    # the half-periodic generator behind the negative cells
-    flip = ActionSpectrum(dist.basis_m, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER))
+    # conditional flip diagonal in the (X1, X2) basis, pi phase on (-1, -1),
+    # onto column b = (+1, +1): the half-periodic generator behind the negative cells
+    b_plus = 3
+    flip = _Transform(
+        dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus, "conditional flip spectrum"
+    )
 
     checks = [
         make_check("joint table matches the closed-form table", 0.0, float(report.table_errors.max())),
@@ -580,33 +553,18 @@ def bell_scenario(theta: float) -> ScenarioReport:
         make_check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
         make_check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
         make_flag_check("P(K=-2) < 0 exactly when <K> > 2", bound_violated == negative_mass),
-        make_flag_check("conditional flip spectrum is half-periodic", is_half_periodic(flip)),
     ]
-    b_plus = 3  # column b = (+1, +1)
-    _, prob_b = marginals(dist)
-    if float(prob_b[b_plus]) > TOL:
+    if flip.from_kd is not None:
         # entries of that column are real, so compensating the single pi phase
         # saturates the triangle bound on the transformed overlap
-        optimum = float(np.sum(np.abs(dist.table[:, b_plus]))) ** 2 / float(prob_b[b_plus])
-        checks.append(
-            make_check(
-                "conditional flip achieves the optimal overlap onto b=(+1,+1)",
-                optimum,
-                overlap_from_kd(dist, flip, b_plus),
-            )
-        )
+        optimum = float(np.sum(np.abs(dist.table[:, b_plus]))) ** 2 / float(dist.prob_b[b_plus])
+        checks.append(make_check("conditional flip achieves the optimal overlap onto b=(+1,+1)", optimum, flip.from_kd))
+    column = None
     if abs(theta) <= 1e-12:
-        col = dist.table[:, 3]  # b = (+1, +1)
-        for i, value in zip(range(4), (-0.125, 0.125, 0.125, 0.125)):
-            checks.append(
-                make_check(
-                    f"theta=0 column entry m={dist.basis_m.labels[i]}",
-                    complex(value, 0.0),
-                    complex(col[i]),
-                )
-            )
+        values = (-0.125, 0.125, 0.125, 0.125)
+        column = {f"theta=0 column entry m={label}": v for label, v in zip(dist.basis_m.labels, values)}
     violated = "CHSH correlation bound |<K>| <= 2" if bound_violated else None
-    return ScenarioReport("bell", 4, dist, negativity(dist), tuple(checks), violated)
+    return _report("bell", dist, flip, checks, column, violated)
 
 
 SCENARIO_NAMES = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")

@@ -269,6 +269,21 @@ class TestKdCommand:
         assert code == EXIT_USAGE and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("command", [["kd"], ["weak", "--coupling", "1", "--width", "1", "--kappa", "0,1"]])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("state_a", [[1e308, 0], [1e308, 0]]), ("basis_m", [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]])],
+    )
+    def test_overflowing_amplitudes_are_usage_errors(self, tmp_path, command, field, value):
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        payload = {"dim": 2, "state_a": [[1, 0], [0, 0]], "basis_m": identity, "basis_b": identity, field: value}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_python("-m", "kdqlab", command[0], str(path), *command[1:], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        lines = [line for line in proc.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
 
 class TestWeakCommand:
     def test_three_box_pointer_run(self, capsys, tmp_path):
@@ -426,6 +441,16 @@ class TestExitCodeContract:
         code, out, _ = run_cli(capsys, "scenario", "three-box")
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out and "overall: FAIL" in out
+
+    def test_failed_bell_correlation_check_exits_three(self, capsys, monkeypatch):
+        import kdqlab.scenarios as scenarios_module
+
+        cell_value = scenarios_module.chsh_cell_value
+        monkeypatch.setattr(scenarios_module, "chsh_cell_value", lambda m, b: 2 * cell_value(m, b))
+        code, out, err = run_cli(capsys, "scenario", "bell")
+        assert code == EXIT_CHECK_FAILED and err == ""
+        assert any(line.startswith("  FAIL  <K> = 2 (sin + cos):") for line in out.splitlines())
+        assert out.splitlines()[-1] == "overall: FAIL"
 
 
 class TestProcess:

@@ -332,6 +332,15 @@ class TestOverlaps:
         with pytest.raises(ValueError, match="basis"):
             overlap_from_kd(dist, ActionSpectrum(basis_b, (0.0, 0.0, 0.0)), 0)
 
+    def test_from_kd_accepts_an_equal_basis_object(self):
+        a, _, basis_m, basis_b = three_box_setup()
+        dist = kd_joint(a, basis_m, basis_b)
+        copy = OrthonormalBasis(basis_m.labels, tuple(StateVector(v.amp) for v in basis_m.vectors))
+        assert copy is not basis_m
+        phases = (0.0, 0.0, math.pi)
+        same = overlap_from_kd(dist, ActionSpectrum(basis_m, phases), 0)
+        assert overlap_from_kd(dist, ActionSpectrum(copy, phases), 0) == same
+
 
 class TestOptimalAction:
     def test_positive_entry(self):

@@ -23,6 +23,7 @@ from kdqlab import (
 from kdqlab.scenarios import chsh_cell_value, leggett_garg_joint_probability
 
 TOL = 1e-10
+LAW = "column b follows the half-periodic law e^(i phase) P(m|a) S"
 
 ALL_BUILDERS = {
     "leggett-garg": lambda: leggett_garg(math.pi / 3),
@@ -67,6 +68,20 @@ class TestReportContract:
         for name, report in reports.items():
             assert report.violated_inequality, name
 
+    def test_every_transformation_gets_the_generic_checks(self, reports):
+        for name, report in reports.items():
+            names = [c.name for c in report.checks]
+            assert sum(n.endswith(" is half-periodic") for n in names) == 1, name
+            assert "overlap identity agrees with the direct overlap" in names, name
+
+    def test_half_periodic_law_where_the_transformation_maps_a_onto_b(self, reports):
+        for name, report in reports.items():
+            law = [c for c in report.checks if c.name == LAW]
+            if name in ("hardy", "bell"):  # direct overlaps 3/4 and (1 + 1/sqrt 2) / 2
+                assert law == [], name
+            else:
+                assert len(law) == 1 and law[0].passed and law[0].got <= 1e-14, name
+
 
 class TestLeggettGarg:
     def test_maximal_violation_value(self):
@@ -108,6 +123,7 @@ class TestLeggettGarg:
             assert max(got) - min(got) <= TOL
             negative = report.kd.entry("-1", "+1").real < -TOL
             assert negative == (theta < math.pi / 2)
+            assert [c.passed for c in report.checks if c.name == LAW] == [True]
 
     def test_grid_search_finds_the_maximum_violation(self):
         # two-stage scan so the located value resolves the quadratic minimum
