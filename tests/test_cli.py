@@ -76,6 +76,12 @@ class TestScenarioCommand:
         engine = bell_chsh(theta).kd.table
         assert float(np.max(np.abs(table - engine))) <= 1e-12
 
+    @pytest.mark.parametrize("theta", [("1e-6",), ("0.001", "--deg")])
+    def test_bell_near_zero_angle_passes(self, capsys, theta):
+        # the conditional flip almost maps a onto b here; the law must not be applied and then fail
+        code, out, _ = run_cli(capsys, "scenario", "bell", "--theta", *theta)
+        assert code == EXIT_OK and "FAIL" not in out
+
     def test_bell_p_k_minus2_reported(self, capsys):
         _, out, _ = run_cli(capsys, "scenario", "bell", "--theta", str(math.pi / 4), "--format", "json")
         payload = json.loads(out)

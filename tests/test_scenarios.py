@@ -243,6 +243,15 @@ class TestBell:
         report = bell_chsh(math.pi / 4)
         assert report.k_expectation == pytest.approx(expectation(k_op, a).real, abs=TOL)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-9, 1e-6, math.radians(0.001), 1e-3])
+    def test_half_periodic_law_only_where_the_flip_maps_a_onto_b(self, theta):
+        # 1 - |<b|U|a>|^2 is about theta^2 / 4 but the law's deviation about theta / 8
+        law = [c for c in bell_scenario(theta).checks if c.name == LAW]
+        if theta <= 1e-12:
+            assert len(law) == 1 and law[0].passed, theta
+        else:
+            assert law == [], theta
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2])
     def test_table_reproduced(self, theta):
         report = bell_chsh(theta)
