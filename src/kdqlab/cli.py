@@ -1,8 +1,15 @@
 """Command-line front end: built-in scenarios, user joint tables, pointer runs.
 
 Exit codes: 0 all checks pass, 2 input or usage error, 3 check failure.
-Data goes to stdout, warnings and diagnostics to stderr. Floating output is
-printed with 12 significant digits; complex values serialize as [re, im].
+Data goes to stdout, warnings and diagnostics to stderr.
+
+``scenario`` and ``kd`` each build one payload, a dict of unrounded engine
+values: the joint table, its marginals and negativity, then the report's
+checks or the file's overlap rows. The JSON, CSV and table views read only
+that payload, so the three formats show the same numbers. There is one
+rounding rule: every float is shown with 12 significant digits. The JSON view
+rounds each float, writes complex values as [re, im] and leaves ints, bools,
+strings and None alone; the text views print floats through ``_fmt``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,22 +62,11 @@ def _fmt(x: float) -> str:
     return f"{float(x) + 0.0:.12g}"  # the addition folds -0.0 into 0.0
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _fmt_complex(z: complex) -> str:
     if abs(z.imag) <= TOL:
         return _fmt(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
-
-
-def _json_value(value: complex | float) -> float | list[float]:
-    z = complex(value)
-    if isinstance(value, complex) or abs(z.imag) > 0.0:
-        return [_round12(z.real), _round12(z.imag)]
-    return _round12(z.real)
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> str:
@@ -82,114 +79,113 @@ def _phase_text(entry: complex) -> str:
     return _fmt(float(np.angle(entry))) if abs(entry) > TOL else "undefined"
 
 
-def _kd_json(dist: KDDistribution, neg: NegativityReport) -> dict:
+def _payload(scenario: str | None, dist: KDDistribution, neg: NegativityReport) -> dict:
+    """Joint table, marginals and negativity of one result, as unrounded engine values."""
     prob_m, prob_b = marginals(dist)
     return {
+        "scenario": scenario,
+        "dim": dist.dim,
         "kd": {
             "labels": {"m": list(dist.basis_m.labels), "b": list(dist.basis_b.labels)},
-            "re": [[_round12(v) for v in row] for row in dist.table.real.tolist()],
-            "im": [[_round12(v) for v in row] for row in dist.table.imag.tolist()],
+            "re": dist.table.real.tolist(),
+            "im": dist.table.imag.tolist(),
         },
-        "marginals": {
-            "m": [_round12(v) for v in prob_m.tolist()],
-            "b": [_round12(v) for v in prob_b.tolist()],
-        },
-        "negativity": {
-            "total_negativity": _round12(neg.total_negativity),
-            "min_real": _round12(neg.min_real),
-            "argmin": list(neg.argmin),
-            "max_abs_phase": _round12(neg.max_abs_phase),
-        },
+        "marginals": {"m": prob_m.tolist(), "b": prob_b.tolist()},
+        "negativity": asdict(neg),
     }
 
 
-def _kd_csv(dist: KDDistribution) -> str:
+def _json_view(value: object) -> object:
+    """The payload as JSON data: floats to 12 significant digits, complex values as [re, im]."""
+    if isinstance(value, dict):
+        return {key: _json_view(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_view(item) for item in value]
+    if isinstance(value, complex):
+        return [_json_view(value.real), _json_view(value.imag)]
+    return float(_fmt(value)) if isinstance(value, float) else value
+
+
+def _entries(kd: dict) -> list[tuple[str, list[complex]]]:
+    """Rows of the payload's joint table: (m label, complex entries in b order)."""
+    return [
+        (m, [complex(re, im) for re, im in zip(re_row, im_row)])
+        for m, re_row, im_row in zip(kd["labels"]["m"], kd["re"], kd["im"])
+    ]
+
+
+def _csv_view(payload: dict) -> str:
     lines = ["m_label,b_label,re,im,modulus,phase"]
-    for i, m_label in enumerate(dist.basis_m.labels):
-        for j, b_label in enumerate(dist.basis_b.labels):
-            entry = complex(dist.table[i, j])
+    for m_label, row in _entries(payload["kd"]):
+        for b_label, z in zip(payload["kd"]["labels"]["b"], row):
             lines.append(
                 ",".join(
                     [
                         m_label,
                         b_label,
-                        _fmt(entry.real),
-                        _fmt(entry.imag),
-                        _fmt(abs(entry)),
-                        _phase_text(entry),
+                        _fmt(z.real),
+                        _fmt(z.imag),
+                        _fmt(abs(z)),
+                        _phase_text(z),
                     ]
                 )
             )
     return "\n".join(lines)
 
 
-def _kd_text(dist: KDDistribution, neg: NegativityReport) -> str:
-    prob_m, prob_b = marginals(dist)
-    header = ["m \\ b"] + list(dist.basis_b.labels)
-    value_rows = [
-        [m_label] + [_fmt_complex(complex(v)) for v in dist.table[i]]
-        for i, m_label in enumerate(dist.basis_m.labels)
-    ]
-    polar_rows = [
-        [m_label]
-        + [f"{_fmt(abs(complex(v)))} @ {_phase_text(complex(v))}" for v in dist.table[i]]
-        for i, m_label in enumerate(dist.basis_m.labels)
-    ]
-    parts = [
+def _table_view(payload: dict) -> str:
+    kd, neg, rows = payload["kd"], payload["negativity"], _entries(payload["kd"])
+    header = ["m \\ b", *kd["labels"]["b"]]
+    lines = [] if payload["scenario"] is None else [f"scenario: {payload['scenario']}  (dim {payload['dim']})", ""]
+    lines += [
         "joint quasi-probability table P(m, b | a)",
-        _format_table(header, value_rows),
+        _format_table(
+            header,
+            [
+                [m_label] + [_fmt_complex(z) for z in row]
+                for m_label, row in rows
+            ],
+        ),
         "",
         "modulus @ action phase",
-        _format_table(header, polar_rows),
+        _format_table(
+            header,
+            [
+                [m_label]
+                + [f"{_fmt(abs(z))} @ {_phase_text(z)}" for z in row]
+                for m_label, row in rows
+            ],
+        ),
         "",
-        "P(m|a): " + "  ".join(f"{lab}={_fmt(p)}" for lab, p in zip(dist.basis_m.labels, prob_m)),
-        "P(b|a): " + "  ".join(f"{lab}={_fmt(p)}" for lab, p in zip(dist.basis_b.labels, prob_b)),
+        "P(m|a): " + "  ".join(f"{lab}={_fmt(p)}" for lab, p in zip(kd["labels"]["m"], payload["marginals"]["m"])),
+        "P(b|a): " + "  ".join(f"{lab}={_fmt(p)}" for lab, p in zip(kd["labels"]["b"], payload["marginals"]["b"])),
         (
-            f"negativity: total={_fmt(neg.total_negativity)}  min_real={_fmt(neg.min_real)}"
-            f" at ({neg.argmin[0]}, {neg.argmin[1]})  max|phase|={_fmt(neg.max_abs_phase)}"
+            f"negativity: total={_fmt(neg['total_negativity'])}  min_real={_fmt(neg['min_real'])}"
+            f" at ({neg['argmin'][0]}, {neg['argmin'][1]})  max|phase|={_fmt(neg['max_abs_phase'])}"
         ),
     ]
-    return "\n".join(parts)
-
-
-def _check_json(check: scenarios.Check) -> dict:
-    return {
-        "name": check.name,
-        "expected": _json_value(check.expected),
-        "got": _json_value(check.got),
-        "tolerance": check.tolerance,
-        "pass": check.passed,
-    }
-
-
-def _scenario_json(report: scenarios.ScenarioReport) -> dict:
-    neg = report.negativity
-    payload = {"scenario": report.scenario, "dim": report.dim}
-    payload.update(_kd_json(report.kd, neg))
-    payload["checks"] = [_check_json(c) for c in report.checks]
-    payload["violated_inequality"] = report.violated_inequality
-    payload["pass"] = report.passed
-    return payload
-
-
-def _scenario_text(report: scenarios.ScenarioReport) -> str:
-    lines = [
-        f"scenario: {report.scenario}  (dim {report.dim})",
-        "",
-        _kd_text(report.kd, report.negativity),
-        "",
-        "checks:",
-    ]
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(
-            f"  {status}  {check.name}: expected={_fmt_complex(complex(check.expected))}"
-            f" got={_fmt_complex(complex(check.got))} tol={check.tolerance:g}"
-        )
-    if report.violated_inequality:
-        lines.append(f"violated inequality: {report.violated_inequality}")
-    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    if "checks" in payload:
+        lines += ["", "checks:"]
+        for check in payload["checks"]:
+            status = "PASS" if check["pass"] else "FAIL"
+            lines.append(
+                f"  {status}  {check['name']}: expected={_fmt_complex(complex(check['expected']))}"
+                f" got={_fmt_complex(complex(check['got']))} tol={check['tolerance']:g}"
+            )
+        if payload["violated_inequality"]:
+            lines.append(f"violated inequality: {payload['violated_inequality']}")
+        lines.append(f"overall: {'PASS' if payload['pass'] else 'FAIL'}")
+    if "overlaps" in payload:
+        cells = [[v if isinstance(v, str) else _fmt(v) for v in row.values()] for row in payload["overlaps"]]
+        lines += ["", "transformed overlap per final outcome (table route vs direct route)"]
+        lines.append(_format_table(["b", "overlap_from_kd", "overlap_direct", "difference"], cells))
     return "\n".join(lines)
+
+
+def _emit(fmt: str, payload: dict) -> None:
+    """Print the payload in the requested view: json, csv or table."""
+    view = {"json": lambda p: json.dumps(_json_view(p)), "csv": _csv_view, "table": _table_view}[fmt]
+    print(view(payload))
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -201,12 +197,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(_scenario_json(report)))
-    elif args.format == "csv":
-        print(_kd_csv(report.kd))
-    else:
-        print(_scenario_text(report))
+    payload = _payload(report.scenario, report.kd, report.negativity)
+    payload |= {
+        "checks": [
+            {"name": c.name, "expected": c.expected, "got": c.got, "tolerance": c.tolerance, "pass": c.passed}
+            for c in report.checks
+        ],
+        "violated_inequality": report.violated_inequality,
+        "pass": report.passed,
+    }
+    _emit(args.format, payload)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -232,9 +232,9 @@ def _overlap_rows(config: ScenarioFile, dist: KDDistribution) -> list[dict]:
         except UndefinedOverlapError:
             from_kd = difference = "undefined"
         else:
-            from_kd, difference = _round12(from_kd), _round12(abs(from_kd - direct))
+            difference = abs(from_kd - direct)
         rows.append(
-            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": _round12(direct), "difference": difference}
+            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": direct, "difference": difference}
         )
     return rows
 
@@ -244,25 +244,10 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     if config is None:
         return EXIT_USAGE
     dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
-    neg = negativity(dist)
-    overlap_rows = _overlap_rows(config, dist) if config.action_phase is not None else None
-
-    if args.format == "json":
-        payload = {"scenario": None, "dim": config.dim}
-        payload.update(_kd_json(dist, neg))
-        if overlap_rows is not None:
-            payload["overlaps"] = overlap_rows
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        print(_kd_csv(dist))
-    else:
-        print(_kd_text(dist, neg))
-        if overlap_rows is not None:
-            print()
-            print("transformed overlap per final outcome (table route vs direct route)")
-            header = ["b", "overlap_from_kd", "overlap_direct", "difference"]
-            rows = [[v if isinstance(v, str) else _fmt(v) for v in row.values()] for row in overlap_rows]
-            print(_format_table(header, rows))
+    payload = _payload(None, dist, negativity(dist))
+    if config.action_phase is not None:
+        payload["overlaps"] = _overlap_rows(config, dist)
+    _emit(args.format, payload)
     return EXIT_OK
 
 

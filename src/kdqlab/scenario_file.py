@@ -46,6 +46,13 @@ class ScenarioFile:
         return self.state_a.dim
 
 
+def _float(value: int | float, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ScenarioFileError(f"{where}: {exc}") from exc
+
+
 def _complex_pair(value: object, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -53,7 +60,7 @@ def _complex_pair(value: object, where: str) -> complex:
         or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
     ):
         raise ScenarioFileError(f"{where}: complex entries must be [re, im] number pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_float(value[0], where), _float(value[1], where))
 
 
 def _complex_vector(value: object, dim: int, where: str) -> np.ndarray:
@@ -69,7 +76,7 @@ def _real_list(value: object, dim: int, where: str) -> tuple[float, ...]:
         or not all(isinstance(entry, (int, float)) and not isinstance(entry, bool) for entry in value)
     ):
         raise ScenarioFileError(f"{where}: expected a list of {dim} numbers")
-    values = tuple(float(entry) for entry in value)
+    values = tuple(_float(entry, where) for entry in value)
     if not all(math.isfinite(v) for v in values):
         raise ScenarioFileError(f"{where}: entries must be finite numbers, got {list(values)}")
     return values
@@ -103,7 +110,7 @@ def _basis(rows: object, labels: tuple[str, ...], dim: int, where: str) -> Ortho
 def parse_scenario_text(text: str) -> ScenarioFile:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers over 4300 digits and nesting too deep
         raise ScenarioFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFileError("top-level value must be a JSON object")
@@ -151,6 +158,6 @@ def parse_scenario_text(text: str) -> ScenarioFile:
 def load_scenario_file(path: str | Path) -> ScenarioFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
     return parse_scenario_text(text)

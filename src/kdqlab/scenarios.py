@@ -541,7 +541,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
     bound_violated = report.k_expectation > 2.0 + TOL
-    negative_mass = report.p_k_minus2 < -TOL
+    negative_mass = report.p_k_minus2 < -TOL / 4  # <K> - 2 = -4 P(K=-2): both flags switch at the same angle
 
     # conditional flip diagonal in the (X1, X2) basis, pi phase on (-1, -1),
     # onto column b = (+1, +1): the half-periodic generator behind the negative cells

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,9 @@ import pytest
 import kdqlab
 from kdqlab import bell_chsh, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
+from kdqlab.qcore import TOL
+
+NINES = int("9" * 400)  # an integer literal beyond the float range
 
 
 def run_cli(capsys, *argv):
@@ -27,8 +31,21 @@ def run_python(*args, **kwargs):
     return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
+def assert_one_error_line(path, command):
+    """A fresh ``kdqlab`` process on ``path`` exits 2 with one ``error:`` line and no output."""
+    proc = run_python("-m", "kdqlab", command[0], str(path), *command[1:], capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    lines = [line for line in proc.stderr.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def state_pairs(amp):
     return [[float(z.real), float(z.imag)] for z in np.asarray(amp, dtype=complex)]
+
+
+def shows(text, value):
+    """A text view prints ``value`` exactly as the JSON view rounds it: 12 significant digits."""
+    return text == value if isinstance(value, str) else float(text) == value
 
 
 def three_box_file(tmp_path, **extra):
@@ -76,9 +93,10 @@ class TestScenarioCommand:
         engine = bell_chsh(theta).kd.table
         assert float(np.max(np.abs(table - engine))) <= 1e-12
 
-    @pytest.mark.parametrize("theta", [("1e-6",), ("0.001", "--deg")])
+    @pytest.mark.parametrize("theta", [("1e-6",), ("0.001", "--deg"), ("1e-10",), ("1.5e-10",), ("2e-10",)])
     def test_bell_near_zero_angle_passes(self, capsys, theta):
-        # the conditional flip almost maps a onto b here; the law must not be applied and then fail
+        # the conditional flip almost maps a onto b here; the law must not be applied and then fail,
+        # and the <K> > 2 and P(K=-2) < 0 flags must switch at the same angle
         code, out, _ = run_cli(capsys, "scenario", "bell", "--theta", *theta)
         assert code == EXIT_OK and "FAIL" not in out
 
@@ -236,18 +254,81 @@ class TestKdCommand:
         assert result["negativity"]["total_negativity"] == 0.0
 
     def test_format_does_not_change_numbers(self, capsys, tmp_path):
-        path = three_box_file(tmp_path)
-        _, json_out, _ = run_cli(capsys, "kd", str(path), "--format", "json")
-        _, csv_out, _ = run_cli(capsys, "kd", str(path), "--format", "csv")
-        payload = json.loads(json_out)
-        from_json = {}
-        for i, m in enumerate(payload["kd"]["labels"]["m"]):
-            for j, b in enumerate(payload["kd"]["labels"]["b"]):
-                from_json[(m, b)] = (payload["kd"]["re"][i][j], payload["kd"]["im"][i][j])
-        for line in csv_out.strip().splitlines()[1:]:
-            m, b, re, im, _, _ = line.split(",")
-            assert float(re) == pytest.approx(from_json[(m, b)][0], abs=1e-12)
-            assert float(im) == pytest.approx(from_json[(m, b)][1], abs=1e-12)
+        from helpers import haar_basis, random_state
+
+        rng = np.random.default_rng(8)
+        random_file = tmp_path / "random.json"  # complex entries, so phases are not only 0 or pi
+        random_file.write_text(
+            json.dumps(
+                {
+                    "dim": 4,
+                    "state_a": state_pairs(random_state(rng, 4).amp),
+                    "basis_m": [state_pairs(v.amp) for v in haar_basis(rng, 4, "m").vectors],
+                    "basis_b": [state_pairs(v.amp) for v in haar_basis(rng, 4, "b").vectors],
+                    "action_phase": list(rng.uniform(-math.pi, math.pi, 4)),
+                }
+            ),
+            encoding="utf-8",
+        )
+        (tmp_path / "phase").mkdir()
+        inputs = [
+            ["kd", str(three_box_file(tmp_path))],
+            ["kd", str(three_box_file(tmp_path / "phase", action_phase=[0.0, 0.0, math.pi]))],
+            ["kd", str(random_file)],
+            *(["scenario", name] for name in kdqlab.SCENARIO_NAMES),
+        ]
+        for argv in inputs:
+            views = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "csv", "table")}
+            assert len({code for code, _, _ in views.values()}) == 1, argv
+            payload = json.loads(views["json"][1])
+            kd, neg = payload["kd"], payload["negativity"]
+            assert type(payload["dim"]) is int
+            entries = [
+                (m, b, complex(kd["re"][i][j], kd["im"][i][j]))
+                for i, m in enumerate(kd["labels"]["m"])
+                for j, b in enumerate(kd["labels"]["b"])
+            ]
+            csv_lines = views["csv"][1].strip().splitlines()[1:]
+            assert len(csv_lines) == len(entries)
+            for line, (m, b, z) in zip(csv_lines, entries):
+                assert line.startswith(f"{m},{b},")  # labels such as (+1,-1) hold commas
+                re_text, im_text, modulus, phase = line[len(f"{m},{b},"):].split(",")
+                assert shows(re_text, z.real) and shows(im_text, z.imag)
+                # modulus and phase are recomputed here from the rounded re and im
+                assert float(modulus) == pytest.approx(abs(z), rel=1e-11, abs=1e-12)
+                if phase == "undefined":
+                    assert abs(z) <= TOL
+                else:
+                    assert abs(np.exp(1j * float(phase)) - z / abs(z)) <= 1e-11
+
+            table = views["table"][1].splitlines()
+            for key in "mb":
+                line = next(line for line in table if line.startswith(f"P({key}|a): "))
+                cells = [cell.rsplit("=", 1) for cell in line[len("P(m|a): "):].split("  ")]
+                assert [label for label, _ in cells] == kd["labels"][key]
+                assert all(shows(text, p) for (_, text), p in zip(cells, payload["marginals"][key]))
+            line = next(line for line in table if line.startswith("negativity: "))
+            match = re.fullmatch(r"negativity: total=(\S+)  min_real=(\S+) at \((.*), (.*)\)  max\|phase\|=(\S+)", line)
+            assert match and [match[3], match[4]] == neg["argmin"]
+            for text, key in zip(match.group(1, 2, 5), ("total_negativity", "min_real", "max_abs_phase")):
+                assert shows(text, neg[key])
+            if "overlaps" in payload:
+                start = table.index("transformed overlap per final outcome (table route vs direct route)") + 2
+                assert len(table[start:]) == len(payload["overlaps"])
+                for line, row in zip(table[start:], payload["overlaps"]):
+                    cells = line.split()
+                    assert cells[0] == row["b"]
+                    for text, key in zip(cells[1:], ("overlap_from_kd", "overlap_direct", "difference")):
+                        assert shows(text, row[key])
+
+            if argv[0] == "scenario":
+                assert isinstance(payload["pass"], bool)
+                for check, engine in zip(payload["checks"], kdqlab.build(argv[1]).checks, strict=True):
+                    for key in ("expected", "got"):
+                        if isinstance(getattr(engine, key), complex):
+                            assert isinstance(check[key], list) and len(check[key]) == 2
+                        else:
+                            assert isinstance(check[key], float)
 
     def test_unnormalized_state_warns_but_runs(self, capsys, tmp_path):
         payload = {
@@ -278,17 +359,35 @@ class TestKdCommand:
     @pytest.mark.parametrize("command", [["kd"], ["weak", "--coupling", "1", "--width", "1", "--kappa", "0,1"]])
     @pytest.mark.parametrize(
         "field, value",
-        [("state_a", [[1e308, 0], [1e308, 0]]), ("basis_m", [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]])],
+        [
+            ("state_a", [[1e308, 0], [1e308, 0]]),
+            ("basis_m", [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]),
+            ("state_a", [[NINES, 0], [0, 0]]),
+            ("basis_m", [[[NINES, 0], [0, 0]], [[0, 0], [1, 0]]]),
+            ("action_phase", [NINES, 0]),
+            ("kappa", [NINES, 0]),
+        ],
     )
     def test_overflowing_amplitudes_are_usage_errors(self, tmp_path, command, field, value):
         identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
         payload = {"dim": 2, "state_a": [[1, 0], [0, 0]], "basis_m": identity, "basis_b": identity, field: value}
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        proc = run_python("-m", "kdqlab", command[0], str(path), *command[1:], capture_output=True, text=True)
-        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-        lines = [line for line in proc.stderr.splitlines() if line.strip()]
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert_one_error_line(path, command)
+
+    @pytest.mark.parametrize("command", [["kd"], ["weak", "--coupling", "1", "--width", "1", "--kappa", "0,1"]])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(b'{"dim": 2, "kappa": [' + b"1" * 4301 + b", 0]}", id="integer-over-4300-digits"),
+            pytest.param(b'{"dim": 2, "labels_m": ["\xe9", "x"]}', id="not-utf-8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+        ],
+    )
+    def test_malformed_files_are_usage_errors(self, tmp_path, command, text):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(text)
+        assert_one_error_line(path, command)
 
 
 class TestWeakCommand:
