@@ -24,6 +24,7 @@ from .kdq import (
     NegativityReport,
     PostSelectionError,
     ReconstructionError,
+    Transformation,
     UndefinedOverlapError,
     UndefinedPhaseError,
     is_half_periodic,

@@ -26,17 +26,13 @@ import numpy as np
 
 from . import scenarios
 from .kdq import (
-    ActionSpectrum,
     KDDistribution,
     NegativityReport,
     PostSelectionError,
-    UndefinedOverlapError,
+    Transformation,
     kd_joint,
     marginals,
     negativity,
-    overlap_direct,
-    overlap_from_kd,
-    unitary_from_actions,
     weak_value,
 )
 from .qcore import TOL
@@ -221,20 +217,15 @@ def _load_file(path: str) -> ScenarioFile | None:
     return config
 
 
-def _overlap_rows(config: ScenarioFile, dist: KDDistribution) -> list[dict]:
-    spectrum = ActionSpectrum(config.basis_m, config.action_phase)
-    unitary = unitary_from_actions(spectrum)
+def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]:
     rows = []
-    for j, label in enumerate(config.basis_b.labels):
-        direct = overlap_direct(config.state_a, config.basis_b.vectors[j], unitary)
-        try:
-            from_kd = overlap_from_kd(dist, spectrum, j)
-        except UndefinedOverlapError:
-            from_kd = difference = "undefined"
-        else:
-            difference = abs(from_kd - direct)
+    for j, label in enumerate(dist.basis_b.labels):
+        t = Transformation(dist, phases, j)
+        from_kd, difference = (
+            ("undefined", "undefined") if t.from_kd is None else (t.from_kd, abs(t.from_kd - t.direct))
+        )
         rows.append(
-            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": direct, "difference": difference}
+            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": t.direct, "difference": difference}
         )
     return rows
 
@@ -243,10 +234,14 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     config = _load_file(args.file)
     if config is None:
         return EXIT_USAGE
-    dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
-    payload = _payload(None, dist, negativity(dist))
-    if config.action_phase is not None:
-        payload["overlaps"] = _overlap_rows(config, dist)
+    try:  # the loader's 1e-10 orthonormality can still fail the engine's checks at that tolerance
+        dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
+        payload = _payload(None, dist, negativity(dist))
+        if config.action_phase is not None:
+            payload["overlaps"] = _overlap_rows(dist, config.action_phase)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(args.format, payload)
     return EXIT_OK
 

@@ -6,6 +6,12 @@ unitary synthesized from a per-outcome action phase spectrum, the overlap
 identity linking the two, per-entry optimal action phases, half-periodicity
 detection, negativity summaries, and direct state reconstruction from the
 table. Pure functions over immutable values throughout.
+
+``Transformation`` bundles one transformation of ``a``: the spectrum, its
+unitary and both overlaps onto one column b, computed once at construction
+and never changed after. The built-in scenario reports and ``kdqlab kd`` read
+their overlaps from it, so the rule for when the table's overlap is undefined
+lives only in ``overlap_from_kd``.
 """
 
 from __future__ import annotations
@@ -210,6 +216,29 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
         )
     amplitude = complex(np.sum(dist.table[:, b_index] * np.exp(-1j * np.asarray(spectrum.phase))))
     return float(abs(amplitude) ** 2 / p_b)
+
+
+class Transformation:
+    """Action phases on the table's m basis, applied to ``a`` and read at column b.
+
+    Built once from the table: the ``spectrum``, its ``unitary``, the direct
+    overlap ``direct = |<b|U|a>|^2``, the same overlap from the table,
+    ``from_kd`` (None where ``overlap_from_kd`` finds it undefined), and
+    ``distance``, the norm of b minus its projection onto ``U a``
+    (sqrt(1 - direct), free of that cancellation).
+    """
+
+    def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int) -> None:
+        self.spectrum = ActionSpectrum(dist.basis_m, phases)
+        self.unitary = unitary_from_actions(self.spectrum)
+        self.b = b
+        self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
+        try:
+            self.from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
+        except UndefinedOverlapError:
+            self.from_kd = None
+        image, target = self.unitary.apply(dist.state_a), dist.basis_b.vectors[b].amp
+        self.distance = float(np.linalg.norm(target - np.vdot(image, target) * image))
 
 
 def optimal_action(dist: KDDistribution, m_index: int, b_index: int) -> float:

@@ -2,13 +2,14 @@
 
 Each builder assembles a preparation, an intermediate basis and a final
 basis, lets the engine produce the complex joint table, and declares the
-transformation behind its paradox: action phases on the m basis and the
-target column b. ``_report`` turns the table, that transformation and the
-builder's published values into machine-checked ``Check`` records, and adds
-the checks every transformation gets: half-periodicity, the overlap identity
-against the direct overlap and, where the transformation maps a onto b, the
-half-periodic law for column b. Builders contain no arithmetic shortcuts:
-every number in a report comes from the engine.
+transformation behind its paradox as a ``kdq.Transformation``: action phases
+on the m basis and the target column b. ``_report`` turns the table, that
+transformation, its noun and the builder's published values into
+machine-checked ``Check`` records, and adds the checks every transformation
+gets: half-periodicity, the overlap identity against the direct overlap and,
+where the transformation maps a onto b, the half-periodic law for column b.
+Builders contain no arithmetic shortcuts: every number in a report comes from
+the engine.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kdq import (
-    ActionSpectrum,
     KDDistribution,
     NegativityReport,
+    Transformation,
     is_half_periodic,
     kd_joint,
     negativity,
-    overlap_direct,
-    overlap_from_kd,
-    unitary_from_actions,
     weak_value,
 )
 from .qcore import (
@@ -114,35 +112,18 @@ class BellReport:
         object.__setattr__(self, "table_errors", errors)
 
 
-class _Transform:
-    """Transformation a builder declares: action phases on the m basis and a target column b.
-
-    Computed once and shared by the builder's overlap checks and ``_report``: the
-    spectrum, its unitary, the direct overlap ``|<b|U|a>|^2``, its value from the
-    table (None when P(b|a) <= TOL) and ``distance``, the norm of b minus its
-    projection onto ``U a`` (sqrt(1 - direct), free of that cancellation).
-    """
-
-    def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int, noun: str) -> None:
-        self.spectrum = ActionSpectrum(dist.basis_m, phases)
-        self.unitary = unitary_from_actions(self.spectrum)
-        self.b, self.noun = b, noun
-        self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
-        self.from_kd = overlap_from_kd(dist, self.spectrum, b) if dist.prob_b[b] > TOL else None
-        image, target = self.unitary.apply(dist.state_a), dist.basis_b.vectors[b].amp
-        self.distance = float(np.linalg.norm(target - np.vdot(image, target) * image))
-
-
 def _report(
     scenario: str,
     dist: KDDistribution,
-    transform: _Transform,
+    transform: Transformation,
+    noun: str,
     checks: list[Check] | tuple[Check, ...],
     column: dict[str, float] | None = None,
     violated: str | None = None,
 ) -> ScenarioReport:
     """Scenario report: published column entries, the builder's checks, then the transformation's.
 
+    ``noun`` names the transformation in its half-periodicity check.
     ``column`` maps a check name to the published value of each entry of
     column b, in the order of the m basis. Whenever the half-periodic
     transformation maps a onto b, column b must equal ``e^{i phase(m)} P(m|a) S``
@@ -155,7 +136,7 @@ def _report(
     named = (column or {}).items()
     entries = [make_check(name, complex(value, 0.0), complex(z)) for (name, value), z in zip(named, col)]
     half = is_half_periodic(transform.spectrum)
-    generic = [make_flag_check(f"{transform.noun} is half-periodic", half)]
+    generic = [make_flag_check(f"{noun} is half-periodic", half)]
     if transform.from_kd is not None:
         name = "overlap identity agrees with the direct overlap"
         generic.append(make_check(name, transform.direct, transform.from_kd))
@@ -212,7 +193,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
 
     # route 3: half-periodic flip about the m axis; the signed difference of
     # the two joint probabilities is the real transformation amplitude
-    flip = _Transform(dist, (0.0, math.pi), 0, "flip spectrum")
+    flip = Transformation(dist, (0.0, math.pi), 0)
     b_plus = basis_b.vectors[0]
     p_b = float(abs(inner(b_plus, a)) ** 2)
     amplitude = inner(b_plus, StateVector(flip.unitary.apply(a))) * inner(a, b_plus)
@@ -227,7 +208,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
         make_check("transformation amplitude modulus", math.sqrt(p_b * flip.direct), abs(amplitude)),
     ]
     violated = "positivity of P(spin_m=-1, spin_b=+1)" if entry.real < -TOL else None
-    return _report("leggett-garg", dist, flip, checks, violated=violated)
+    return _report("leggett-garg", dist, flip, "flip spectrum", checks, violated=violated)
 
 
 def three_box() -> ScenarioReport:
@@ -240,7 +221,7 @@ def three_box() -> ScenarioReport:
     a = StateVector.normalize([1.0, 1.0, 1.0])
     b = StateVector.normalize([1.0, 1.0, -1.0])
     dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null")))
-    flip = _Transform(dist, (0.0, 0.0, math.pi), 0, "phase pattern")
+    flip = Transformation(dist, (0.0, 0.0, math.pi), 0)
     col = dist.table[:, 0]
 
     checks = (
@@ -252,7 +233,7 @@ def three_box() -> ScenarioReport:
         make_check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[2]))),
     )
     column = {**{f"P(box {k}, b | a) = 1/9": 1.0 / 9.0 for k in (1, 2)}, "P(box 3, b | a) = -1/9": -1.0 / 9.0}
-    return _report("three-box", dist, flip, checks, column, "positivity of P(box 3, b | a)")
+    return _report("three-box", dist, flip, "phase pattern", checks, column, "positivity of P(box 3, b | a)")
 
 
 def cheshire_cat() -> ScenarioReport:
@@ -267,7 +248,7 @@ def cheshire_cat() -> ScenarioReport:
     a = StateVector.normalize([1.0, 1.0, 1.0, 1.0])
     b = StateVector.normalize([1.0, 1.0, 1.0, -1.0])
     dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null1", "null2")))
-    flip = _Transform(dist, (0.0, 0.0, 0.0, math.pi), 0, "phase pattern")
+    flip = Transformation(dist, (0.0, 0.0, 0.0, math.pi), 0)
 
     p_b = float(dist.prob_b[0])
     col = dist.table[:, 0]
@@ -297,7 +278,7 @@ def cheshire_cat() -> ScenarioReport:
         "P(p2, H; b | a) = 1/8": 0.125,
         "P(p2, V; b | a) = -1/8": -0.125,
     }
-    return _report("cheshire-cat", dist, flip, checks, column, "positivity of P(p2, V; b | a)")
+    return _report("cheshire-cat", dist, flip, "phase pattern", checks, column, "positivity of P(p2, V; b | a)")
 
 
 def hardy() -> ScenarioReport:
@@ -326,7 +307,7 @@ def hardy() -> ScenarioReport:
     a = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
     dist = kd_joint(a, basis_m, basis_b)
     b_idx = 3  # both particles in the opposite ports
-    flip = _Transform(dist, (0.0, math.pi, math.pi, 0.0), b_idx, "double flip")
+    flip = Transformation(dist, (0.0, math.pi, math.pi, 0.0), b_idx)
     col = dist.table[:, b_idx]
 
     # mixed path/port events that are directly observable and vanish
@@ -349,7 +330,7 @@ def hardy() -> ScenarioReport:
         "P(I1, O2; b1, b2 | a) = 1/12": 1.0 / 12.0,
         "P(I1, I2; b1, b2 | a) = 0": 0.0,
     }
-    return _report("hardy", dist, flip, checks, column, "positivity of P(O1, O2; b1, b2 | a)")
+    return _report("hardy", dist, flip, "double flip", checks, column, "positivity of P(O1, O2; b1, b2 | a)")
 
 
 def _pm_label(s1: int, s2: int) -> str:
@@ -396,7 +377,7 @@ def peres_mermin_swap() -> ScenarioReport:
         tuple(tensor_state(_Y_EIGEN[t1], _X_EIGEN[t2]) for t1, t2 in order),
     )
     dist = kd_joint(a, basis_m, basis_b)
-    swap = _Transform(dist, (math.pi, 0.0, 0.0, 0.0), 0, "swap spectrum")
+    swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
     col = dist.table[:, 0]
 
     xx = tensor_op(pauli("X"), pauli("X"))
@@ -440,7 +421,7 @@ def peres_mermin_swap() -> ScenarioReport:
         make_check("spectrum synthesizes the literal swap", 0.0, literal_error),
     )
     column = {"P(S; b | a) = -1/8": -0.125, **{f"P({label}; b | a) = 1/8": 0.125 for label in ("Tx", "Ty", "Tz")}}
-    return _report("peres-mermin", dist, swap, checks, column, "context independence of spin products")
+    return _report("peres-mermin", dist, swap, "swap spectrum", checks, column, "context independence of spin products")
 
 
 _CHSH_ORDER = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
@@ -546,8 +527,8 @@ def bell_scenario(theta: float) -> ScenarioReport:
     # conditional flip diagonal in the (X1, X2) basis, pi phase on (-1, -1),
     # onto column b = (+1, +1): the half-periodic generator behind the negative cells
     b_plus = 3
-    flip = _Transform(
-        dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus, "conditional flip spectrum"
+    flip = Transformation(
+        dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus
     )
 
     checks = [
@@ -569,7 +550,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
         values = (-0.125, 0.125, 0.125, 0.125)
         column = {f"theta=0 column entry m={label}": v for label, v in zip(dist.basis_m.labels, values)}
     violated = "CHSH correlation bound |<K>| <= 2" if bound_violated else None
-    return _report("bell", dist, flip, checks, column, violated)
+    return _report("bell", dist, flip, "conditional flip spectrum", checks, column, violated)
 
 
 SCENARIO_NAMES = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")

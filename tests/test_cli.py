@@ -389,6 +389,19 @@ class TestKdCommand:
         path.write_bytes(text)
         assert_one_error_line(path, command)
 
+    @pytest.mark.parametrize("near_b, extra", [(True, {}), (False, {"action_phase": [0.0, math.pi]})], ids=["sum", "unitary"])
+    def test_near_orthonormal_files_are_usage_errors(self, capsys, tmp_path, near_b, extra):
+        """Rows of norm^2 1 + 0.9e-10 pass the loader's 1e-10 but fail an engine check: exit 2, no traceback."""
+        e = 1 + 0.45e-10
+        near = [[[e, 0], [0, 0]], [[0, 0], [e, 0]]]
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        payload = {"dim": 2, "state_a": [[1, 0], [0, 0]], "basis_m": near, "basis_b": near if near_b else identity}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(payload | extra), encoding="utf-8")
+        assert_one_error_line(path, ["kd"])
+        code, out, _ = run_cli(capsys, "weak", str(path), "--coupling", "1", "--width", "1", "--kappa", "0,1")
+        assert code == EXIT_OK and out
+
 
 class TestWeakCommand:
     def test_three_box_pointer_run(self, capsys, tmp_path):

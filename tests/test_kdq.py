@@ -14,6 +14,7 @@ from kdqlab import (
     PostSelectionError,
     ReconstructionError,
     StateVector,
+    Transformation,
     UndefinedOverlapError,
     UndefinedPhaseError,
     bloch_state,
@@ -341,6 +342,44 @@ class TestOverlaps:
         same = overlap_from_kd(dist, ActionSpectrum(basis_m, phases), 0)
         assert overlap_from_kd(dist, ActionSpectrum(copy, phases), 0) == same
 
+
+
+def transformation_config(seed, dim, orthogonal_b0=False):
+    """Seeded Haar bases, a random preparation and random phases; optionally a orthogonal to b0."""
+    rng = np.random.default_rng(seed)
+    basis_m, basis_b = haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b")
+    amp = random_state(rng, dim).amp
+    if orthogonal_b0:
+        b0 = basis_b.vectors[0].amp
+        amp = amp - np.vdot(b0, amp) * b0
+    phases = tuple(rng.uniform(-math.pi, math.pi, dim))
+    return StateVector.normalize(amp), basis_m, basis_b, phases
+
+
+class TestTransformation:
+    @pytest.mark.parametrize(
+        "seed, dim, orthogonal_b0",
+        [(81, 2, False), (82, 3, False), (83, 4, False), (84, 8, False), (85, 4, True)],
+        ids=["haar-d2", "haar-d3", "haar-d4", "haar-d8", "d4-b0-orthogonal-to-a"],
+    )
+    def test_reads_the_engine_functions_for_every_b(self, seed, dim, orthogonal_b0):
+        a, basis_m, basis_b, phases = transformation_config(seed, dim, orthogonal_b0)
+        dist = kd_joint(a, basis_m, basis_b)
+        spectrum = ActionSpectrum(basis_m, phases)
+        unitary = unitary_from_actions(spectrum)
+        assert (dist.prob_b[0] <= TOL) == orthogonal_b0
+        for b in range(dim):
+            t = Transformation(dist, phases, b)
+            assert t.b == b and t.spectrum.phase == spectrum.phase
+            assert np.array_equal(t.unitary.mat, unitary.mat)
+            assert t.direct == overlap_direct(a, basis_b.vectors[b], unitary)
+            assert (t.from_kd is None) == (dist.prob_b[b] <= TOL)
+            if t.from_kd is None:
+                with pytest.raises(UndefinedOverlapError):
+                    overlap_from_kd(dist, spectrum, b)
+            else:
+                assert t.from_kd == overlap_from_kd(dist, spectrum, b)
+            assert abs(t.distance**2 - (1.0 - t.direct)) <= 1e-12
 
 class TestOptimalAction:
     def test_positive_entry(self):
