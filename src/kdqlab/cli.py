@@ -1,7 +1,14 @@
 """Command-line front end: built-in scenarios, user joint tables, pointer runs.
 
 Exit codes: 0 all checks pass, 2 input or usage error, 3 check failure.
-Data goes to stdout, warnings and diagnostics to stderr.
+Data goes to stdout; stderr has two channels, both written only by ``main``.
+A command returns 0 or 3 and raises on rejected input: every rejection in the
+library is a ``ValueError`` (``ScenarioFileError``, ``PostSelectionError``,
+``UndefinedOverlapError``, ``DimensionMismatchError``, ...), which ``main``
+prints as one ``error: <message>`` line with exit 2. Any other exception keeps
+its traceback, so a programming error stays visible. Every warning issued
+while a command runs, by the loader, the quadrature or numpy, prints as one
+``warning: <message>`` line at the moment it is issued.
 
 ``scenario`` and ``kd`` each build one payload, a dict of unrounded engine
 values: the joint table, its marginals and negativity, then the report's
@@ -36,7 +43,7 @@ from .kdq import (
     weak_value,
 )
 from .qcore import TOL
-from .scenario_file import ScenarioFile, ScenarioFileError, load_scenario_file
+from .scenario_file import load_scenario_file
 from .weaksim import (
     PointerConfig,
     conditional_pointer_mean,
@@ -188,11 +195,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     theta = args.theta
     if theta is not None and args.deg:
         theta = math.radians(theta)
-    try:
-        report = scenarios.build(args.name, theta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = scenarios.build(args.name, theta)
     payload = _payload(report.scenario, report.kd, report.negativity)
     payload |= {
         "checks": [
@@ -204,17 +207,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     }
     _emit(args.format, payload)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _load_file(path: str) -> ScenarioFile | None:
-    try:
-        config = load_scenario_file(path)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return config
 
 
 def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]:
@@ -231,17 +223,12 @@ def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]
 
 
 def _cmd_kd(args: argparse.Namespace) -> int:
-    config = _load_file(args.file)
-    if config is None:
-        return EXIT_USAGE
-    try:  # the loader's 1e-10 orthonormality can still fail the engine's checks at that tolerance
-        dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
-        payload = _payload(None, dist, negativity(dist))
-        if config.action_phase is not None:
-            payload["overlaps"] = _overlap_rows(dist, config.action_phase)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = load_scenario_file(args.file)
+    # the loader's 1e-10 orthonormality can still fail the engine's checks at that tolerance
+    dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
+    payload = _payload(None, dist, negativity(dist))
+    if config.action_phase is not None:
+        payload["overlaps"] = _overlap_rows(dist, config.action_phase)
     _emit(args.format, payload)
     return EXIT_OK
 
@@ -250,41 +237,29 @@ def _parse_kappa(text: str, dim: int) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise ScenarioFileError(f"--kappa must be comma-separated numbers: {exc}") from exc
+        raise ValueError(f"--kappa must be comma-separated numbers: {exc}") from exc
     if len(values) != dim:
-        raise ScenarioFileError(f"--kappa needs {dim} values, got {len(values)}")
+        raise ValueError(f"--kappa needs {dim} values, got {len(values)}")
     return values
 
 
 def _cmd_weak(args: argparse.Namespace) -> int:
     if not 1 <= args.shots <= MAX_SHOTS:
-        print(f"error: --shots must be in 1..{MAX_SHOTS}, got {args.shots}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--shots must be in 1..{MAX_SHOTS}, got {args.shots}")
     if not 0 <= args.seed < 2**64:
-        print(f"error: --seed must be in 0..2**64-1, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    config = _load_file(args.file)
-    if config is None:
-        return EXIT_USAGE
-    try:
-        if args.kappa is not None:
-            kappa = _parse_kappa(args.kappa, config.dim)
-        elif config.kappa is not None:
-            kappa = config.kappa
-        else:
-            raise ScenarioFileError("no eigenvalues: pass --kappa or add a 'kappa' field to the file")
-        cfg = PointerConfig(coupling=args.coupling, width=args.width, eigenvalue=kappa)
-    except (ScenarioFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
+    config = load_scenario_file(args.file)
+    kappa = config.kappa if args.kappa is None else _parse_kappa(args.kappa, config.dim)
+    if kappa is None:
+        raise ValueError("no eigenvalues: pass --kappa or add a 'kappa' field to the file")
+    cfg = PointerConfig(coupling=args.coupling, width=args.width, eigenvalue=kappa)
     try:
         swept = [
             PointerConfig(coupling=cfg.coupling, width=ratio * cfg.coupling, eigenvalue=cfg.eigenvalue)
             for ratio in (SWEEP_RATIOS if args.sweep else ())
         ]
     except ValueError as exc:
-        print(f"error: --sweep: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--sweep: {exc}") from exc
 
     a, basis_m, basis_b = config.state_a, config.basis_m, config.basis_b
     batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
@@ -303,11 +278,7 @@ def _cmd_weak(args: argparse.Namespace) -> int:
             rows.append([label, "undefined", "undefined", "undefined", "undefined", str(count)])
             continue
         closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
-        for caught_warning in caught:
-            print(f"warning: {caught_warning.message}", file=sys.stderr)
+        quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
         empirical = _fmt(float(selected.mean())) if count else "n/a"
         rows.append([label, _fmt(mass), _fmt(closed), _fmt(quad), empirical, str(count)])
     print(_format_table(header, rows))
@@ -368,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message: Warning | str, *_: object) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -376,7 +351,14 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             code = int(exc.code) if exc.code is not None else EXIT_OK
         else:
-            code = int(args.func(args))
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = _print_warning
+                try:
+                    code = int(args.func(args))
+                except ValueError as exc:  # rejected input, from any layer
+                    print(f"error: {exc}", file=sys.stderr)
+                    code = EXIT_USAGE
         sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
     except BrokenPipeError:
         # The reader stopped early (`| head`). Point stdout at devnull so that the

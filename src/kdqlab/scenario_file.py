@@ -1,9 +1,14 @@
-"""User scenario files: JSON objects with complex entries as [re, im] pairs."""
+"""User scenario files: JSON objects with complex entries as [re, im] pairs.
+
+A file the loader can repair, such as a ``state_a`` that is not normalized,
+loads with a ``UserWarning``; a file it cannot use raises ``ScenarioFileError``.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +27,7 @@ _ALLOWED_KEYS = {
     "kappa",
 }
 
-# normalization corrections larger than this are reported as warnings
+# normalization corrections larger than this are reported as a UserWarning
 _NORM_WARN = 1e-6
 
 
@@ -39,7 +44,6 @@ class ScenarioFile:
     basis_b: OrthonormalBasis
     action_phase: tuple[float, ...] | None
     kappa: tuple[float, ...] | None
-    warnings: tuple[str, ...]
 
     @property
     def dim(self) -> int:
@@ -125,14 +129,13 @@ def parse_scenario_text(text: str) -> ScenarioFile:
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
         raise ScenarioFileError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
 
-    warnings: list[str] = []
     amp = _complex_vector(raw["state_a"], dim, "state_a")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(amp))
     if not 1e-12 < norm < math.inf:  # also rejects NaN and infinite amplitudes and an overflowing norm
         raise ScenarioFileError("state_a does not normalize to a valid state")
     if abs(norm - 1.0) > _NORM_WARN:
-        warnings.append(f"state_a renormalized (norm was {norm:.12g})")
+        warnings.warn(f"state_a renormalized (norm was {norm:.12g})", stacklevel=2)
     state_a = StateVector.normalize(amp)
 
     basis_m = _basis(raw["basis_m"], _labels(raw.get("labels_m"), dim, "m", "labels_m"), dim, "basis_m")
@@ -151,7 +154,6 @@ def parse_scenario_text(text: str) -> ScenarioFile:
         basis_b=basis_b,
         action_phase=action_phase,
         kappa=kappa,
-        warnings=tuple(warnings),
     )
 
 

@@ -118,10 +118,15 @@ def _coefficients(
 
 
 def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
-    """Gaussian overlap of pointer wave packets centered per outcome."""
+    """Gaussian overlap of pointer wave packets centered per outcome.
+
+    The exponent is squared as one ratio, ``(g * delta / width)**2``, which
+    ``PointerConfig`` keeps finite; ``g**2`` alone may underflow while
+    ``delta**2`` overflows.
+    """
     kappa = np.asarray(cfg.eigenvalue)
     delta = kappa[:, None] - kappa[None, :]
-    return np.exp(-(cfg.coupling**2) * delta**2 / (8.0 * cfg.width**2))
+    return np.exp(-((cfg.coupling * delta / cfg.width) ** 2) / 8.0)
 
 
 def pointer_joint_density(

@@ -347,6 +347,12 @@ class TestKdCommand:
         assert "renormalized" in err
         assert "0.5" in out
 
+    def test_loader_issues_a_user_warning(self):
+        text = json.dumps({"dim": 1, "state_a": [[2.0, 0.0]], "basis_m": [[[1, 0]]], "basis_b": [[[1, 0]]]})
+        with pytest.warns(UserWarning, match=r"^state_a renormalized \(norm was 2\)$"):
+            config = kdqlab.parse_scenario_text(text)
+        assert config.state_a.amp.tolist() == [1.0]
+
     @pytest.mark.parametrize("field", ["action_phase", "kappa"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_numbers_are_usage_errors(self, capsys, tmp_path, field, value):
@@ -513,6 +519,18 @@ class TestWeakCommand:
         assert ratios == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
 
+    def test_tiny_coupling_against_huge_spread_runs(self, capsys, tmp_path):
+        # coupling**2 underflows and the spread squared overflows; the table is that of coupling 1, kappa (0, 0, 1)
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1e300])
+        code, out, err = run_cli(
+            capsys, "weak", str(path), "--coupling", "1e-300", "--width", "1", "--shots", "1000", "--seed", "1"
+        )
+        assert code == EXIT_OK and err == ""
+        _, unit, _ = run_cli(
+            capsys, "weak", str(path), "--kappa", "0,0,1", "--coupling", "1", "--width", "1", "--shots", "1000", "--seed", "1"
+        )
+        assert out.splitlines()[1:] == unit.splitlines()[1:]
+
     def test_quadrature_warnings_are_one_line_each(self, tmp_path):
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
         proc = run_python(
@@ -569,6 +587,22 @@ class TestExitCodeContract:
         assert code == EXIT_CHECK_FAILED and err == ""
         assert any(line.startswith("  FAIL  <K> = 2 (sin + cos):") for line in out.splitlines())
         assert out.splitlines()[-1] == "overall: FAIL"
+
+    def test_warning_and_error_lines_keep_their_order(self, capsys, tmp_path):
+        path = three_box_file(tmp_path, state_a=[[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+        code, out, err = run_cli(capsys, "weak", str(path), "--kappa", "0,1", "--coupling", "1", "--width", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "warning: state_a renormalized (norm was 3.46410161514)\nerror: --kappa needs 3 values, got 2\n"
+
+    def test_programming_errors_keep_their_traceback(self, monkeypatch):
+        import kdqlab.cli as cli_module
+
+        def broken(name, theta=None):
+            raise TypeError("not an input problem")
+
+        monkeypatch.setattr(cli_module.scenarios, "build", broken)
+        with pytest.raises(TypeError, match="not an input problem"):
+            main(["scenario", "three-box"])
 
 
 class TestProcess:

@@ -189,6 +189,23 @@ class TestConditionalMean:
             quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
             assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
 
+    def test_tiny_coupling_against_huge_spread_scales_out(self):
+        # coupling**2 underflows and kappa spread**2 overflows, yet (coupling * spread / width)**2 is 1
+        a, basis_m, basis_b = three_box_setup()
+        scaled = PointerConfig(coupling=1e-300, width=1.0, eigenvalue=(0.0, 0.0, 1e300))
+        unit = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0))
+        for j in range(3):
+            mass = post_selection_probability(a, basis_m, basis_b, scaled, j)
+            assert mass == pytest.approx(post_selection_probability(a, basis_m, basis_b, unit, j), rel=1e-12, abs=1e-15)
+            for mean in (conditional_pointer_mean, conditional_pointer_mean_quadrature):
+                if mass <= TOL:  # the dead direction
+                    with pytest.raises(PostSelectionError):
+                        mean(a, basis_m, basis_b, scaled, j)
+                else:
+                    assert mean(a, basis_m, basis_b, scaled, j) == pytest.approx(
+                        mean(a, basis_m, basis_b, unit, j), rel=1e-12
+                    )
+
     def test_quadrature_is_quiet_on_a_dim8_configuration(self):
         rng = np.random.default_rng(0)
         a = random_state(rng, 8)
