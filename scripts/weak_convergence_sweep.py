@@ -13,14 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from kdqlab import (
-    OrthonormalBasis,
-    PointerConfig,
-    StateVector,
-    conditional_pointer_mean,
-    post_selection_basis,
-    sample,
-)
+from kdqlab import PointerConfig, PointerStatistics, sample, three_box
 
 
 def main() -> int:
@@ -30,17 +23,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
-    a = StateVector.normalize([1.0, 1.0, 1.0])
-    b = StateVector.normalize([1.0, 1.0, -1.0])
-    basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
+    kd = three_box().kd
+    a, basis_m, basis_b = kd.state_a, kd.basis_m, kd.basis_b
     g = args.coupling
 
     print(f"three-box pointer sweep: coupling={g}, kappa=(0,0,1), shots={args.shots}, seed={args.seed}")
     print(f"{'s/g':>8}  {'mean/g (closed)':>16}  {'mean/g (sampled)':>17}  {'|mean/g + 1|':>13}  {'n_b':>7}")
     for ratio in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         cfg = PointerConfig(coupling=g, width=ratio * g, eigenvalue=(0.0, 0.0, 1.0))
-        closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, 0) / g
+        closed = PointerStatistics(a, basis_m, basis_b, cfg).mean[0] / g
         batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
         selected = batch.readings[batch.b_index == 0]
         empirical = float(selected.mean()) / g if selected.size else math.nan

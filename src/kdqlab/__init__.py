@@ -55,6 +55,7 @@ from .scenarios import (
 )
 from .weaksim import (
     PointerConfig,
+    PointerStatistics,
     SampleBatch,
     conditional_pointer_mean,
     conditional_pointer_mean_quadrature,

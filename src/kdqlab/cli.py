@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -46,10 +46,9 @@ from .qcore import TOL
 from .scenario_file import load_scenario_file
 from .weaksim import (
     PointerConfig,
-    conditional_pointer_mean,
+    PointerStatistics,
     conditional_pointer_mean_quadrature,
     observable_from_eigenvalues,
-    post_selection_probability,
     sample,
 )
 
@@ -253,15 +252,15 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     if kappa is None:
         raise ValueError("no eigenvalues: pass --kappa or add a 'kappa' field to the file")
     cfg = PointerConfig(coupling=args.coupling, width=args.width, eigenvalue=kappa)
+    a, basis_m, basis_b = config.state_a, config.basis_m, config.basis_b
     try:
         swept = [
-            PointerConfig(coupling=cfg.coupling, width=ratio * cfg.coupling, eigenvalue=cfg.eigenvalue)
+            PointerStatistics(a, basis_m, basis_b, replace(cfg, width=ratio * cfg.coupling))
             for ratio in (SWEEP_RATIOS if args.sweep else ())
         ]
     except ValueError as exc:
         raise ValueError(f"--sweep: {exc}") from exc
-
-    a, basis_m, basis_b = config.state_a, config.basis_m, config.basis_b
+    stats = PointerStatistics(a, basis_m, basis_b, cfg)
     batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
 
     print(
@@ -270,14 +269,12 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     )
     header = ["b", "P(b)", "mean_closed", "mean_quadrature", "mean_empirical", "n"]
     rows = []
-    for j, label in enumerate(basis_b.labels):
-        mass = post_selection_probability(a, basis_m, basis_b, cfg, j)
+    for j, (label, mass, closed) in enumerate(zip(basis_b.labels, stats.probability, stats.mean)):
         selected = batch.readings[batch.b_index == j]
         count = int(selected.size)
-        if mass <= TOL:
+        if closed is None:
             rows.append([label, "undefined", "undefined", "undefined", "undefined", str(count)])
             continue
-        closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
         quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
         empirical = _fmt(float(selected.mean())) if count else "n/a"
         rows.append([label, _fmt(mass), _fmt(closed), _fmt(quad), empirical, str(count)])
@@ -291,20 +288,13 @@ def _cmd_weak(args: argparse.Namespace) -> int:
                 targets.append(_fmt(weak_value(a, basis_b.vectors[j], observable).real))
             except PostSelectionError:
                 targets.append("undefined")
-        print()
-        print("width sweep: conditional mean / coupling per final outcome")
+        print("\nwidth sweep: conditional mean / coupling per final outcome")
         print("target Re(weak value): " + "  ".join(f"{lab}={t}" for lab, t in zip(basis_b.labels, targets)))
-        header = ["width/coupling"] + list(basis_b.labels)
-        rows = []
-        for ratio, swept_cfg in zip(SWEEP_RATIOS, swept):
-            row = [_fmt(ratio)]
-            for j in range(basis_b.dim):
-                try:
-                    row.append(_fmt(conditional_pointer_mean(a, basis_m, basis_b, swept_cfg, j) / cfg.coupling))
-                except PostSelectionError:
-                    row.append("undefined")
-            rows.append(row)
-        print(_format_table(header, rows))
+        rows = [
+            [_fmt(ratio)] + ["undefined" if mean is None else _fmt(mean / cfg.coupling) for mean in record.mean]
+            for ratio, record in zip(SWEEP_RATIOS, swept)
+        ]
+        print(_format_table(["width/coupling", *basis_b.labels], rows))
     return EXIT_OK
 
 

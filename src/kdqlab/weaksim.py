@@ -12,6 +12,13 @@ Sampling is exact in every regime. Summed over b the joint density is the
 Gaussian mixture ``sum_m |<m|a>|^2 N(coupling * eigenvalue[m], width^2)``,
 because ``sum_b |b><b|`` is the identity; ``sample`` draws the reading from
 that mixture and then b from the discrete conditional ``p(x, b) / p(x)``.
+
+``PointerStatistics`` holds the closed forms of one configuration for every
+outcome: the post-selection probability and the conditional mean, computed
+from one coefficient matrix and one overlap kernel. It is the one place
+where an outcome of probability ``<= TOL`` gets no mean (None).
+``post_selection_probability`` and ``conditional_pointer_mean`` evaluate a
+single outcome through the same private code and return the same numbers.
 """
 
 from __future__ import annotations
@@ -105,16 +112,19 @@ def observable_from_eigenvalues(basis_m: OrthonormalBasis, eigenvalue: tuple[flo
 
 
 def _coefficients(
-    a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int | None = None
+    a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
 ) -> np.ndarray:
-    """``<b|m><m|a>`` with rows b and columns m; only row ``b_index`` when one is given."""
+    """``<b|m><m|a>`` with rows b and columns m."""
     dim = same_dim(a.dim, basis_m.dim, basis_b.dim)
     if len(cfg.eigenvalue) != dim:
         raise ValueError(f"config lists {len(cfg.eigenvalue)} eigenvalues for dimension {dim}")
-    if b_index is not None and not 0 <= b_index < dim:
-        raise ValueError(f"b_index {b_index} out of range for dimension {dim}")
-    c = (basis_b.matrix.conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
-    return c if b_index is None else c[b_index]
+    return (basis_b.matrix.conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
+
+
+def _row(c: np.ndarray, b_index: int) -> np.ndarray:
+    if not 0 <= b_index < len(c):  # a negative index is rejected, not wrapped
+        raise ValueError(f"b_index {b_index} out of range for dimension {len(c)}")
+    return c[b_index]
 
 
 def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
@@ -126,7 +136,7 @@ def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
     """
     kappa = np.asarray(cfg.eigenvalue)
     delta = kappa[:, None] - kappa[None, :]
-    return np.exp(-((cfg.coupling * delta / cfg.width) ** 2) / 8.0)
+    return np.exp((cfg.coupling * delta / cfg.width) ** 2 * -0.125)  # equals -(...)/8 bit for bit, one pass fewer
 
 
 def pointer_joint_density(
@@ -143,7 +153,7 @@ def pointer_joint_density(
     of a mean-zero Gaussian of standard deviation ``width``. Non-negative by
     construction; integrates over x to the outcome probability of b.
     """
-    c = _coefficients(a, basis_m, basis_b, cfg, b_index)
+    c = _row(_coefficients(a, basis_m, basis_b, cfg), b_index)
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
     prefactor = (2.0 * np.pi * cfg.width**2) ** -0.25
     amps = prefactor * np.exp(-((np.asarray(x, dtype=float)[..., None] - centers) ** 2) / (4.0 * cfg.width**2))
@@ -151,13 +161,54 @@ def pointer_joint_density(
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
 
 
+def _probability(c: np.ndarray, kernel: np.ndarray) -> float:
+    """``P(b) = sum_nm c*_n K_nm c_m`` for one row c of the coefficients and overlap kernel K."""
+    return float(complex(c.conj() @ kernel @ c).real)
+
+
+def _closed_forms(
+    rows: np.ndarray | tuple[np.ndarray, ...], cfg: PointerConfig
+) -> tuple[tuple[float, ...], tuple[float | None, ...]]:
+    """P(b) and the conditional mean of each coefficient row b, the mean None where ``P(b) <= TOL``.
+
+    The mean weighs the kernel with the pair average ``(k_n + k_m) / 2``; each
+    eigenvalue is halved before the sum, which therefore cannot overflow.
+    """
+    kernel = _overlap_kernel(cfg)
+    half = 0.5 * np.asarray(cfg.eigenvalue)
+    centered = kernel * (half[:, None] + half)
+    # lists, not generators, and a one-row tuple from the per-outcome callers: at these sizes the
+    # Python overhead is a visible share of a call
+    probability = tuple([_probability(c, kernel) for c in rows])
+    return probability, tuple(
+        [
+            None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
+            for c, p in zip(rows, probability)
+        ]
+    )
+
+
+class PointerStatistics:
+    """Closed forms of one pointer configuration, for every final outcome b.
+
+    Built once from one coefficient matrix ``<b|m><m|a>`` and one overlap
+    kernel: ``probability[b]``, the post-selection probability of b, and
+    ``mean[b]``, the mean pointer reading conditioned on b, None where
+    ``probability[b] <= TOL``. Each entry equals, bit for bit, what
+    ``post_selection_probability`` and ``conditional_pointer_mean`` return for b.
+    """
+
+    def __init__(
+        self, a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
+    ) -> None:
+        self.probability, self.mean = _closed_forms(_coefficients(a, basis_m, basis_b, cfg), cfg)
+
+
 def post_selection_probability(
     a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int
 ) -> float:
     """Probability of outcome b after the pointer interaction (closed form)."""
-    c = _coefficients(a, basis_m, basis_b, cfg, b_index)
-    value = complex(c.conj() @ _overlap_kernel(cfg) @ c)
-    return float(value.real)
+    return _probability(_row(_coefficients(a, basis_m, basis_b, cfg), b_index), _overlap_kernel(cfg))
 
 
 def conditional_pointer_mean(
@@ -168,15 +219,10 @@ def conditional_pointer_mean(
     Wide pointers approach ``coupling * Re`` of the weak value of the
     measured observable; narrow pointers approach the projective average.
     """
-    c = _coefficients(a, basis_m, basis_b, cfg, b_index)
-    kernel = _overlap_kernel(cfg)
-    kappa = np.asarray(cfg.eigenvalue)
-    centers_avg = 0.5 * (kappa[:, None] + kappa[None, :])
-    denominator = complex(c.conj() @ kernel @ c).real
-    if denominator <= TOL:
+    mean = _closed_forms((_row(_coefficients(a, basis_m, basis_b, cfg), b_index),), cfg)[1][0]
+    if mean is None:
         raise PostSelectionError(f"post-selection probability ~ 0 for b index {b_index}")
-    numerator = cfg.coupling * complex(c.conj() @ (kernel * centers_avg) @ c).real
-    return float(numerator / denominator)
+    return mean
 
 
 def conditional_pointer_mean_quadrature(
@@ -194,7 +240,7 @@ def conditional_pointer_mean_quadrature(
     difference of the two means plus the rounding of the summed moment, and a
     ``RuntimeWarning`` reports an estimate above ``1e-8 * max(1, |mean|)``.
     """
-    c = _coefficients(a, basis_m, basis_b, cfg, b_index)
+    c = _row(_coefficients(a, basis_m, basis_b, cfg), b_index)
     rank = np.argsort(cfg.eigenvalue, kind="stable")
     kappa = np.asarray(cfg.eigenvalue)[rank]
     stacked = np.stack([c.real, c.imag], axis=1)[rank]  # (d, 2): one real matmul gives Re and Im

@@ -1,13 +1,15 @@
 """Fuzzed contract of ``kdqlab``: whatever argv argparse accepts, the run ends in exit 0, 2 or 3.
 
 No exception escapes ``main``. Exit 2 comes with exactly one ``error:`` line on
-stderr, and every other non-empty stderr line is a ``warning:`` line.
+stderr, and every other non-empty stderr line is a ``warning:`` line. A run that
+exits 0 prints no ``nan`` or ``inf`` number on stdout, in any format.
 """
 
 import copy
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -38,6 +40,7 @@ def _three_box_payload() -> dict:
 
 THREE_BOX = _three_box_payload()
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # as _fmt and json.dumps print them
 
 def _mostly(valid, odd):
     """Draw from ``valid`` three times in four, so that runs get past the input checks."""
@@ -136,6 +139,8 @@ def run_contract(argv, payload=None):
     errors = [line for line in lines if line.startswith("error:")]
     assert len(errors) == (1 if code == EXIT_USAGE else 0), err.getvalue()
     assert all(line.startswith(("error:", "warning:")) for line in lines), err.getvalue()
+    if code == EXIT_OK:
+        assert not NON_FINITE.search(out.getvalue()), out.getvalue()
 
 
 @FUZZ
@@ -170,6 +175,10 @@ def test_kd_files(payload, fmt):
 # coupling**2 underflows while the eigenvalue spread squared overflows
 @example(
     payload=THREE_BOX | {"kappa": [0.0, 0.0, 1e300]}, kappa=None, coupling="1e-300", width="1", shots=1000, seed=1, sweep=False
+)
+# the pair average of two eigenvalues overflows in the closed-form mean
+@example(
+    payload=THREE_BOX | {"kappa": [0.0, 1.5e308, 1.5e308]}, kappa=None, coupling="1e-300", width="1", shots=1000, seed=1, sweep=False
 )
 def test_weak_argv_and_files(payload, kappa, coupling, width, shots, seed, sweep):
     argv = ["weak", "{file}", f"--coupling={coupling}", f"--width={width}", f"--shots={shots}", f"--seed={seed}"]

@@ -10,6 +10,7 @@ from helpers import haar_basis, random_state
 from kdqlab import (
     OrthonormalBasis,
     PointerConfig,
+    PointerStatistics,
     PostSelectionError,
     StateVector,
     conditional_pointer_mean,
@@ -206,6 +207,20 @@ class TestConditionalMean:
                         mean(a, basis_m, basis_b, unit, j), rel=1e-12
                     )
 
+    def test_closed_mean_near_the_float_range_scales_out(self):
+        # k_n + k_m overflows although every eigenvalue and (coupling * k)**2 are finite
+        a, basis_m, basis_b = three_box_setup()
+        huge = PointerConfig(coupling=1e-300, width=1.0, eigenvalue=(0.0, 1.5e308, 1.5e308))
+        unit = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 1.5e8, 1.5e8))
+        for j in range(3):
+            closed = conditional_pointer_mean(a, basis_m, basis_b, huge, j)
+            assert closed == pytest.approx(conditional_pointer_mean(a, basis_m, basis_b, unit, j), rel=1e-12)
+            quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, huge, j)
+            assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
+        assert PointerStatistics(a, basis_m, basis_b, huge).mean == tuple(
+            conditional_pointer_mean(a, basis_m, basis_b, huge, j) for j in range(3)
+        )
+
     def test_quadrature_is_quiet_on_a_dim8_configuration(self):
         rng = np.random.default_rng(0)
         a = random_state(rng, 8)
@@ -246,6 +261,55 @@ class TestConditionalMean:
         cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
         with pytest.raises(PostSelectionError):
             conditional_pointer_mean(a, basis_m, basis_b, cfg, 2)  # the dead direction
+
+
+class TestPointerStatistics:
+    @staticmethod
+    def assert_matches_per_outcome_functions(a, basis_m, basis_b, cfg):
+        stats = PointerStatistics(a, basis_m, basis_b, cfg)
+        assert len(stats.probability) == len(stats.mean) == basis_b.dim
+        for j in range(basis_b.dim):
+            assert stats.probability[j] == post_selection_probability(a, basis_m, basis_b, cfg, j)
+            assert (stats.mean[j] is None) == (stats.probability[j] <= TOL)
+            if stats.mean[j] is None:
+                with pytest.raises(PostSelectionError):
+                    conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+            else:
+                assert stats.mean[j] == conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
+        return stats
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_haar_configurations_match_per_outcome_functions(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        a = random_state(rng, dim)
+        basis_m = haar_basis(rng, dim, "m")
+        basis_b = haar_basis(rng, dim, "b")
+        cfg = PointerConfig(
+            coupling=float(rng.uniform(0.5, 2.0)),
+            width=float(rng.uniform(0.3, 5.0)),
+            eigenvalue=tuple(rng.uniform(-2.0, 2.0, dim)),
+        )
+        self.assert_matches_per_outcome_functions(a, basis_m, basis_b, cfg)
+
+    def test_dead_outcome_has_no_mean(self):
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0))
+        stats = self.assert_matches_per_outcome_functions(a, basis_m, basis_b, cfg)
+        assert stats.mean[2] is None
+        assert all(mean is not None for mean in stats.mean[:2])
+
+    @pytest.mark.parametrize("b_index", [-1, 3])
+    @pytest.mark.parametrize(
+        "function",
+        [post_selection_probability, conditional_pointer_mean, conditional_pointer_mean_quadrature, pointer_joint_density],
+    )
+    def test_out_of_range_b_index_is_rejected(self, function, b_index):
+        # a negative index must not wrap around to the last outcome
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0))
+        args = (0.0, b_index) if function is pointer_joint_density else (b_index,)
+        with pytest.raises(ValueError, match=f"b_index {b_index} out of range"):
+            function(a, basis_m, basis_b, cfg, *args)
 
 
 class TestObservable:
