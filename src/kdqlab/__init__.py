@@ -39,11 +39,9 @@ from .kdq import (
     weak_value,
 )
 from .scenarios import (
-    BellReport,
     Check,
     ScenarioReport,
     SCENARIO_NAMES,
-    bell_chsh,
     bell_scenario,
     bell_state,
     build,

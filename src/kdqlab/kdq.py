@@ -11,7 +11,8 @@ table. Pure functions over immutable values throughout.
 unitary and both overlaps onto one column b, computed once at construction
 and never changed after. The built-in scenario reports and ``kdqlab kd`` read
 their overlaps from it, so the rule for when the table's overlap is undefined
-lives only in ``overlap_from_kd``.
+lives only in ``overlap_from_kd``. Every index into the table goes through
+``qcore.check_index``: a negative index is rejected, not wrapped.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .qcore import (
     Operator,
     OrthonormalBasis,
     StateVector,
+    check_index,
     same_dim,
 )
 
@@ -209,7 +211,7 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
     ):
         raise ValueError("action spectrum basis differs from the joint table's m basis")
     _, prob_b = marginals(dist)
-    p_b = float(prob_b[b_index])
+    p_b = float(prob_b[check_index("b_index", b_index, dist.dim)])
     if p_b <= TOL:
         raise UndefinedOverlapError(
             f"P(b|a) ~ 0 for b index {b_index}; the overlap identity is undefined"
@@ -229,9 +231,9 @@ class Transformation:
     """
 
     def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int) -> None:
+        self.b = check_index("b", b, dist.dim)
         self.spectrum = ActionSpectrum(dist.basis_m, phases)
         self.unitary = unitary_from_actions(self.spectrum)
-        self.b = b
         self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
         try:
             self.from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
@@ -247,6 +249,7 @@ def optimal_action(dist: KDDistribution, m_index: int, b_index: int) -> float:
     This is the argument of the complex table entry; it is undefined when the
     entry's modulus is at noise level.
     """
+    m_index, b_index = check_index("m_index", m_index, dist.dim), check_index("b_index", b_index, dist.dim)
     entry = complex(dist.table[m_index, b_index])
     if abs(entry) <= TOL:
         raise UndefinedPhaseError(

@@ -31,6 +31,13 @@ def same_dim(*dims: int) -> int:
     return dims[0]
 
 
+def check_index(name: str, index: int, dim: int) -> int:
+    """``index`` if it lies in ``0..dim-1``; a negative index is rejected, not wrapped."""
+    if not 0 <= index < dim:
+        raise ValueError(f"{name} {index} out of range for dimension {dim}")
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm complex amplitude vector.

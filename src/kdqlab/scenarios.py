@@ -15,7 +15,7 @@ the engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,43 +73,30 @@ def make_flag_check(name: str, condition: bool) -> Check:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Named paradox run: joint table, negativity summary and check list."""
+    """Named paradox run: its joint table ``kd`` and the checks on it.
+
+    ``dim`` and ``negativity`` are derived from ``kd``; ``negativity`` is
+    computed once, at construction.
+    """
 
     scenario: str
-    dim: int
     kd: KDDistribution
-    negativity: NegativityReport
     checks: tuple[Check, ...]
     violated_inequality: str | None = None
+    negativity: NegativityReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.checks) < 3:
             raise ValueError("a scenario report needs at least three checks")
+        object.__setattr__(self, "negativity", negativity(self.kd))
+
+    @property
+    def dim(self) -> int:
+        return self.kd.dim
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-@dataclass(frozen=True, eq=False)
-class BellReport:
-    """CHSH run over the X-product and Y-product bases.
-
-    Rows of ``kd`` are labeled by (X1, X2) outcomes, columns by (Y1, Y2).
-    ``table_errors`` holds the absolute deviation of each real part from the
-    closed-form target table.
-    """
-
-    theta: float
-    kd: KDDistribution
-    k_expectation: float
-    p_k_minus2: float
-    table_errors: np.ndarray
-
-    def __post_init__(self) -> None:
-        errors = np.array(self.table_errors, dtype=float)
-        errors.setflags(write=False)
-        object.__setattr__(self, "table_errors", errors)
 
 
 def _report(
@@ -144,7 +131,7 @@ def _report(
         phase = np.exp(1j * np.asarray(transform.spectrum.phase))
         residual = float(np.max(np.abs(col - phase * dist.prob_m * np.sum(dist.prob_m / phase))))
         generic.append(make_check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
-    return ScenarioReport(scenario, dist.dim, dist, negativity(dist), (*entries, *checks, *generic), violated)
+    return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
 
 
 def _spin_basis(theta: float) -> OrthonormalBasis:
@@ -484,8 +471,15 @@ def bell_state(theta: float) -> StateVector:
     raise ValueError("no seed vector has a usable projection onto the joint eigenspace")
 
 
-def bell_chsh(theta: float) -> BellReport:
-    """Joint table of the local X outcomes against the local Y outcomes."""
+def bell_scenario(theta: float) -> ScenarioReport:
+    """CHSH run: the joint table of the local X outcomes against the local Y outcomes.
+
+    Rows of ``kd`` are labeled by (X1, X2) outcomes, columns by (Y1, Y2). The
+    table's largest deviation from the closed-form table, ``<K>`` and
+    ``P(K=-2)`` are computed once, as the values of the checks named for them.
+    A conditional flip, with a pi phase on (X1, X2) = (-1, -1), onto column
+    (+1, +1) is the half-periodic transformation behind the negative cells.
+    """
     a = bell_state(theta)
     basis_m = OrthonormalBasis(
         tuple(_pm_label(*m) for m in _CHSH_ORDER),
@@ -498,44 +492,24 @@ def bell_chsh(theta: float) -> BellReport:
     dist = kd_joint(a, basis_m, basis_b)
 
     real = dist.table.real
-    target = np.array(
-        [[_chsh_target_entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER]
-    )
+    target = np.array([[_chsh_target_entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
     cells = np.array([[chsh_cell_value(m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
     k_expectation = float(np.sum(cells * real))
     p_k_minus2 = float(np.sum(real[cells == -2]))
-    return BellReport(
-        theta=theta,
-        kd=dist,
-        k_expectation=k_expectation,
-        p_k_minus2=p_k_minus2,
-        table_errors=np.abs(real - target),
-    )
-
-
-def bell_scenario(theta: float) -> ScenarioReport:
-    """CHSH run wrapped into a standard scenario report."""
-    report = bell_chsh(theta)
-    dist = report.kd
     a1, a2 = _stabilizers(theta)
-    a = dist.state_a
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
-    bound_violated = report.k_expectation > 2.0 + TOL
-    negative_mass = report.p_k_minus2 < -TOL / 4  # <K> - 2 = -4 P(K=-2): both flags switch at the same angle
+    bound_violated = k_expectation > 2.0 + TOL
+    negative_mass = p_k_minus2 < -TOL / 4  # <K> - 2 = -4 P(K=-2): both flags switch at the same angle
 
-    # conditional flip diagonal in the (X1, X2) basis, pi phase on (-1, -1),
-    # onto column b = (+1, +1): the half-periodic generator behind the negative cells
-    b_plus = 3
-    flip = Transformation(
-        dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus
-    )
+    b_plus = 3  # b = (+1, +1)
+    flip = Transformation(dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus)
 
     checks = [
-        make_check("joint table matches the closed-form table", 0.0, float(report.table_errors.max())),
+        make_check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - target)))),
         make_check("joint table entries are real", 0.0, float(np.max(np.abs(dist.table.imag)))),
-        make_check("<K> = 2 (sin + cos)", k_target, report.k_expectation),
-        make_check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, report.p_k_minus2),
+        make_check("<K> = 2 (sin + cos)", k_target, k_expectation),
+        make_check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
         make_check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
         make_check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
         make_flag_check("P(K=-2) < 0 exactly when <K> > 2", bound_violated == negative_mass),
@@ -553,19 +527,25 @@ def bell_scenario(theta: float) -> ScenarioReport:
     return _report("bell", dist, flip, "conditional flip spectrum", checks, column, violated)
 
 
-SCENARIO_NAMES = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")
-
-_PARAMETRIC = {"leggett-garg": (leggett_garg, DEFAULT_LG_THETA), "bell": (bell_scenario, DEFAULT_BELL_THETA)}
-_FIXED = {"three-box": three_box, "cheshire-cat": cheshire_cat, "hardy": hardy, "peres-mermin": peres_mermin_swap}
+# name -> (builder, default theta); None marks a scenario without an angle
+_BUILDERS = {
+    "leggett-garg": (leggett_garg, DEFAULT_LG_THETA),
+    "three-box": (three_box, None),
+    "cheshire-cat": (cheshire_cat, None),
+    "hardy": (hardy, None),
+    "peres-mermin": (peres_mermin_swap, None),
+    "bell": (bell_scenario, DEFAULT_BELL_THETA),
+}
+SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, theta: float | None = None) -> ScenarioReport:
     """Build a named scenario; ``theta`` only applies to the parametric ones."""
-    if name in _PARAMETRIC:
-        builder, default = _PARAMETRIC[name]
-        return builder(default if theta is None else theta)
-    if name in _FIXED:
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}")
+    builder, default = _BUILDERS[name]
+    if default is None:
         if theta is not None:
             raise ValueError(f"scenario {name!r} takes no angle parameter")
-        return _FIXED[name]()
-    raise ValueError(f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}")
+        return builder()
+    return builder(default if theta is None else theta)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kdq import PostSelectionError
-from .qcore import TOL, Operator, OrthonormalBasis, StateVector, same_dim
+from .qcore import TOL, Operator, OrthonormalBasis, StateVector, check_index, same_dim
 
 CHUNK = 8192  # fixed sampling chunk; chunk k draws from generator (seed, k)
 REACH = 12.0  # quadrature range past each center, in widths; the Gaussian tail beyond is below 1e-32
@@ -122,9 +122,7 @@ def _coefficients(
 
 
 def _row(c: np.ndarray, b_index: int) -> np.ndarray:
-    if not 0 <= b_index < len(c):  # a negative index is rejected, not wrapped
-        raise ValueError(f"b_index {b_index} out of range for dimension {len(c)}")
-    return c[b_index]
+    return c[check_index("b_index", b_index, len(c))]
 
 
 def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from kdqlab import OrthonormalBasis, StateVector
+
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # as _fmt and json.dumps print them
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -16,7 +16,7 @@ from kdqlab import (
     OrthonormalBasis,
     PointerConfig,
     StateVector,
-    bell_chsh,
+    bell_scenario,
     cheshire_cat,
     conditional_pointer_mean,
     conditional_pointer_mean_quadrature,
@@ -140,13 +140,14 @@ def test_criterion_5_contextuality():
 def test_criterion_6_bell_chsh():
     with criterion("6. Bell/CHSH: table at five angles, P(K=-2) law, <K> = 2 sqrt(2)", 1.0):
         for theta in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
-            report = bell_chsh(theta)
-            assert float(report.table_errors.max()) <= TOL, f"table error at theta={theta}"
+            report = bell_scenario(theta)
+            got = {c.name: c.got for c in report.checks}
+            assert got["joint table matches the closed-form table"] <= TOL, f"table error at theta={theta}"
             assert float(np.max(np.abs(report.kd.table.imag))) <= TOL
             target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
-            assert abs(report.p_k_minus2 - target) <= TOL
-        quarter = bell_chsh(math.pi / 4)
-        assert abs(quarter.k_expectation - 2.0 * math.sqrt(2.0)) <= TOL
+            assert abs(got["P(K=-2) = (1 - sin - cos) / 2"] - target) <= TOL
+        quarter = {c.name: c.got for c in bell_scenario(math.pi / 4).checks}
+        assert abs(quarter["<K> = 2 (sin + cos)"] - 2.0 * math.sqrt(2.0)) <= TOL
 
 
 def test_criterion_7_engine_identities():

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import kdqlab
-from kdqlab import bell_chsh, three_box
+from helpers import NON_FINITE
+from kdqlab import bell_scenario, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
 from kdqlab.qcore import TOL
 
@@ -90,7 +91,7 @@ class TestScenarioCommand:
         assert payload["scenario"] == "bell"
         assert payload["pass"] is True
         table = np.array(payload["kd"]["re"]) + 1j * np.array(payload["kd"]["im"])
-        engine = bell_chsh(theta).kd.table
+        engine = bell_scenario(theta).kd.table
         assert float(np.max(np.abs(table - engine))) <= 1e-12
 
     @pytest.mark.parametrize("theta", [("1e-6",), ("0.001", "--deg"), ("1e-10",), ("1.5e-10",), ("2e-10",)])
@@ -344,7 +345,7 @@ class TestKdCommand:
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, out, err = run_cli(capsys, "kd", str(path))
         assert code == EXIT_OK
-        assert "renormalized" in err
+        assert err == "warning: state_a renormalized (norm was 2)\n"
         assert "0.5" in out
 
     def test_loader_issues_a_user_warning(self):
@@ -518,17 +519,26 @@ class TestWeakCommand:
             errors.append(abs(float(cells[1]) + 1.0))
         assert ratios == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+        assert not NON_FINITE.search(out), out
 
-    def test_tiny_coupling_against_huge_spread_runs(self, capsys, tmp_path):
-        # coupling**2 underflows and the spread squared overflows; the table is that of coupling 1, kappa (0, 0, 1)
-        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1e300])
+    @pytest.mark.parametrize(
+        "kappa, unit_kappa",
+        [([0.0, 0.0, 1e300], "0,0,1"), ([0.0, 1.5e308, 1.5e308], "0,1.5e8,1.5e8")],
+        ids=["spread-1e300", "pair-sum-past-float-range"],
+    )
+    def test_tiny_coupling_against_huge_spread_runs(self, capsys, tmp_path, kappa, unit_kappa):
+        # coupling**2 underflows and the spread squared overflows (in the second case, so does the sum of
+        # the two large eigenvalues); the table is that of coupling 1 with kappa scaled by 1e-300
+        path = three_box_file(tmp_path, kappa=kappa)
         code, out, err = run_cli(
             capsys, "weak", str(path), "--coupling", "1e-300", "--width", "1", "--shots", "1000", "--seed", "1"
         )
         assert code == EXIT_OK and err == ""
+        assert not NON_FINITE.search(out), out
         _, unit, _ = run_cli(
-            capsys, "weak", str(path), "--kappa", "0,0,1", "--coupling", "1", "--width", "1", "--shots", "1000", "--seed", "1"
+            capsys, "weak", str(path), "--kappa", unit_kappa, "--coupling", "1", "--width", "1", "--shots", "1000", "--seed", "1"
         )
+        # every row, mean_closed included, prints the same 12 significant digits as the unit run
         assert out.splitlines()[1:] == unit.splitlines()[1:]
 
     def test_quadrature_warnings_are_one_line_each(self, tmp_path):
@@ -568,9 +578,7 @@ class TestExitCodeContract:
         real = three_box()
         broken = ScenarioReport(
             scenario=real.scenario,
-            dim=real.dim,
             kd=real.kd,
-            negativity=real.negativity,
             checks=real.checks[:-1] + (make_check("forced failure", 1.0, 2.0),),
         )
         monkeypatch.setattr(cli_module.scenarios, "build", lambda name, theta=None: broken)

@@ -9,7 +9,6 @@ import copy
 import io
 import json
 import math
-import re
 import sys
 import tempfile
 import warnings
@@ -19,6 +18,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import NON_FINITE
 from kdqlab import SCENARIO_NAMES, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
 
@@ -40,7 +40,6 @@ def _three_box_payload() -> dict:
 
 THREE_BOX = _three_box_payload()
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
-NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # as _fmt and json.dumps print them
 
 def _mostly(valid, odd):
     """Draw from ``valid`` three times in four, so that runs get past the input checks."""

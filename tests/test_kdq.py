@@ -381,6 +381,26 @@ class TestTransformation:
                 assert t.from_kd == overlap_from_kd(dist, spectrum, b)
             assert abs(t.distance**2 - (1.0 - t.direct)) <= 1e-12
 
+
+class TestIndexRule:
+    CALLS = {
+        "overlap_from_kd": lambda dist, spectrum, i: overlap_from_kd(dist, spectrum, i),
+        "optimal_action m": lambda dist, spectrum, i: optimal_action(dist, i, 0),
+        "optimal_action b": lambda dist, spectrum, i: optimal_action(dist, 0, i),
+        "Transformation": lambda dist, spectrum, i: Transformation(dist, spectrum.phase, i),
+    }
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_out_of_range_index_is_rejected(self, call, index):
+        # a negative index must not wrap around to the last row or column
+        a, _, basis_m, basis_b = three_box_setup()
+        dist = kd_joint(a, basis_m, basis_b)
+        spectrum = ActionSpectrum(basis_m, (0.0, 0.0, math.pi))
+        with pytest.raises(ValueError, match=f"{index} out of range for dimension 3"):
+            self.CALLS[call](dist, spectrum, index)
+
+
 class TestOptimalAction:
     def test_positive_entry(self):
         basis = OrthonormalBasis.standard(2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kdqlab import (
-    bell_chsh,
     bell_scenario,
     bell_state,
     build,
@@ -24,6 +23,12 @@ from kdqlab.scenarios import chsh_cell_value, leggett_garg_joint_probability
 
 TOL = 1e-10
 LAW = "column b follows the half-periodic law e^(i phase) P(m|a) S"
+
+
+def check_values(report):
+    """Each check's engine value, by check name."""
+    return {c.name: c.got for c in report.checks}
+
 
 ALL_BUILDERS = {
     "leggett-garg": lambda: leggett_garg(math.pi / 3),
@@ -240,8 +245,8 @@ class TestBell:
             tensor_op(x, x) + tensor_op(x, y) + tensor_op(y, x) - tensor_op(y, y)
         )
         assert expectation(k_op, a).real == pytest.approx(2.0 * math.sqrt(2.0), abs=TOL)
-        report = bell_chsh(math.pi / 4)
-        assert report.k_expectation == pytest.approx(expectation(k_op, a).real, abs=TOL)
+        got = check_values(bell_scenario(math.pi / 4))
+        assert got["<K> = 2 (sin + cos)"] == pytest.approx(expectation(k_op, a).real, abs=TOL)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-9, 1e-6, math.radians(0.001), 1e-3])
     def test_half_periodic_law_only_where_the_flip_maps_a_onto_b(self, theta):
@@ -254,14 +259,16 @@ class TestBell:
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2])
     def test_table_reproduced(self, theta):
-        report = bell_chsh(theta)
-        assert float(report.table_errors.max()) <= TOL
+        report = bell_scenario(theta)
+        got = check_values(report)
+        assert got["joint table matches the closed-form table"] <= TOL
         assert float(np.max(np.abs(report.kd.table.imag))) <= TOL
-        assert report.p_k_minus2 == pytest.approx(0.5 * (1.0 - math.sin(theta) - math.cos(theta)), abs=TOL)
-        assert report.k_expectation == pytest.approx(2.0 * (math.sin(theta) + math.cos(theta)), abs=TOL)
+        p_k_minus2 = got["P(K=-2) = (1 - sin - cos) / 2"]
+        assert p_k_minus2 == pytest.approx(0.5 * (1.0 - math.sin(theta) - math.cos(theta)), abs=TOL)
+        assert got["<K> = 2 (sin + cos)"] == pytest.approx(2.0 * (math.sin(theta) + math.cos(theta)), abs=TOL)
 
     def test_theta_zero_column(self):
-        report = bell_chsh(0.0)
+        report = bell_scenario(0.0)
         column = report.kd.table[:, report.kd.basis_b.index_of("(+1,+1)")]
         expected = {"(-1,-1)": -0.125, "(+1,-1)": 0.125, "(-1,+1)": 0.125, "(+1,+1)": 0.125}
         for label, value in expected.items():
@@ -270,9 +277,9 @@ class TestBell:
 
     def test_negative_mass_exactly_when_bound_violated(self):
         for theta in np.linspace(0.0, math.pi / 2, 31):
-            report = bell_chsh(float(theta))
+            got = check_values(bell_scenario(float(theta)))
             violated = math.sin(theta) + math.cos(theta) > 1.0 + 1e-12
-            assert (report.p_k_minus2 < -TOL) == violated
+            assert (got["P(K=-2) = (1 - sin - cos) / 2"] < -TOL) == violated
 
     def test_cell_values_are_plus_minus_two(self):
         for m1 in (-1, 1):
