@@ -73,7 +73,10 @@ class StateVector:
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(arr)):
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
+            norm = float(np.linalg.norm(arr))
+        if not np.isfinite(norm):
+            raise ValueError("cannot normalize: the norm of the amplitudes overflows")
         if norm <= _PHASE_ANCHOR:
             raise ValueError("cannot normalize a zero vector")
         arr = arr / norm

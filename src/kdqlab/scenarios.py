@@ -50,25 +50,23 @@ DEFAULT_BELL_THETA = math.pi / 4  # maximal CHSH violation
 
 @dataclass(frozen=True)
 class Check:
-    """One named comparison of an engine value against its target."""
+    """One named comparison of an engine value against its target.
+
+    ``passed`` is derived at construction: the real and the imaginary part of
+    ``got`` each lie within ``tolerance`` of those of ``expected``. A boolean
+    condition is the check ``Check(name, 1.0, float(condition), 0.0)``.
+    """
 
     name: str
     expected: complex | float
     got: complex | float
-    tolerance: float
-    passed: bool
+    tolerance: float = TOL
+    passed: bool = field(init=False)
 
-
-def make_check(name: str, expected: complex | float, got: complex | float, tolerance: float = TOL) -> Check:
-    e = complex(expected)
-    g = complex(got)
-    ok = abs(e.real - g.real) <= tolerance and abs(e.imag - g.imag) <= tolerance
-    return Check(name=name, expected=expected, got=got, tolerance=tolerance, passed=bool(ok))
-
-
-def make_flag_check(name: str, condition: bool) -> Check:
-    """Boolean condition rendered as a 1.0 / 0.0 check with zero tolerance."""
-    return make_check(name, 1.0, 1.0 if condition else 0.0, tolerance=0.0)
+    def __post_init__(self) -> None:
+        e, g = complex(self.expected), complex(self.got)
+        ok = abs(e.real - g.real) <= self.tolerance and abs(e.imag - g.imag) <= self.tolerance
+        object.__setattr__(self, "passed", bool(ok))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +119,16 @@ def _report(
     """
     col = dist.table[:, transform.b]
     named = (column or {}).items()
-    entries = [make_check(name, complex(value, 0.0), complex(z)) for (name, value), z in zip(named, col)]
+    entries = [Check(name, complex(value, 0.0), complex(z)) for (name, value), z in zip(named, col)]
     half = is_half_periodic(transform.spectrum)
-    generic = [make_flag_check(f"{noun} is half-periodic", half)]
+    generic = [Check(f"{noun} is half-periodic", 1.0, float(half), 0.0)]
     if transform.from_kd is not None:
         name = "overlap identity agrees with the direct overlap"
-        generic.append(make_check(name, transform.direct, transform.from_kd))
+        generic.append(Check(name, transform.direct, transform.from_kd))
     if half and transform.distance <= TOL / 4:
         phase = np.exp(1j * np.asarray(transform.spectrum.phase))
         residual = float(np.max(np.abs(col - phase * dist.prob_m * np.sum(dist.prob_m / phase))))
-        generic.append(make_check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
+        generic.append(Check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
     return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
 
 
@@ -187,12 +185,12 @@ def leggett_garg(theta: float) -> ScenarioReport:
     p_transform = 0.5 * (p_b - amplitude.real)
 
     checks = [
-        make_check("joint probability via expectation values", p_closed, p_expectation),
-        make_check("joint probability via transformation overlap", p_closed, p_transform),
-        make_check("joint probability equals Re of the joint table entry", p_closed, entry.real),
-        make_check("joint table entry is real", 0.0, entry.imag),
-        make_check("flip about the m axis maps a onto b", 1.0, flip.direct),
-        make_check("transformation amplitude modulus", math.sqrt(p_b * flip.direct), abs(amplitude)),
+        Check("joint probability via expectation values", p_closed, p_expectation),
+        Check("joint probability via transformation overlap", p_closed, p_transform),
+        Check("joint probability equals Re of the joint table entry", p_closed, entry.real),
+        Check("joint table entry is real", 0.0, entry.imag),
+        Check("flip about the m axis maps a onto b", 1.0, flip.direct),
+        Check("transformation amplitude modulus", math.sqrt(p_b * flip.direct), abs(amplitude)),
     ]
     violated = "positivity of P(spin_m=-1, spin_b=+1)" if entry.real < -TOL else None
     return _report("leggett-garg", dist, flip, "flip spectrum", checks, violated=violated)
@@ -212,12 +210,12 @@ def three_box() -> ScenarioReport:
     col = dist.table[:, 0]
 
     checks = (
-        make_check("post-selection probability P(b|a) = 1/9", 1.0 / 9.0, float(dist.prob_b[0])),
-        make_check("phase pattern (0, 0, pi) transforms a onto b (overlap identity)", 1.0, flip.from_kd),
-        make_check("direct overlap after the phase flip", 1.0, flip.direct),
-        make_check("boxes 2 and 3 cancel", complex(0.0, 0.0), complex(col[1] + col[2])),
-        make_check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[0]))),
-        make_check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[2]))),
+        Check("post-selection probability P(b|a) = 1/9", 1.0 / 9.0, float(dist.prob_b[0])),
+        Check("phase pattern (0, 0, pi) transforms a onto b (overlap identity)", 1.0, flip.from_kd),
+        Check("direct overlap after the phase flip", 1.0, flip.direct),
+        Check("boxes 2 and 3 cancel", complex(0.0, 0.0), complex(col[1] + col[2])),
+        Check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[0]))),
+        Check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[2]))),
     )
     column = {**{f"P(box {k}, b | a) = 1/9": 1.0 / 9.0 for k in (1, 2)}, "P(box 3, b | a) = -1/9": -1.0 / 9.0}
     return _report("three-box", dist, flip, "phase pattern", checks, column, "positivity of P(box 3, b | a)")
@@ -246,18 +244,18 @@ def cheshire_cat() -> ScenarioReport:
     pol_v = float((col[1] + col[3]).real) / p_b
 
     checks = (
-        make_check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
-        make_check("conditional weight of path p1", 1.0, path1),
-        make_check("conditional weight of path p2", 0.0, path2),
-        make_check("conditional polarization difference in p2", 1.0, smile_p2),
-        make_check("conditional weight of polarization H", 1.0, pol_h),
-        make_check("conditional weight of polarization V", 0.0, pol_v),
-        make_check(
+        Check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
+        Check("conditional weight of path p1", 1.0, path1),
+        Check("conditional weight of path p2", 0.0, path2),
+        Check("conditional polarization difference in p2", 1.0, smile_p2),
+        Check("conditional weight of polarization H", 1.0, pol_h),
+        Check("conditional weight of polarization V", 0.0, pol_v),
+        Check(
             "path-p1 weight equals the weak value of the p1 projector",
             complex(path1, 0.0),
             weak_value(a, b, projector(basis_m.vectors[0]) + projector(basis_m.vectors[1])),
         ),
-        make_check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
+        Check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
     )
     column = {
         "P(p1, H; b | a) = 1/8": 0.125,
@@ -303,13 +301,13 @@ def hardy() -> ScenarioReport:
     signed_sum = complex(np.sum(col * np.exp(-1j * np.asarray(flip.spectrum.phase))))
 
     checks = (
-        make_check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
-        make_check("outer-1 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[1])),
-        make_check("outer-2 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[2])),
-        make_check("P(b1, O2 | a) = 0", 0.0, p_b1_outer2),
-        make_check("P(O1, b2 | a) = 0", 0.0, p_outer1_b2),
-        make_check("overlap after the double phase flip = 3/4", 0.75, flip.direct),
-        make_check("signed joint sum = -sqrt(P(b|a) P(b|U a)) = -1/4", complex(-0.25, 0.0), signed_sum),
+        Check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
+        Check("outer-1 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[1])),
+        Check("outer-2 contributions cancel", complex(0.0, 0.0), complex(col[0] + col[2])),
+        Check("P(b1, O2 | a) = 0", 0.0, p_b1_outer2),
+        Check("P(O1, b2 | a) = 0", 0.0, p_outer1_b2),
+        Check("overlap after the double phase flip = 3/4", 0.75, flip.direct),
+        Check("signed joint sum = -sqrt(P(b|a) P(b|U a)) = -1/4", complex(-0.25, 0.0), signed_sum),
     )
     column = {
         "P(O1, O2; b1, b2 | a) = -1/12": -1.0 / 12.0,
@@ -393,19 +391,19 @@ def peres_mermin_swap() -> ScenarioReport:
     literal_error = float(np.max(np.abs(swap.unitary.mat - np.eye(4, dtype=complex)[[0, 2, 1, 3]])))
 
     checks = (
-        make_check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
-        make_check("(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors", 0.0, corr1_residual),
-        make_check("(X1X2)(Y1Y2) + Z1Z2 vanishes as an operator", 0.0, corr1_operator_residual),
-        make_check("(X1Y2)(Y1X2) - Z1Z2 vanishes as an operator", 0.0, corr2_residual),
-        make_check("(X1Y2)(Y1X2) = Z1Z2 on all eight product-context states", 0.0, corr2_on_states),
-        make_check("S and Tx weights cancel", complex(0.0, 0.0), complex(col[0] + col[1])),
-        make_check("conditional average of X1X2", 1.0, cond_xx),
-        make_check("conditional average of Y1Y2", 1.0, cond_yy),
-        make_check("conditional average of Z1Z2", 1.0, cond_zz),
-        make_check("preparation has X1Y2 = +1", 1.0, _eigenvalue_of(x1y2, a)),
-        make_check("post-selection has Y1X2 = +1", 1.0, _eigenvalue_of(y1x2, b)),
-        make_check("swap maps a onto b", 1.0, swap.direct),
-        make_check("spectrum synthesizes the literal swap", 0.0, literal_error),
+        Check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
+        Check("(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors", 0.0, corr1_residual),
+        Check("(X1X2)(Y1Y2) + Z1Z2 vanishes as an operator", 0.0, corr1_operator_residual),
+        Check("(X1Y2)(Y1X2) - Z1Z2 vanishes as an operator", 0.0, corr2_residual),
+        Check("(X1Y2)(Y1X2) = Z1Z2 on all eight product-context states", 0.0, corr2_on_states),
+        Check("S and Tx weights cancel", complex(0.0, 0.0), complex(col[0] + col[1])),
+        Check("conditional average of X1X2", 1.0, cond_xx),
+        Check("conditional average of Y1Y2", 1.0, cond_yy),
+        Check("conditional average of Z1Z2", 1.0, cond_zz),
+        Check("preparation has X1Y2 = +1", 1.0, _eigenvalue_of(x1y2, a)),
+        Check("post-selection has Y1X2 = +1", 1.0, _eigenvalue_of(y1x2, b)),
+        Check("swap maps a onto b", 1.0, swap.direct),
+        Check("spectrum synthesizes the literal swap", 0.0, literal_error),
     )
     column = {"P(S; b | a) = -1/8": -0.125, **{f"P({label}; b | a) = 1/8": 0.125 for label in ("Tx", "Ty", "Tz")}}
     return _report("peres-mermin", dist, swap, "swap spectrum", checks, column, "context independence of spin products")
@@ -446,9 +444,8 @@ def _stabilizers(theta: float) -> tuple[Operator, Operator]:
 def bell_state(theta: float) -> StateVector:
     """Unique joint +1 eigenstate of the two tilted correlation observables.
 
-    Built by applying the joint eigenspace projector to a fixed seed vector
-    (uniform first, then standard basis vectors) and normalizing; the result
-    is verified to satisfy both eigenvalue equations.
+    Built by projecting the seed ``|++>`` onto the joint eigenspace and
+    normalizing; the result is verified to satisfy both eigenvalue equations.
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
@@ -457,18 +454,12 @@ def bell_state(theta: float) -> StateVector:
     proj = 0.25 * ((ident + a1) @ (ident + a2))
     if abs(proj.trace() - 1.0) > TOL:
         raise ValueError(f"joint eigenspace is not one-dimensional (trace {proj.trace()})")
-    seeds = [np.full(4, 0.5, dtype=complex)] + [row for row in np.eye(4, dtype=complex)]
-    for seed in seeds:
-        image = proj.mat @ seed
-        if float(np.linalg.norm(image)) <= 1e-3:
-            continue
-        candidate = StateVector.normalize(image)
-        if (
-            float(np.max(np.abs(a1.apply(candidate) - candidate.amp))) <= TOL
-            and float(np.max(np.abs(a2.apply(candidate) - candidate.amp))) <= TOL
-        ):
-            return candidate
-    raise ValueError("no seed vector has a usable projection onto the joint eigenspace")
+    # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
+    # projection of |++> has norm^2 (1 + sin(theta)) / 4 >= 1/4 on [0, pi/2]: it never vanishes
+    state = StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex))
+    if max(float(np.max(np.abs(op.apply(state) - state.amp))) for op in (a1, a2)) > TOL:
+        raise ValueError("the projected seed is not a joint +1 eigenstate")
+    return state
 
 
 def bell_scenario(theta: float) -> ScenarioReport:
@@ -506,19 +497,19 @@ def bell_scenario(theta: float) -> ScenarioReport:
     flip = Transformation(dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus)
 
     checks = [
-        make_check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - target)))),
-        make_check("joint table entries are real", 0.0, float(np.max(np.abs(dist.table.imag)))),
-        make_check("<K> = 2 (sin + cos)", k_target, k_expectation),
-        make_check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
-        make_check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
-        make_check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
-        make_flag_check("P(K=-2) < 0 exactly when <K> > 2", bound_violated == negative_mass),
+        Check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - target)))),
+        Check("joint table entries are real", 0.0, float(np.max(np.abs(dist.table.imag)))),
+        Check("<K> = 2 (sin + cos)", k_target, k_expectation),
+        Check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
+        Check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
+        Check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
+        Check("P(K=-2) < 0 exactly when <K> > 2", 1.0, float(bound_violated == negative_mass), 0.0),
     ]
     if flip.from_kd is not None:
         # entries of that column are real, so compensating the single pi phase
         # saturates the triangle bound on the transformed overlap
         optimum = float(np.sum(np.abs(dist.table[:, b_plus]))) ** 2 / float(dist.prob_b[b_plus])
-        checks.append(make_check("conditional flip achieves the optimal overlap onto b=(+1,+1)", optimum, flip.from_kd))
+        checks.append(Check("conditional flip achieves the optimal overlap onto b=(+1,+1)", optimum, flip.from_kd))
     column = None
     if abs(theta) <= 1e-12:
         values = (-0.125, 0.125, 0.125, 0.125)

@@ -17,8 +17,8 @@ that mixture and then b from the discrete conditional ``p(x, b) / p(x)``.
 outcome: the post-selection probability and the conditional mean, computed
 from one coefficient matrix and one overlap kernel. It is the one place
 where an outcome of probability ``<= TOL`` gets no mean (None).
-``post_selection_probability`` and ``conditional_pointer_mean`` evaluate a
-single outcome through the same private code and return the same numbers.
+``post_selection_probability`` and ``conditional_pointer_mean`` build that
+record and read one outcome from it, so they return the same numbers.
 """
 
 from __future__ import annotations
@@ -73,15 +73,14 @@ class PointerConfig:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Seeded draw of (pointer reading, final outcome) pairs.
+    """Drawn (pointer reading, final outcome) pairs, one entry per shot.
 
-    Readings and outcome indices are stored as parallel arrays; ``records()``
-    yields the (reading, b_label) tuples in draw order. Identical
-    (seed, shots, config, scenario) inputs give bit-identical batches.
+    Readings and outcome indices are parallel 1-D arrays of equal length, and
+    ``len()`` is the shot count; ``records()`` yields the (reading, b_label)
+    tuples in draw order. ``sample`` gives bit-identical batches for identical
+    (seed, shots, config, scenario) inputs.
     """
 
-    seed: int
-    shots: int
     readings: np.ndarray
     b_index: np.ndarray
     b_labels: tuple[str, ...]
@@ -89,7 +88,7 @@ class SampleBatch:
     def __post_init__(self) -> None:
         readings = np.asarray(self.readings, dtype=float)
         b_index = np.asarray(self.b_index, dtype=np.int64)
-        if readings.shape != (self.shots,) or b_index.shape != (self.shots,):
+        if readings.ndim != 1 or b_index.shape != readings.shape:
             raise ValueError("readings and b_index must both hold one entry per shot")
         readings.setflags(write=False)
         b_index.setflags(write=False)
@@ -97,7 +96,7 @@ class SampleBatch:
         object.__setattr__(self, "b_index", b_index)
 
     def __len__(self) -> int:
-        return self.shots
+        return self.readings.size
 
     def records(self) -> list[tuple[float, str]]:
         return [(float(x), self.b_labels[i]) for x, i in zip(self.readings, self.b_index)]
@@ -121,8 +120,9 @@ def _coefficients(
     return (basis_b.matrix.conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
 
 
-def _row(c: np.ndarray, b_index: int) -> np.ndarray:
-    return c[check_index("b_index", b_index, len(c))]
+def _row(rows: np.ndarray | tuple, b_index: int) -> np.ndarray | float | None:
+    # a row of coefficients, or one outcome's entry of a PointerStatistics tuple
+    return rows[check_index("b_index", b_index, len(rows))]
 
 
 def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
@@ -159,54 +159,41 @@ def pointer_joint_density(
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
 
 
-def _probability(c: np.ndarray, kernel: np.ndarray) -> float:
-    """``P(b) = sum_nm c*_n K_nm c_m`` for one row c of the coefficients and overlap kernel K."""
-    return float(complex(c.conj() @ kernel @ c).real)
-
-
-def _closed_forms(
-    rows: np.ndarray | tuple[np.ndarray, ...], cfg: PointerConfig
-) -> tuple[tuple[float, ...], tuple[float | None, ...]]:
-    """P(b) and the conditional mean of each coefficient row b, the mean None where ``P(b) <= TOL``.
-
-    The mean weighs the kernel with the pair average ``(k_n + k_m) / 2``; each
-    eigenvalue is halved before the sum, which therefore cannot overflow.
-    """
-    kernel = _overlap_kernel(cfg)
-    half = 0.5 * np.asarray(cfg.eigenvalue)
-    centered = kernel * (half[:, None] + half)
-    # lists, not generators, and a one-row tuple from the per-outcome callers: at these sizes the
-    # Python overhead is a visible share of a call
-    probability = tuple([_probability(c, kernel) for c in rows])
-    return probability, tuple(
-        [
-            None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
-            for c, p in zip(rows, probability)
-        ]
-    )
-
-
 class PointerStatistics:
     """Closed forms of one pointer configuration, for every final outcome b.
 
     Built once from one coefficient matrix ``<b|m><m|a>`` and one overlap
-    kernel: ``probability[b]``, the post-selection probability of b, and
-    ``mean[b]``, the mean pointer reading conditioned on b, None where
-    ``probability[b] <= TOL``. Each entry equals, bit for bit, what
-    ``post_selection_probability`` and ``conditional_pointer_mean`` return for b.
+    kernel K: ``probability[b] = sum_nm c*_n K_nm c_m`` over row c of the
+    coefficients, the post-selection probability of b, and ``mean[b]``, the
+    mean pointer reading conditioned on b, None where ``probability[b] <= TOL``.
+    The mean weighs K with the pair average ``(k_n + k_m) / 2``; each eigenvalue
+    is halved before the sum, which therefore cannot overflow.
+    ``post_selection_probability`` and ``conditional_pointer_mean`` read their
+    outcome from this record.
     """
 
     def __init__(
         self, a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
     ) -> None:
-        self.probability, self.mean = _closed_forms(_coefficients(a, basis_m, basis_b, cfg), cfg)
+        rows = _coefficients(a, basis_m, basis_b, cfg)
+        kernel = _overlap_kernel(cfg)
+        half = 0.5 * np.asarray(cfg.eigenvalue)
+        centered = kernel * (half[:, None] + half)
+        # lists, not generators: at these sizes the Python overhead is a visible share of a call
+        self.probability = tuple([float(complex(c.conj() @ kernel @ c).real) for c in rows])
+        self.mean = tuple(
+            [
+                None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
+                for c, p in zip(rows, self.probability)
+            ]
+        )
 
 
 def post_selection_probability(
     a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig, b_index: int
 ) -> float:
     """Probability of outcome b after the pointer interaction (closed form)."""
-    return _probability(_row(_coefficients(a, basis_m, basis_b, cfg), b_index), _overlap_kernel(cfg))
+    return _row(PointerStatistics(a, basis_m, basis_b, cfg).probability, b_index)
 
 
 def conditional_pointer_mean(
@@ -217,7 +204,7 @@ def conditional_pointer_mean(
     Wide pointers approach ``coupling * Re`` of the weak value of the
     measured observable; narrow pointers approach the projective average.
     """
-    mean = _closed_forms((_row(_coefficients(a, basis_m, basis_b, cfg), b_index),), cfg)[1][0]
+    mean = _row(PointerStatistics(a, basis_m, basis_b, cfg).mean, b_index)
     if mean is None:
         raise PostSelectionError(f"post-selection probability ~ 0 for b index {b_index}")
     return mean
@@ -341,4 +328,4 @@ def sample(
         weight = np.cumsum(amps[:dim] ** 2 + amps[dim:] ** 2, axis=0)
         b_index[start : start + count] = np.sum(weight <= rng.random(count) * weight[-1], axis=0)
         readings[start : start + count] = centers[drawn] + cfg.width * z
-    return SampleBatch(seed=int(seed), shots=int(shots), readings=readings, b_index=b_index, b_labels=basis_b.labels)
+    return SampleBatch(readings, b_index, basis_b.labels)

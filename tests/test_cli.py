@@ -236,6 +236,22 @@ class TestKdCommand:
         assert run_cli(capsys, "kd", str(missing))[0] == EXIT_USAGE
         assert run_cli(capsys, "kd", str(tmp_path / "does_not_exist.json"))[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("state_a", [[1, 0], [0, 0]], "state_a: expected a list of 3 [re, im] pairs"),
+            ("action_phase", [0.0, math.pi], "action_phase: expected a list of 3 numbers"),
+            ("labels_m", ["1", "2", 3], "labels_m: expected a list of 3 strings"),
+            ("basis_m", [[[1, 0], [0, 0], [0, 0]]], "basis_m: expected 3 basis vectors (rows)"),
+            ("dim", 17, "dim must be an integer in 1..16, got 17"),
+            ("dim", True, "dim must be an integer in 1..16, got True"),
+        ],
+        ids=["state_a", "action_phase", "labels_m", "basis_m", "dim-17", "dim-True"],
+    )
+    def test_structural_rejections(self, capsys, tmp_path, field, value, message):
+        path = three_box_file(tmp_path, **{field: value})
+        assert run_cli(capsys, "kd", str(path)) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_same_basis_commuting_preparation(self, capsys, tmp_path):
         payload = {
             "dim": 2,
@@ -573,13 +589,13 @@ class TestExitCodeContract:
 
     def test_failed_check_exits_three(self, capsys, monkeypatch):
         import kdqlab.cli as cli_module
-        from kdqlab.scenarios import ScenarioReport, make_check
+        from kdqlab.scenarios import Check, ScenarioReport
 
         real = three_box()
         broken = ScenarioReport(
             scenario=real.scenario,
             kd=real.kd,
-            checks=real.checks[:-1] + (make_check("forced failure", 1.0, 2.0),),
+            checks=real.checks[:-1] + (Check("forced failure", 1.0, 2.0),),
         )
         monkeypatch.setattr(cli_module.scenarios, "build", lambda name, theta=None: broken)
         code, out, _ = run_cli(capsys, "scenario", "three-box")

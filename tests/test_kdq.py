@@ -13,11 +13,14 @@ from kdqlab import (
     OrthonormalBasis,
     PostSelectionError,
     ReconstructionError,
+    SampleBatch,
+    ScenarioReport,
     StateVector,
     Transformation,
     UndefinedOverlapError,
     UndefinedPhaseError,
     bloch_state,
+    complete_basis,
     inner,
     is_half_periodic,
     kd_joint,
@@ -30,6 +33,7 @@ from kdqlab import (
     product_trace,
     projector,
     reconstruct_state,
+    three_box,
     unitary_from_actions,
     weak_value,
 )
@@ -399,6 +403,45 @@ class TestIndexRule:
         spectrum = ActionSpectrum(basis_m, (0.0, 0.0, math.pi))
         with pytest.raises(ValueError, match=f"{index} out of range for dimension 3"):
             self.CALLS[call](dist, spectrum, index)
+
+
+class TestValidation:
+    """Each value type rejects malformed input with its own message."""
+
+    CASES = {
+        "KDDistribution table shape": (
+            lambda a, m: KDDistribution(a, m, m, np.eye(2)),
+            r"table must have shape \(3, 3\), got \(2, 2\)",
+        ),
+        "Operator dim 17": (lambda a, m: Operator(np.eye(17)), r"operator dimension must be in 1\.\.16, got 17"),
+        "Operator NaN": (lambda a, m: Operator([[1.0, np.nan], [0.0, 1.0]]), "operator entries must be finite"),
+        "OrthonormalBasis no vectors": (lambda a, m: OrthonormalBasis((), ()), "basis needs at least one vector"),
+        "OrthonormalBasis label count": (
+            lambda a, m: OrthonormalBasis(("1", "2"), m.vectors),
+            "one label per basis vector required",
+        ),
+        "complete_basis no seeds": (lambda a, m: complete_basis([], ()), "at least one seed vector required"),
+        "complete_basis label count": (lambda a, m: complete_basis([a], ("x", "y")), "need 3 labels, got 2"),
+        "ActionSpectrum NaN phase": (
+            lambda a, m: ActionSpectrum(m, (0.0, np.nan, 0.0)),
+            "action phases must be finite",
+        ),
+        "ScenarioReport two checks": (
+            lambda a, m: ScenarioReport("three-box", kd_joint(a, m, m), three_box().checks[:2]),
+            "a scenario report needs at least three checks",
+        ),
+        "SampleBatch unequal arrays": (
+            lambda a, m: SampleBatch(np.zeros(3), np.zeros(2, dtype=int), m.labels),
+            "readings and b_index must both hold one entry per shot",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_rejects_with_its_message(self, case):
+        a, _, basis_m, _ = three_box_setup()
+        build, message = self.CASES[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(a, basis_m)
 
 
 class TestOptimalAction:

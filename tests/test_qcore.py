@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ class TestStateVector:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             StateVector.normalize(np.ones(17))
+
+    def test_normalize_rejects_an_overflowing_norm(self):
+        # finite amplitudes whose squares pass the float range: a clear message and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cannot normalize: the norm of the amplitudes overflows$"):
+                StateVector.normalize([1e200, 1e200])
 
     def test_amplitudes_read_only(self):
         with pytest.raises(ValueError):

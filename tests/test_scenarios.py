@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from kdqlab import (
+    Check,
+    StateVector,
     bell_scenario,
     bell_state,
     build,
@@ -43,6 +45,27 @@ ALL_BUILDERS = {
 @pytest.fixture(scope="module")
 def reports():
     return {name: builder() for name, builder in ALL_BUILDERS.items()}
+
+
+class TestCheck:
+    """``passed`` is derived from the values; it is never a constructor argument."""
+
+    def test_tolerance_decides(self):
+        assert Check("x", 1.0, 1.0 + 2e-10).passed is False
+        assert Check("x", 1.0, 1.0 + 5e-11).passed is True
+
+    def test_imaginary_part_miss_fails(self):
+        assert Check("x", complex(0.5, 0.0), complex(0.5, 2e-10)).passed is False
+
+    def test_flag_form(self):
+        assert Check("flag", 1.0, float(True), 0.0).passed is True
+        assert Check("flag", 1.0, float(False), 0.0).passed is False
+
+    def test_passed_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Check("x", 1.0, 2.0, 1e-10, True)
+        with pytest.raises(TypeError):
+            Check("x", 1.0, 2.0, passed=True)
 
 
 class TestReportContract:
@@ -237,6 +260,23 @@ class TestBell:
         x, y = pauli("X"), pauli("Y")
         assert expectation(tensor_op(x, x), a).real == pytest.approx(1.0, abs=TOL)
         assert expectation(tensor_op(y, y), a).real == pytest.approx(-1.0, abs=TOL)
+
+    def test_seed_projection_never_vanishes(self):
+        # bell_state projects the one seed |++>: its projection has norm^2 (1 + sin theta) / 4 >= 1/4
+        x, y = pauli("X"), pauli("Y")
+        ident = np.eye(4)
+        plus_plus = np.full(4, 0.5, dtype=complex)
+        for theta in np.linspace(0.0, math.pi / 2, 50):
+            a1 = math.cos(theta) * tensor_op(x, y).mat + math.sin(theta) * tensor_op(x, x).mat
+            a2 = math.cos(theta) * tensor_op(y, x).mat - math.sin(theta) * tensor_op(y, y).mat
+            image = 0.25 * (ident + a1) @ (ident + a2) @ plus_plus
+            norm_sq = float(np.vdot(image, image).real)
+            assert norm_sq == pytest.approx((1.0 + math.sin(theta)) / 4.0, abs=1e-12), theta
+            assert norm_sq >= 0.25 - 1e-12, theta
+            state = bell_state(float(theta))
+            np.testing.assert_allclose(state.amp, StateVector.normalize(image).amp, atol=1e-12)
+            np.testing.assert_allclose(a1 @ state.amp, state.amp, atol=TOL)
+            np.testing.assert_allclose(a2 @ state.amp, state.amp, atol=TOL)
 
     def test_chsh_maximum_via_expectation_oracle(self):
         a = bell_state(math.pi / 4)

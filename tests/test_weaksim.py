@@ -12,6 +12,7 @@ from kdqlab import (
     PointerConfig,
     PointerStatistics,
     PostSelectionError,
+    SampleBatch,
     StateVector,
     conditional_pointer_mean,
     conditional_pointer_mean_quadrature,
@@ -332,6 +333,11 @@ class TestSampling:
         batch = sample(a, basis_m, basis_b, cfg, 1, 1)
         assert len(batch) == 1
         assert len(batch.records()) == 1
+
+    def test_batch_derives_its_length(self):
+        batch = SampleBatch(np.array([0.5, -1.0, 2.0]), np.array([0, 2, 1]), ("b", "rest", "null"))
+        assert len(batch) == 3
+        assert batch.records() == [(0.5, "b"), (-1.0, "null"), (2.0, "rest")]
 
     def test_seed_validation(self):
         a, basis_m, basis_b = three_box_setup()
