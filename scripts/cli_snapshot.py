@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Byte-identity snapshot of the kdqlab command line.
+
+Writes seeded scenario files into OUTDIR, runs a fixed table of 98
+``python -m kdqlab`` commands in fresh processes from that directory (file
+arguments are relative paths), and writes one file per command under
+``OUTDIR/runs`` holding its argv, exit code, stdout and stderr. The inputs
+are built with numpy alone, so two source trees get the same files. To
+compare two trees, snapshot each and diff the directories:
+
+    PYTHONPATH=/path/to/old/src python scripts/cli_snapshot.py /tmp/snap-old
+    PYTHONPATH=/path/to/new/src python scripts/cli_snapshot.py /tmp/snap-new
+    diff -r /tmp/snap-old /tmp/snap-new
+
+Exits 1 if any command's exit code differs from the one its table row lists.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HAAR_DIMS = (1, 2, 3, 4, 8, 16)
+FORMATS = ("table", "json", "csv")
+SCENARIOS = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")
+
+
+def _pairs(amplitudes) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(amplitudes, dtype=complex)]
+
+
+def _haar_file(dim: int, seed: int, action_phase: bool) -> dict:
+    """Random state, two Haar-random bases (phase-fixed QR) and the eigenvalues 0..dim-1 as ``kappa``."""
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    bases = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        diag = np.diagonal(r)
+        bases.append([_pairs(row) for row in (q * (diag / np.abs(diag)).conj()).T])
+    content = {
+        "dim": dim,
+        "state_a": _pairs(state / np.linalg.norm(state)),
+        "basis_m": bases[0],
+        "basis_b": bases[1],
+        "kappa": [float(k) for k in range(dim)],
+    }
+    if action_phase:
+        content["action_phase"] = rng.uniform(-math.pi, math.pi, dim).tolist()
+    return content
+
+
+def _three_box_file(state: list[float], kappa: list[float]) -> dict:
+    s = 1.0 / math.sqrt(3.0)
+    return {
+        "dim": 3,
+        "state_a": [[x, 0.0] for x in state],
+        "basis_m": [_pairs(row) for row in np.eye(3)],
+        "basis_b": [
+            _pairs([s, s, -s]),
+            _pairs(np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0)),
+            _pairs(np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)),
+        ],
+        "labels_m": ["1", "2", "3"],
+        "labels_b": ["b", "rest", "null"],
+        "action_phase": [0.0, 0.0, math.pi],
+        "kappa": kappa,
+    }
+
+
+def input_files() -> dict[str, dict]:
+    s = 1.0 / math.sqrt(3.0)
+    files = {}
+    for dim in HAAR_DIMS:
+        files[f"haar-d{dim}.json"] = _haar_file(dim, 100 + dim, action_phase=True)
+        files[f"haar-d{dim}-plain.json"] = _haar_file(dim, 100 + dim, action_phase=False)
+    files["three-box.json"] = _three_box_file([s, s, s], [0.0, 0.0, 1.0])
+    files["three-box-unnormalized.json"] = _three_box_file([1.0, 1.0, 1.0], [0.0, 0.0, 1.0])
+    files["kappa-huge.json"] = _three_box_file([s, s, s], [0.0, 1.5e308, 1.5e308])
+    files["d1-unnormalized.json"] = {
+        "dim": 1,
+        "state_a": [[3.0, 4.0]],
+        "basis_m": [[[1.0, 0.0]]],
+        "basis_b": [[[0.0, 1.0]]],
+    }
+    return files
+
+
+def commands() -> list[tuple[int, list[str]]]:
+    """(expected exit code, arguments after ``kdqlab``) for every command, in run order."""
+    table = [(0, ["--help"])] + [(0, [cmd, "--help"]) for cmd in ("scenario", "kd", "weak")]
+    table += [(0, ["scenario", name, "--format", fmt]) for name in SCENARIOS for fmt in FORMATS]
+    for theta in ("0", "1e-10", "1.5e-10", "2e-10", "7e-11", "0.3", repr(math.pi / 2)):
+        table += [(0, ["scenario", "bell", "--theta", theta, "--format", fmt]) for fmt in ("table", "json")]
+    table.append((0, ["scenario", "bell", "--theta", "5e-11"]))
+    for theta in ("0.05", "2.5", repr(math.pi / 2), "1e-320", "3.1415926535897"):
+        table.append((0, ["scenario", "leggett-garg", "--theta", theta, "--format", "json"]))
+    table.append((0, ["scenario", "leggett-garg", "--theta", "60", "--deg"]))
+    table += [
+        (2, ["scenario", "ghz"]),
+        (2, ["scenario", "three-box", "--theta", "1"]),
+        (2, ["scenario", "leggett-garg", "--theta", "0"]),
+        (2, ["scenario", "bell", "--theta", "2"]),
+    ]
+    for dim in HAAR_DIMS:
+        for name in (f"haar-d{dim}.json", f"haar-d{dim}-plain.json"):
+            table += [(0, ["kd", name, "--format", fmt]) for fmt in FORMATS]
+    table += [(0, ["kd", "three-box.json", "--format", fmt]) for fmt in FORMATS]
+    table.append((0, ["kd", "d1-unnormalized.json"]))
+    pointer = ["--coupling", "1"]
+    table += [
+        (0, ["weak", "three-box.json", *pointer, "--width", "2", "--sweep"]),
+        (0, ["weak", "three-box.json", *pointer, "--width", "0.05", "--sweep"]),
+        (0, ["weak", "three-box.json", *pointer, "--width", "50", "--shots", "1000000"]),
+        (0, ["weak", "three-box.json", *pointer, "--width", "1e12", "--sweep"]),
+        (0, ["weak", "three-box.json", "--kappa", "0,0,1000", *pointer, "--width", "0.01"]),
+        (0, ["weak", "kappa-huge.json", "--coupling", "1e-300", "--width", "1", "--shots", "1000", "--seed", "1"]),
+        (0, ["weak", "three-box-unnormalized.json", *pointer, "--width", "2"]),
+        (0, ["weak", "haar-d8.json", *pointer, "--width", "4", "--sweep"]),
+        (0, ["weak", "haar-d16.json", *pointer, "--width", "4", "--sweep"]),
+        (2, ["weak", "three-box.json", *pointer, "--width", "2", "--seed", "-1"]),
+        (2, ["weak", "three-box.json", *pointer, "--width", "2", "--shots", "0"]),
+    ]
+    return table
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("outdir", type=Path)
+    outdir = parser.parse_args().outdir
+    runs = outdir / "runs"
+    runs.mkdir(parents=True, exist_ok=True)
+    for name, content in input_files().items():
+        (outdir / name).write_text(json.dumps(content, indent=1) + "\n", encoding="utf-8")
+
+    env = dict(os.environ, COLUMNS="80")  # argparse wraps --help to this width
+    if env.get("PYTHONPATH"):  # the commands run from OUTDIR, so relative entries would break
+        env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
+    wrong = 0
+    for number, (expected, args) in enumerate(commands(), start=1):
+        done = subprocess.run(
+            [sys.executable, "-m", "kdqlab", *args], cwd=outdir, env=env, capture_output=True, text=True
+        )
+        record = f"argv: kdqlab {' '.join(args)}\nexit: {done.returncode}\n"
+        record += f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+        (runs / f"{number:03d}.txt").write_text(record, encoding="utf-8")
+        if done.returncode != expected:
+            wrong += 1
+            print(f"{number:03d} kdqlab {' '.join(args)}: exit {done.returncode}, expected {expected}", file=sys.stderr)
+    print(f"{number} commands, {wrong} with an unexpected exit code; records in {runs}")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

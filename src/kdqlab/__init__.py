@@ -25,7 +25,6 @@ from .kdq import (
     PostSelectionError,
     ReconstructionError,
     Transformation,
-    UndefinedOverlapError,
     UndefinedPhaseError,
     is_half_periodic,
     kd_joint,

@@ -4,10 +4,10 @@ Exit codes: 0 all checks pass, 2 input or usage error, 3 check failure.
 Data goes to stdout; stderr has two channels, both written only by ``main``.
 A command returns 0 or 3 and raises on rejected input: every rejection in the
 library is a ``ValueError`` (``ScenarioFileError``, ``PostSelectionError``,
-``UndefinedOverlapError``, ``DimensionMismatchError``, ...), which ``main``
-prints as one ``error: <message>`` line with exit 2. Any other exception keeps
-its traceback, so a programming error stays visible. Every warning issued
-while a command runs, by the loader, the quadrature or numpy, prints as one
+``DimensionMismatchError``, ...), which ``main`` prints as one
+``error: <message>`` line with exit 2. Any other exception keeps its
+traceback, so a programming error stays visible. Every warning issued while a
+command runs, by the loader, the quadrature or numpy, prints as one
 ``warning: <message>`` line at the moment it is issued.
 
 ``scenario`` and ``kd`` each build one payload, a dict of unrounded engine
@@ -184,10 +184,8 @@ def _table_view(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(fmt: str, payload: dict) -> None:
-    """Print the payload in the requested view: json, csv or table."""
-    view = {"json": lambda p: json.dumps(_json_view(p)), "csv": _csv_view, "table": _table_view}[fmt]
-    print(view(payload))
+# --format name -> view of the payload, in the order that --help lists them
+_VIEWS = {"table": _table_view, "json": lambda p: json.dumps(_json_view(p)), "csv": _csv_view}
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -204,7 +202,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         "violated_inequality": report.violated_inequality,
         "pass": report.passed,
     }
-    _emit(args.format, payload)
+    print(_VIEWS[args.format](payload))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -228,7 +226,7 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     payload = _payload(None, dist, negativity(dist))
     if config.action_phase is not None:
         payload["overlaps"] = _overlap_rows(dist, config.action_phase)
-    _emit(args.format, payload)
+    print(_VIEWS[args.format](payload))
     return EXIT_OK
 
 
@@ -248,7 +246,7 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
     config = load_scenario_file(args.file)
-    kappa = config.kappa if args.kappa is None else _parse_kappa(args.kappa, config.dim)
+    kappa = config.kappa if args.kappa is None else _parse_kappa(args.kappa, config.state_a.dim)
     if kappa is None:
         raise ValueError("no eigenvalues: pass --kappa or add a 'kappa' field to the file")
     cfg = PointerConfig(coupling=args.coupling, width=args.width, eigenvalue=kappa)
@@ -309,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("name", choices=scenarios.SCENARIO_NAMES)
     p_scenario.add_argument("--theta", type=float, default=None, help="angle parameter (radians unless --deg)")
     p_scenario.add_argument("--deg", action="store_true", help="interpret --theta in degrees")
-    p_scenario.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p_scenario.add_argument("--format", choices=tuple(_VIEWS), default="table")
     p_scenario.set_defaults(func=_cmd_scenario)
 
     p_kd = sub.add_parser("kd", help="evaluate a scenario file through the engine")
     p_kd.add_argument("file")
-    p_kd.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p_kd.add_argument("--format", choices=tuple(_VIEWS), default="table")
     p_kd.set_defaults(func=_cmd_kd)
 
     p_weak = sub.add_parser("weak", help="pointer-measurement run over a scenario file")

@@ -32,11 +32,7 @@ from .qcore import (
 
 
 class PostSelectionError(ValueError):
-    """Pre- and post-selection are (numerically) orthogonal."""
-
-
-class UndefinedOverlapError(ValueError):
-    """The overlap identity divides by a vanishing post-selection probability."""
+    """The outcome b that a quantity is conditioned on has vanishing probability."""
 
 
 class UndefinedPhaseError(ValueError):
@@ -74,10 +70,6 @@ class ActionSpectrum:
         if not all(np.isfinite(phases)):
             raise ValueError("action phases must be finite")
         object.__setattr__(self, "phase", tuple(reduce_phase(p) for p in phases))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +205,7 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
     _, prob_b = marginals(dist)
     p_b = float(prob_b[check_index("b_index", b_index, dist.dim)])
     if p_b <= TOL:
-        raise UndefinedOverlapError(
-            f"P(b|a) ~ 0 for b index {b_index}; the overlap identity is undefined"
-        )
+        raise PostSelectionError(f"P(b|a) ~ 0 for b index {b_index}; the overlap identity is undefined")
     amplitude = complex(np.sum(dist.table[:, b_index] * np.exp(-1j * np.asarray(spectrum.phase))))
     return float(abs(amplitude) ** 2 / p_b)
 
@@ -237,7 +227,7 @@ class Transformation:
         self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
         try:
             self.from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
-        except UndefinedOverlapError:
+        except PostSelectionError:
             self.from_kd = None
         image, target = self.unitary.apply(dist.state_a), dist.basis_b.vectors[b].amp
         self.distance = float(np.linalg.norm(target - np.vdot(image, target) * image))

@@ -80,11 +80,11 @@ class StateVector:
         if norm <= _PHASE_ANCHOR:
             raise ValueError("cannot normalize a zero vector")
         arr = arr / norm
+        # a unit vector has an amplitude of modulus >= 1/sqrt(size) >= 1/4, far above the anchor
+        # threshold, so ``significant`` is never empty
         significant = np.flatnonzero(np.abs(arr) > _PHASE_ANCHOR)
-        if significant.size:
-            anchor = arr[significant[0]]
-            arr = arr * (anchor.conjugate() / abs(anchor))
-        return cls(arr)
+        anchor = arr[significant[0]]
+        return cls(arr * (anchor.conjugate() / abs(anchor)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +143,9 @@ class Operator:
         same_dim(self.dim, state.dim)
         return self.mat @ state.amp
 
-    def is_unitary(self, tol: float = TOL) -> bool:
+    def is_unitary(self) -> bool:
         gram = self.mat.conj().T @ self.mat
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= TOL)
 
 
 @dataclass(frozen=True, eq=False)

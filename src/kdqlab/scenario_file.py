@@ -45,10 +45,6 @@ class ScenarioFile:
     action_phase: tuple[float, ...] | None
     kappa: tuple[float, ...] | None
 
-    @property
-    def dim(self) -> int:
-        return self.state_a.dim
-
 
 def _float(value: int | float, where: str) -> float:
     try:

@@ -73,8 +73,8 @@ class Check:
 class ScenarioReport:
     """Named paradox run: its joint table ``kd`` and the checks on it.
 
-    ``dim`` and ``negativity`` are derived from ``kd``; ``negativity`` is
-    computed once, at construction.
+    ``negativity`` is derived from ``kd`` once, at construction; the
+    dimension is ``kd.dim``.
     """
 
     scenario: str
@@ -87,10 +87,6 @@ class ScenarioReport:
         if len(self.checks) < 3:
             raise ValueError("a scenario report needs at least three checks")
         object.__setattr__(self, "negativity", negativity(self.kd))
-
-    @property
-    def dim(self) -> int:
-        return self.kd.dim
 
     @property
     def passed(self) -> bool:
@@ -274,20 +270,11 @@ def hardy() -> ScenarioReport:
     probability 1/12 even though each opposite port alone, paired with the
     other particle's outer path, has probability zero.
     """
-    path = OrthonormalBasis.standard(2, ("O", "I"))
-    port_c = StateVector.normalize([1.0, 1.0])
-    port_b = StateVector.normalize([1.0, -1.0])
-    basis_m = OrthonormalBasis(
-        ("O1O2", "O1I2", "I1O2", "I1I2"),
-        tuple(
-            tensor_state(path.vectors[i], path.vectors[j])
-            for i in range(2)
-            for j in range(2)
-        ),
-    )
+    basis_m = OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2"))  # products of the paths O, I
+    ports = (_X_EIGEN[+1], _X_EIGEN[-1])  # c and b
     basis_b = OrthonormalBasis(
         ("c1c2", "c1b2", "b1c2", "b1b2"),
-        tuple(tensor_state(u, v) for u in (port_c, port_b) for v in (port_c, port_b)),
+        tuple(tensor_state(u, v) for u in ports for v in ports),
     )
     a = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
     dist = kd_joint(a, basis_m, basis_b)
@@ -296,8 +283,9 @@ def hardy() -> ScenarioReport:
     col = dist.table[:, b_idx]
 
     # mixed path/port events that are directly observable and vanish
-    p_b1_outer2 = float(abs(inner(tensor_state(port_b, path.vectors[0]), a)) ** 2)
-    p_outer1_b2 = float(abs(inner(tensor_state(path.vectors[0], port_b), a)) ** 2)
+    outer = StateVector([1.0, 0.0])
+    p_b1_outer2 = float(abs(inner(tensor_state(_X_EIGEN[-1], outer), a)) ** 2)
+    p_outer1_b2 = float(abs(inner(tensor_state(outer, _X_EIGEN[-1]), a)) ** 2)
     signed_sum = complex(np.sum(col * np.exp(-1j * np.asarray(flip.spectrum.phase))))
 
     checks = (

@@ -77,8 +77,10 @@ class SampleBatch:
 
     Readings and outcome indices are parallel 1-D arrays of equal length, and
     ``len()`` is the shot count; ``records()`` yields the (reading, b_label)
-    tuples in draw order. ``sample`` gives bit-identical batches for identical
-    (seed, shots, config, scenario) inputs.
+    tuples in draw order. A batch holds read-only views of the float64 and
+    int64 arrays it is given and does not copy them, so the caller's arrays
+    stay writable; other dtypes are converted first. ``sample`` gives
+    bit-identical batches for identical (seed, shots, config, scenario) inputs.
     """
 
     readings: np.ndarray
@@ -86,8 +88,8 @@ class SampleBatch:
     b_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        readings = np.asarray(self.readings, dtype=float)
-        b_index = np.asarray(self.b_index, dtype=np.int64)
+        readings = np.asarray(self.readings, dtype=float).view()
+        b_index = np.asarray(self.b_index, dtype=np.int64).view()
         if readings.ndim != 1 or b_index.shape != readings.shape:
             raise ValueError("readings and b_index must both hold one entry per shot")
         readings.setflags(write=False)

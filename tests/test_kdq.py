@@ -17,7 +17,6 @@ from kdqlab import (
     ScenarioReport,
     StateVector,
     Transformation,
-    UndefinedOverlapError,
     UndefinedPhaseError,
     bloch_state,
     complete_basis,
@@ -328,7 +327,7 @@ class TestOverlaps:
     def test_from_kd_undefined_column(self):
         basis = OrthonormalBasis.standard(2)
         dist = kd_joint(StateVector([1.0, 0.0]), basis, basis)
-        with pytest.raises(UndefinedOverlapError):
+        with pytest.raises(PostSelectionError):
             overlap_from_kd(dist, ActionSpectrum(basis, (0.0, 0.0)), 1)
 
     def test_from_kd_basis_mismatch(self):
@@ -379,7 +378,7 @@ class TestTransformation:
             assert t.direct == overlap_direct(a, basis_b.vectors[b], unitary)
             assert (t.from_kd is None) == (dist.prob_b[b] <= TOL)
             if t.from_kd is None:
-                with pytest.raises(UndefinedOverlapError):
+                with pytest.raises(PostSelectionError):
                     overlap_from_kd(dist, spectrum, b)
             else:
                 assert t.from_kd == overlap_from_kd(dist, spectrum, b)
@@ -525,6 +524,10 @@ class TestHalfPeriodic:
         assert spectrum.phase[0] == pytest.approx(math.pi, abs=TOL)
         assert spectrum.phase[1] == pytest.approx(math.pi, abs=TOL)
         assert all(-math.pi < p <= math.pi for p in spectrum.phase)
+        # one ulp above pi folds to exactly -pi, which the reduction pushes back to +pi
+        above_pi = float(np.nextafter(math.pi, 4.0))
+        assert reduce_phase(above_pi) == math.pi
+        assert ActionSpectrum(OrthonormalBasis.standard(3), (above_pi, 0.0, 0.0)).phase[0] == math.pi
 
     def test_phase_count_mismatch(self):
         with pytest.raises(ValueError):

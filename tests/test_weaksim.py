@@ -339,6 +339,13 @@ class TestSampling:
         assert len(batch) == 3
         assert batch.records() == [(0.5, "b"), (-1.0, "null"), (2.0, "rest")]
 
+    def test_batch_freezes_views_not_the_callers_arrays(self):
+        readings, b_index = np.zeros(3), np.zeros(3, dtype=np.int64)
+        batch = SampleBatch(readings, b_index, ("x",))
+        readings[0], b_index[0] = 1.0, 0  # the caller's arrays stay writable
+        assert not batch.readings.flags.writeable and not batch.b_index.flags.writeable
+        assert np.shares_memory(batch.readings, readings) and np.shares_memory(batch.b_index, b_index)
+
     def test_seed_validation(self):
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
