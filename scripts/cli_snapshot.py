@@ -12,7 +12,9 @@ compare two trees, snapshot each and diff the directories:
     PYTHONPATH=/path/to/new/src python scripts/cli_snapshot.py /tmp/snap-new
     diff -r /tmp/snap-old /tmp/snap-new
 
-Exits 1 if any command's exit code differs from the one its table row lists.
+Exits 1 if any command's exit code differs from the one its table row lists,
+or if a command that should exit 0 writes to stderr and its row is not in
+``MAY_WARN``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ import numpy as np
 HAAR_DIMS = (1, 2, 3, 4, 8, 16)
 FORMATS = ("table", "json", "csv")
 SCENARIOS = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")
+# the exit-0 rows that are expected to print a warning line; every other exit-0 row keeps stderr empty
+MAY_WARN = (
+    "kd d1-unnormalized.json",
+    "weak three-box.json --coupling 1 --width 1e12 --sweep",
+    "weak three-box-unnormalized.json --coupling 1 --width 2",
+)
 
 
 def _pairs(amplitudes) -> list[list[float]]:
@@ -143,19 +151,24 @@ def main() -> int:
     env = dict(os.environ, COLUMNS="80")  # argparse wraps --help to this width
     if env.get("PYTHONPATH"):  # the commands run from OUTDIR, so relative entries would break
         env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
-    wrong = 0
+    wrong = noisy = 0
     for number, (expected, args) in enumerate(commands(), start=1):
         done = subprocess.run(
             [sys.executable, "-m", "kdqlab", *args], cwd=outdir, env=env, capture_output=True, text=True
         )
-        record = f"argv: kdqlab {' '.join(args)}\nexit: {done.returncode}\n"
+        line = " ".join(args)
+        record = f"argv: kdqlab {line}\nexit: {done.returncode}\n"
         record += f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
         (runs / f"{number:03d}.txt").write_text(record, encoding="utf-8")
         if done.returncode != expected:
             wrong += 1
-            print(f"{number:03d} kdqlab {' '.join(args)}: exit {done.returncode}, expected {expected}", file=sys.stderr)
-    print(f"{number} commands, {wrong} with an unexpected exit code; records in {runs}")
-    return 1 if wrong else 0
+            print(f"{number:03d} kdqlab {line}: exit {done.returncode}, expected {expected}", file=sys.stderr)
+        elif expected == 0 and done.stderr and line not in MAY_WARN:
+            noisy += 1
+            first = done.stderr.splitlines()[0]
+            print(f"{number:03d} kdqlab {line}: exit 0 but wrote to stderr: {first}", file=sys.stderr)
+    print(f"{number} commands, {wrong} with an unexpected exit code, {noisy} with unexpected stderr; records in {runs}")
+    return 1 if wrong or noisy else 0
 
 
 if __name__ == "__main__":

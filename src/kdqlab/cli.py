@@ -38,7 +38,6 @@ from .kdq import (
     PostSelectionError,
     Transformation,
     kd_joint,
-    marginals,
     negativity,
     weak_value,
 )
@@ -83,7 +82,6 @@ def _phase_text(entry: complex) -> str:
 
 def _payload(scenario: str | None, dist: KDDistribution, neg: NegativityReport) -> dict:
     """Joint table, marginals and negativity of one result, as unrounded engine values."""
-    prob_m, prob_b = marginals(dist)
     return {
         "scenario": scenario,
         "dim": dist.dim,
@@ -92,7 +90,7 @@ def _payload(scenario: str | None, dist: KDDistribution, neg: NegativityReport) 
             "re": dist.table.real.tolist(),
             "im": dist.table.imag.tolist(),
         },
-        "marginals": {"m": prob_m.tolist(), "b": prob_b.tolist()},
+        "marginals": {"m": dist.prob_m.tolist(), "b": dist.prob_b.tolist()},
         "negativity": asdict(neg),
     }
 

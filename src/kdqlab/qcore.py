@@ -271,11 +271,14 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
     """Extend orthonormal seed vectors to a full labeled basis.
 
     Deterministic Gram-Schmidt over the standard basis vectors in index
-    order; seeds keep their positions at the front.
+    order; seeds keep their positions at the front. At most ``dim`` seeds
+    are accepted.
     """
     if not seed_vectors:
         raise ValueError("at least one seed vector required")
     dim = same_dim(*[v.dim for v in seed_vectors])
+    if len(seed_vectors) > dim:
+        raise ValueError(f"need at most {dim} seed vectors, got {len(seed_vectors)}")
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels, got {len(labels)}")
     vecs = [np.array(v.amp, dtype=complex) for v in seed_vectors]

@@ -306,12 +306,18 @@ def hardy() -> ScenarioReport:
     return _report("hardy", dist, flip, "double flip", checks, column, "positivity of P(O1, O2; b1, b2 | a)")
 
 
-def _pm_label(s1: int, s2: int) -> str:
-    return f"({s1:+d},{s2:+d})"
-
-
 _X_EIGEN = {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])}
 _Y_EIGEN = {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])}
+
+
+def _product_basis(
+    first: dict[int, StateVector], second: dict[int, StateVector], order: tuple[tuple[int, int], ...]
+) -> OrthonormalBasis:
+    """Two-qubit product basis ``first[s1] (x) second[s2]`` over the sign pairs in ``order``, labeled "(s1,s2)"."""
+    return OrthonormalBasis(
+        tuple(f"({s1:+d},{s2:+d})" for s1, s2 in order),
+        tuple(tensor_state(first[s1], second[s2]) for s1, s2 in order),
+    )
 
 
 def _eigenvalue_of(op: Operator, v: StateVector) -> float:
@@ -332,8 +338,10 @@ def peres_mermin_swap() -> ScenarioReport:
     swap that maps one onto the other is half-periodic with the antisymmetric
     state as its pi eigenvector, forcing a -1/8 joint weight on it.
     """
-    a = tensor_state(_X_EIGEN[+1], _Y_EIGEN[+1])
-    b = tensor_state(_Y_EIGEN[+1], _X_EIGEN[+1])
+    order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+    basis_a = _product_basis(_X_EIGEN, _Y_EIGEN, order)  # the (X1, Y2) context that a belongs to
+    basis_b = _product_basis(_Y_EIGEN, _X_EIGEN, order)
+    a, b = basis_a.vectors[0], basis_b.vectors[0]
     s = math.sqrt(0.5)
     basis_m = OrthonormalBasis(
         ("S", "Tx", "Ty", "Tz"),
@@ -343,11 +351,6 @@ def peres_mermin_swap() -> ScenarioReport:
             StateVector([s, 0.0, 0.0, s]),
             StateVector([0.0, s, s, 0.0]),
         ),
-    )
-    order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-    basis_b = OrthonormalBasis(
-        tuple(_pm_label(t1, t2) for t1, t2 in order),
-        tuple(tensor_state(_Y_EIGEN[t1], _X_EIGEN[t2]) for t1, t2 in order),
     )
     dist = kd_joint(a, basis_m, basis_b)
     swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
@@ -367,11 +370,8 @@ def peres_mermin_swap() -> ScenarioReport:
     # the rearranged products form an operator identity with the opposite sign
     corr2_residual = float(np.max(np.abs((x1y2 @ y1x2).mat - zz.mat)))
     corr1_operator_residual = float(np.max(np.abs((xx @ yy).mat + zz.mat)))
-    product_vectors = [
-        tensor_state(_X_EIGEN[s1], _Y_EIGEN[s2]) for s1 in (+1, -1) for s2 in (+1, -1)
-    ] + [tensor_state(_Y_EIGEN[t1], _X_EIGEN[t2]) for t1 in (+1, -1) for t2 in (+1, -1)]
     corr2_on_states = max(
-        float(np.max(np.abs((x1y2 @ y1x2).apply(v) - zz.apply(v)))) for v in product_vectors
+        float(np.max(np.abs((x1y2 @ y1x2).apply(v) - zz.apply(v)))) for v in (*basis_a.vectors, *basis_b.vectors)
     )
 
     p_b = float(dist.prob_b[0])
@@ -460,15 +460,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     (+1, +1) is the half-periodic transformation behind the negative cells.
     """
     a = bell_state(theta)
-    basis_m = OrthonormalBasis(
-        tuple(_pm_label(*m) for m in _CHSH_ORDER),
-        tuple(tensor_state(_X_EIGEN[m1], _X_EIGEN[m2]) for m1, m2 in _CHSH_ORDER),
-    )
-    basis_b = OrthonormalBasis(
-        tuple(_pm_label(*b) for b in _CHSH_ORDER),
-        tuple(tensor_state(_Y_EIGEN[b1], _Y_EIGEN[b2]) for b1, b2 in _CHSH_ORDER),
-    )
-    dist = kd_joint(a, basis_m, basis_b)
+    dist = kd_joint(a, _product_basis(_X_EIGEN, _X_EIGEN, _CHSH_ORDER), _product_basis(_Y_EIGEN, _Y_EIGEN, _CHSH_ORDER))
 
     real = dist.table.real
     target = np.array([[_chsh_target_entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])

@@ -76,16 +76,15 @@ class SampleBatch:
     """Drawn (pointer reading, final outcome) pairs, one entry per shot.
 
     Readings and outcome indices are parallel 1-D arrays of equal length, and
-    ``len()`` is the shot count; ``records()`` yields the (reading, b_label)
-    tuples in draw order. A batch holds read-only views of the float64 and
-    int64 arrays it is given and does not copy them, so the caller's arrays
-    stay writable; other dtypes are converted first. ``sample`` gives
+    ``len()`` is the shot count. ``b_index`` indexes the final basis the batch
+    was drawn for; the batch keeps no labels. A batch holds read-only views
+    of the float64 and int64 arrays it is given and does not copy them, so
+    the caller's arrays stay writable; other dtypes are converted first. ``sample`` gives
     bit-identical batches for identical (seed, shots, config, scenario) inputs.
     """
 
     readings: np.ndarray
     b_index: np.ndarray
-    b_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         readings = np.asarray(self.readings, dtype=float).view()
@@ -99,9 +98,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.readings.size
-
-    def records(self) -> list[tuple[float, str]]:
-        return [(float(x), self.b_labels[i]) for x, i in zip(self.readings, self.b_index)]
 
 
 def observable_from_eigenvalues(basis_m: OrthonormalBasis, eigenvalue: tuple[float, ...]) -> Operator:
@@ -270,16 +266,15 @@ def conditional_pointer_mean_quadrature(
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] of every order in ``QUAD_ORDERS`` side by side, and one weight row per order."""
+    """Nodes on [-1, 1] of the two orders in ``QUAD_ORDERS`` side by side, and one weight row per order.
+
+    Each row holds its order's weights at its own nodes and zeros at the other's.
+    """
     from numpy.polynomial.legendre import leggauss  # not imported with numpy; kept off the `import kdqlab` path
 
-    rules = [leggauss(n) for n in QUAD_ORDERS]
-    nodes = np.concatenate([x for x, _ in rules])
-    weights = np.zeros((len(rules), nodes.size))
-    column = 0
-    for row, (_, w) in enumerate(rules):
-        weights[row, column : column + w.size] = w
-        column += w.size
+    (x_low, w_low), (x_high, w_high) = (leggauss(n) for n in QUAD_ORDERS)
+    nodes = np.concatenate([x_low, x_high])
+    weights = np.block([[w_low, np.zeros_like(w_high)], [np.zeros_like(w_low), w_high]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -330,4 +325,4 @@ def sample(
         weight = np.cumsum(amps[:dim] ** 2 + amps[dim:] ** 2, axis=0)
         b_index[start : start + count] = np.sum(weight <= rng.random(count) * weight[-1], axis=0)
         readings[start : start + count] = centers[drawn] + cfg.width * z
-    return SampleBatch(readings, b_index, basis_b.labels)
+    return SampleBatch(readings, b_index)

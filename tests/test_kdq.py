@@ -156,6 +156,42 @@ class TestKDJoint:
         with pytest.raises(ValueError, match="column defect 1.000e-06"):
             KDDistribution(a, basis_m, basis_b, bad)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=8),
+        pinned=st.sampled_from([None, "m", "b"]),
+        kind=st.sampled_from(["complex", "imaginary", "column-shift", "scale"]),
+        exponent=st.floats(min_value=-12.0, max_value=-8.0),
+    )
+    def test_accepted_tables_have_real_nonnegative_marginals(self, seed, dim, pinned, kind, exponent):
+        # The defect check alone must imply |Im| <= TOL and Re >= -TOL for every row and column sum.
+        # Pinning a to the first m (or b) vector leaves rows (or columns) of Born weight 0, the case
+        # where a perturbation can push a sum below zero.
+        rng = np.random.default_rng(seed)
+        basis_m, basis_b = haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b")
+        a = {None: random_state(rng, dim), "m": basis_m.vectors[0], "b": basis_b.vectors[0]}[pinned]
+        table = np.array(kd_joint(a, basis_m, basis_b).table)
+        size, shape = 10.0**exponent, (dim, dim)
+        if kind == "complex":
+            table += size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        elif kind == "imaginary":
+            table += 1j * size * rng.standard_normal(shape)
+        elif kind == "column-shift":  # row sums and the total stay; two columns move
+            row, (j, k) = rng.integers(dim), rng.integers(dim, size=2)
+            shift = size * complex(rng.standard_normal(), rng.standard_normal())
+            table[row, j] += shift
+            table[row, k] -= shift
+        else:
+            table *= 1.0 + size * rng.standard_normal()
+        try:
+            KDDistribution(a, basis_m, basis_b, table)
+        except ValueError:
+            return
+        sums = np.concatenate([table.sum(axis=1), table.sum(axis=0)])
+        assert np.abs(sums.imag).max() <= TOL
+        assert sums.real.min() >= -TOL
+
     def test_dimension_mismatch_rejected(self):
         from kdqlab import DimensionMismatchError
 
@@ -412,6 +448,14 @@ class TestValidation:
             lambda a, m: KDDistribution(a, m, m, np.eye(2)),
             r"table must have shape \(3, 3\), got \(2, 2\)",
         ),
+        "KDDistribution NaN entry": (
+            lambda a, m: KDDistribution(a, m, m, np.diag([np.nan, 0.5, 0.5])),
+            "table entries must be finite",
+        ),
+        "KDDistribution infinite pair": (
+            lambda a, m: KDDistribution(a, m, m, np.diag([np.inf, -np.inf, 1.0])),
+            "table entries must be finite",
+        ),
         "Operator dim 17": (lambda a, m: Operator(np.eye(17)), r"operator dimension must be in 1\.\.16, got 17"),
         "Operator NaN": (lambda a, m: Operator([[1.0, np.nan], [0.0, 1.0]]), "operator entries must be finite"),
         "OrthonormalBasis no vectors": (lambda a, m: OrthonormalBasis((), ()), "basis needs at least one vector"),
@@ -421,6 +465,10 @@ class TestValidation:
         ),
         "complete_basis no seeds": (lambda a, m: complete_basis([], ()), "at least one seed vector required"),
         "complete_basis label count": (lambda a, m: complete_basis([a], ("x", "y")), "need 3 labels, got 2"),
+        "complete_basis too many seeds": (
+            lambda a, m: complete_basis([a] * 4, ("x", "y", "z")),
+            "need at most 3 seed vectors, got 4",
+        ),
         "ActionSpectrum NaN phase": (
             lambda a, m: ActionSpectrum(m, (0.0, np.nan, 0.0)),
             "action phases must be finite",
@@ -430,7 +478,7 @@ class TestValidation:
             "a scenario report needs at least three checks",
         ),
         "SampleBatch unequal arrays": (
-            lambda a, m: SampleBatch(np.zeros(3), np.zeros(2, dtype=int), m.labels),
+            lambda a, m: SampleBatch(np.zeros(3), np.zeros(2, dtype=int)),
             "readings and b_index must both hold one entry per shot",
         ),
     }

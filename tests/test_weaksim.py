@@ -332,16 +332,14 @@ class TestSampling:
             sample(a, basis_m, basis_b, cfg, 0, 1)
         batch = sample(a, basis_m, basis_b, cfg, 1, 1)
         assert len(batch) == 1
-        assert len(batch.records()) == 1
 
     def test_batch_derives_its_length(self):
-        batch = SampleBatch(np.array([0.5, -1.0, 2.0]), np.array([0, 2, 1]), ("b", "rest", "null"))
+        batch = SampleBatch(np.array([0.5, -1.0, 2.0]), np.array([0, 2, 1]))
         assert len(batch) == 3
-        assert batch.records() == [(0.5, "b"), (-1.0, "null"), (2.0, "rest")]
 
     def test_batch_freezes_views_not_the_callers_arrays(self):
         readings, b_index = np.zeros(3), np.zeros(3, dtype=np.int64)
-        batch = SampleBatch(readings, b_index, ("x",))
+        batch = SampleBatch(readings, b_index)
         readings[0], b_index[0] = 1.0, 0  # the caller's arrays stay writable
         assert not batch.readings.flags.writeable and not batch.b_index.flags.writeable
         assert np.shares_memory(batch.readings, readings) and np.shares_memory(batch.b_index, b_index)
@@ -374,13 +372,12 @@ class TestSampling:
         short = sample(a, basis_m, basis_b, cfg, CHUNK, 7)
         assert np.array_equal(long.readings[:CHUNK], short.readings)
 
-    def test_records_carry_labels(self):
+    def test_zero_probability_outcome_is_never_drawn(self):
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 2.0, (0.0, 0.0, 1.0))
         batch = sample(a, basis_m, basis_b, cfg, 500, 5)
-        labels = {label for _, label in batch.records()}
-        assert labels <= {"b", "rest", "null"}
-        assert "null" not in labels  # zero-probability outcome is never drawn
+        assert set(batch.b_index.tolist()) <= {0, 1, 2}
+        assert 2 not in batch.b_index  # index 2 is "null", orthogonal to the preparation
 
     def test_outcome_frequencies_match_closed_form(self):
         a, basis_m, basis_b = three_box_setup()
