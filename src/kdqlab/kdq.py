@@ -98,15 +98,18 @@ class KDDistribution:
 
         if not np.isfinite(table).all():
             raise ValueError("table entries must be finite")
-        total = complex(table.sum())
-        if abs(total - 1.0) > TOL:
+        # finite entries may still sum past the float range to inf or nan, which the
+        # checks below reject (written so that nan fails them) without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = complex(table.sum())
+            # row 0: row sums against |<m|a>|^2; row 1: column sums against |<b|a>|^2
+            sums = np.array((table.sum(axis=1), table.sum(axis=0)))
+        if not abs(total - 1.0) <= TOL:
             raise ValueError(f"table entries must sum to 1, got {total}")
 
-        # row 0: row sums against |<m|a>|^2; row 1: column sums against |<b|a>|^2
-        sums = np.array((table.sum(axis=1), table.sum(axis=0)))
         born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
         row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
-        if row_defect > TOL or col_defect > TOL:
+        if not (row_defect <= TOL and col_defect <= TOL):
             raise ValueError(
                 f"marginal identities violated (row defect {row_defect:.3e}, column defect {col_defect:.3e})"
             )

@@ -148,11 +148,17 @@ def pointer_joint_density(
     ``p(x, b) = |sum_m <b|m><m|a> A(x - g k_m)|^2`` with ``A`` the amplitude
     of a mean-zero Gaussian of standard deviation ``width``. Non-negative by
     construction; integrates over x to the outcome probability of b.
+
+    The exponent is squared as one ratio, ``((x - g k_m) / (2 width))**2``. It
+    overflows only where its true value is past the float range, so the
+    density there is exactly 0, the limit ``exp(-inf)``, with no warning.
     """
     c = _row(_coefficients(a, basis_m, basis_b, cfg), b_index)
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
     prefactor = (2.0 * np.pi * cfg.width**2) ** -0.25
-    amps = prefactor * np.exp(-((np.asarray(x, dtype=float)[..., None] - centers) ** 2) / (4.0 * cfg.width**2))
+    with np.errstate(over="ignore"):
+        ratio = (np.asarray(x, dtype=float)[..., None] - centers) / (2.0 * cfg.width)
+        amps = prefactor * np.exp(-(ratio**2))
     density = np.abs(amps @ c) ** 2
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
 
@@ -297,11 +303,15 @@ def sample(
     no width or eigenvalue spread overflows or empties the conditional, and
     outcomes of zero weight are never drawn. Chunk k of ``CHUNK`` shots uses the
     generator derived from (seed, k) and chunks concatenate in order, so the
-    batch is a pure function of (seed, shots, config).
+    batch is a pure function of (seed, shots, config). Each chunk runs in
+    contiguous, in-place passes that make the same floating-point operations in
+    the same order as the direct form (a column gather, ``exp(-d * (d + z))``
+    and a cumulative sum over outcomes), so they change no bit of the batch.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    # bool is an int subclass, but True shots or a False seed is a caller's mistake
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
     c = _coefficients(a, basis_m, basis_b, cfg)
@@ -318,11 +328,22 @@ def sample(
     for start in range(0, shots, CHUNK):
         count = min(CHUNK, shots - start)
         rng = np.random.default_rng([int(seed), start // CHUNK])
-        drawn = np.searchsorted(cumulative, rng.random(count), side="right")
+        u = rng.random(count)
+        drawn = np.zeros(count, dtype=np.intp)
+        for k in range(dim - 1):  # searchsorted(cumulative, u, side="right"), as cumulative[-1] = 1 > u
+            drawn += cumulative[k] <= u
         z = rng.standard_normal(count)
-        d = half_gap[:, drawn]  # (dim, count)
-        amps = stacked @ np.exp(-d * (d + z))
-        weight = np.cumsum(amps[:dim] ** 2 + amps[dim:] ** 2, axis=0)
+        d = half_gap.take(drawn, axis=1)  # (dim, count), C-contiguous
+        e = d + z
+        e *= d
+        np.negative(e, out=e)  # exact, so this is exp(-d * (d + z)) bit for bit
+        np.exp(e, out=e)
+        amps = stacked @ e
+        np.square(amps, out=amps)
+        weight = amps[:dim]
+        weight += amps[dim:]
+        for k in range(1, dim):  # the sequential sum of cumsum(axis=0), one contiguous row at a time
+            weight[k] += weight[k - 1]
         b_index[start : start + count] = np.sum(weight <= rng.random(count) * weight[-1], axis=0)
         readings[start : start + count] = centers[drawn] + cfg.width * z
     return SampleBatch(readings, b_index)

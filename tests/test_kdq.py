@@ -456,6 +456,18 @@ class TestValidation:
             lambda a, m: KDDistribution(a, m, m, np.diag([np.inf, -np.inf, 1.0])),
             "table entries must be finite",
         ),
+        "KDDistribution sum overflows": (
+            lambda a, m: KDDistribution(a, m, m, np.diag([1e308, 1e308, -1e308])),
+            r"table entries must sum to 1, got \(inf\+0j\)",
+        ),
+        "KDDistribution sum is nan": (
+            lambda a, m: KDDistribution(a, m, m, [[1.7e308, 1.7e308, -1.7e308], [-1.7e308, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            r"table entries must sum to 1, got \(nan\+0j\)",
+        ),
+        "KDDistribution row sums overflow": (
+            lambda a, m: KDDistribution(a, m, m, [[1.7e308, 1.7e308, 0.0], [-1.7e308, -1.7e308, 0.0], [0.0, 0.0, 1.0]]),
+            r"marginal identities violated \(row defect inf, column defect 6\.667e-01\)",
+        ),
         "Operator dim 17": (lambda a, m: Operator(np.eye(17)), r"operator dimension must be in 1\.\.16, got 17"),
         "Operator NaN": (lambda a, m: Operator([[1.0, np.nan], [0.0, 1.0]]), "operator entries must be finite"),
         "OrthonormalBasis no vectors": (lambda a, m: OrthonormalBasis((), ()), "basis needs at least one vector"),

@@ -24,8 +24,10 @@ from kdqlab import (
     post_selection_probability,
     projector,
     sample,
+    scenarios,
     weak_value,
 )
+from kdqlab.weaksim import CHUNK
 
 TOL = 1e-10
 
@@ -50,6 +52,30 @@ def quad_mass(a, basis_m, basis_b, cfg, b_index):
         epsabs=1e-12,
     )
     return value
+
+
+def reference_sample(a, basis_m, basis_b, cfg, shots, seed):
+    """The direct form of the sampler's per-chunk kernel, which ``sample`` must equal bit for bit."""
+    c = (basis_b.matrix.conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
+    dim = len(c)
+    stacked = np.concatenate([c.real, c.imag])
+    cumulative = np.cumsum(np.sum(c.real**2 + c.imag**2, axis=0))
+    cumulative /= cumulative[-1]
+    cumulative[-1] = 1.0
+    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
+    half_gap = (centers[None, :] - centers[:, None]) / (2.0 * cfg.width)
+    readings, b_index = [], []
+    for start in range(0, shots, CHUNK):
+        count = min(CHUNK, shots - start)
+        rng = np.random.default_rng([seed, start // CHUNK])
+        drawn = np.searchsorted(cumulative, rng.random(count), side="right")
+        z = rng.standard_normal(count)
+        d = half_gap[:, drawn]
+        amps = stacked @ np.exp(-d * (d + z))
+        weight = np.cumsum(amps[:dim] ** 2 + amps[dim:] ** 2, axis=0)
+        b_index.append(np.sum(weight <= rng.random(count) * weight[-1], axis=0))
+        readings.append(centers[drawn] + cfg.width * z)
+    return np.concatenate(readings), np.concatenate(b_index)
 
 
 class TestPointerConfig:
@@ -99,6 +125,26 @@ class TestDensity:
         xs = np.linspace(-6.0, 7.0, 4001)
         density = pointer_joint_density(a, basis_m, basis_b, cfg, xs, 0)
         assert float(np.min(density)) >= 0.0
+
+    def test_far_reading_has_zero_density(self):
+        # (x - center)**2 overflows; the density is its limit 0, with no warning
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
+        for x in (1e200, -1e200):
+            assert pointer_joint_density(a, basis_m, basis_b, cfg, x, 0) == 0.0
+        assert np.array_equal(pointer_joint_density(a, basis_m, basis_b, cfg, np.array([-1e200, 1e200]), 1), [0.0, 0.0])
+
+    def test_huge_width_far_reading_is_not_flushed_to_zero(self):
+        # at width 4e153 the reading 2e154 squares past the float range, its offset in widths does not
+        basis = OrthonormalBasis.standard(2)
+        a = StateVector([1.0, 0.0])
+        b_state = StateVector.normalize([1.0, 1.0])
+        basis_b = post_selection_basis(a, b_state, ("b", "rest"))
+        width, x = 4e153, 2e154
+        cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=(1.5, -3.0))
+        z = (x - 1.5) / width
+        gaussian = abs(inner(b_state, a)) ** 2 * math.exp(-0.5 * z * z) / (math.sqrt(2 * math.pi) * width)
+        assert pointer_joint_density(a, basis, basis_b, cfg, x, 0) == pytest.approx(gaussian, rel=1e-12)
 
     def test_scalar_input_gives_scalar(self):
         a, basis_m, basis_b = three_box_setup()
@@ -328,8 +374,9 @@ class TestSampling:
     def test_shots_validation(self):
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            sample(a, basis_m, basis_b, cfg, 0, 1)
+        for shots in (0, True, 2.0):
+            with pytest.raises(ValueError, match="^shots must be a positive integer"):
+                sample(a, basis_m, basis_b, cfg, shots, 1)
         batch = sample(a, basis_m, basis_b, cfg, 1, 1)
         assert len(batch) == 1
 
@@ -347,10 +394,9 @@ class TestSampling:
     def test_seed_validation(self):
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            sample(a, basis_m, basis_b, cfg, 10, -1)
-        with pytest.raises(ValueError):
-            sample(a, basis_m, basis_b, cfg, 10, 2**64)
+        for seed in (-1, 2**64, False, True, 1.0):
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+                sample(a, basis_m, basis_b, cfg, 10, seed)
 
     def test_deterministic_replay(self):
         a, basis_m, basis_b = three_box_setup()
@@ -366,11 +412,39 @@ class TestSampling:
         # the first chunk of a longer run equals a full shorter run
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 2.0, (0.0, 0.0, 1.0))
-        from kdqlab.weaksim import CHUNK
-
         long = sample(a, basis_m, basis_b, cfg, CHUNK + 10, 7)
         short = sample(a, basis_m, basis_b, cfg, CHUNK, 7)
         assert np.array_equal(long.readings[:CHUNK], short.readings)
+        assert np.array_equal(long.b_index[:CHUNK], short.b_index)
+
+    @staticmethod
+    def stream_case(name):
+        """(a, basis_m, basis_b, eigenvalues, widths) of one dimension or pointer regime."""
+        if name == "dim1":
+            basis = OrthonormalBasis.standard(1)
+            return StateVector([1.0]), basis, basis, (0.5,), (1e-3, 1.0, 50.0)
+        if name == "three-box":
+            return (*three_box_setup(), (0.0, 0.0, 1.0), (1e-3, 1.0, 50.0))
+        if name == "span-heavy":
+            return (*three_box_setup(), (0.0, 0.0, 1000.0), (0.01,))
+        if name == "hardy":
+            kd = scenarios.build("hardy").kd
+            return kd.state_a, kd.basis_m, kd.basis_b, (0.0, 1.0, -1.0, 2.0), (1e-3, 1.0, 50.0)
+        rng = np.random.default_rng(8)
+        kappa = tuple(rng.uniform(-1.0, 1.0, 8))
+        return random_state(rng, 8), haar_basis(rng, 8), haar_basis(rng, 8, "w"), kappa, (1e-3, 1.0, 50.0)
+
+    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8"])
+    def test_stream_matches_the_reference_kernel(self, name):
+        a, basis_m, basis_b, kappa, widths = self.stream_case(name)
+        for width in widths:
+            cfg = PointerConfig(1.0, width, kappa)
+            for seed in (0, 2**64 - 1):
+                for shots in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+                    batch = sample(a, basis_m, basis_b, cfg, shots, seed)
+                    readings, b_index = reference_sample(a, basis_m, basis_b, cfg, shots, seed)
+                    assert np.array_equal(batch.readings, readings), (width, seed, shots)
+                    assert np.array_equal(batch.b_index, b_index), (width, seed, shots)
 
     def test_zero_probability_outcome_is_never_drawn(self):
         a, basis_m, basis_b = three_box_setup()
