@@ -205,9 +205,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]:
-    rows = []
+    rows, transform = [], Transformation(dist, phases, 0)
     for j, label in enumerate(dist.basis_b.labels):
-        t = Transformation(dist, phases, j)
+        t = transform.at(j)
         from_kd, difference = (
             ("undefined", "undefined") if t.from_kd is None else (t.from_kd, abs(t.from_kd - t.direct))
         )

@@ -81,6 +81,13 @@ class KDDistribution:
     ``|<b|a>|^2`` within tolerance, and each set of sums is real, inside
     [0, 1] and sums to 1. ``prob_m`` and ``prob_b`` are the read-only row
     and column sums, clamped to [0, 1] after those checks pass.
+
+    The checks read the table in one pass of sums: a NaN or infinite entry
+    makes the total inf or nan, which fails the sum test, and only then does
+    the finiteness scan run, to choose the message. The Born weights the sums
+    are checked against are computed here, except on the private path of
+    ``kd_joint``, which hands over the ``|<m|a>|^2`` and ``|<a|b>|^2`` its
+    kernel already has as ``_born``; both paths run this one validation body.
     """
 
     state_a: StateVector
@@ -89,6 +96,9 @@ class KDDistribution:
     table: np.ndarray
     prob_m: np.ndarray = field(init=False, repr=False)
     prob_b: np.ndarray = field(init=False, repr=False)
+    # kd_joint's Born weights; a field, not an InitVar, so that ``__post_init__`` keeps taking
+    # ``self`` alone, as perfbench's tracer expects; cleared once the checks ran
+    _born: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
         dim = same_dim(self.state_a.dim, self.basis_m.dim, self.basis_b.dim)
@@ -96,18 +106,21 @@ class KDDistribution:
         if table.shape != (dim, dim):
             raise ValueError(f"table must have shape {(dim, dim)}, got {table.shape}")
 
-        if not np.isfinite(table).all():
-            raise ValueError("table entries must be finite")
-        # finite entries may still sum past the float range to inf or nan, which the
-        # checks below reject (written so that nan fails them) without a numpy warning
+        # entries may be non-finite, or finite and sum past the float range to inf or nan; the
+        # checks below reject both (written so that nan fails them) without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             total = complex(table.sum())
             # row 0: row sums against |<m|a>|^2; row 1: column sums against |<b|a>|^2
             sums = np.array((table.sum(axis=1), table.sum(axis=0)))
-        if not abs(total - 1.0) <= TOL:
+        # the real part first: past the float range, abs of a complex raises OverflowError
+        if not (abs(total.real - 1.0) <= TOL and abs(total - 1.0) <= TOL):
+            if not np.isfinite(table).all():
+                raise ValueError("table entries must be finite")
             raise ValueError(f"table entries must sum to 1, got {total}")
 
-        born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
+        born = self._born
+        if born is None:
+            born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
         row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
         if not (row_defect <= TOL and col_defect <= TOL):
             raise ValueError(
@@ -126,6 +139,7 @@ class KDDistribution:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "prob_m", probs[0])
         object.__setattr__(self, "prob_b", probs[1])
+        object.__setattr__(self, "_born", None)
 
     @property
     def dim(self) -> int:
@@ -158,7 +172,7 @@ def kd_joint(a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasi
     ma = m_mat.conj() @ a.amp  # <m|a>
     ab = a.amp.conj() @ b_mat.T  # <a|b>
     table = bm.T * ma[:, None] * ab[None, :]
-    return KDDistribution(a, basis_m, basis_b, table)
+    return KDDistribution(a, basis_m, basis_b, table, _born=abs(np.array((ma, ab))) ** 2)
 
 
 def marginals(dist: KDDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +200,17 @@ def unitary_from_actions(spectrum: ActionSpectrum) -> Operator:
     return Operator((m_mat.T * phases) @ m_mat.conj())
 
 
+def _image(a: StateVector, unitary: Operator) -> np.ndarray:
+    """``U|a>``, once ``U`` has passed the unitarity check."""
+    if not unitary.is_unitary():
+        raise ValueError("operator is not unitary within tolerance")
+    return unitary.apply(a)
+
+
 def overlap_direct(a: StateVector, b: StateVector, unitary: Operator) -> float:
     """Transition probability ``|<b|U|a>|^2``."""
     same_dim(a.dim, b.dim, unitary.dim)
-    if not unitary.is_unitary():
-        raise ValueError("operator is not unitary within tolerance")
-    return float(abs(np.vdot(b.amp, unitary.mat @ a.amp)) ** 2)
+    return float(abs(np.vdot(b.amp, _image(a, unitary))) ** 2)
 
 
 def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int) -> float:
@@ -215,23 +234,38 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
 class Transformation:
     """Action phases on the table's m basis, applied to ``a`` and read at column b.
 
-    Built once from the table: the ``spectrum``, its ``unitary``, the direct
-    overlap ``direct = |<b|U|a>|^2``, the same overlap from the table,
-    ``from_kd`` (None where ``overlap_from_kd`` finds it undefined), and
-    ``distance``, the norm of b minus its projection onto ``U a``
-    (sqrt(1 - direct), free of that cancellation).
+    Built once from the table: the ``spectrum``, its ``unitary`` (checked
+    unitary once) and its image ``U a``, then for column b the direct overlap
+    ``direct = |<b|U|a>|^2`` (as ``overlap_direct`` computes it), the same
+    overlap from the table, ``from_kd`` (None where ``overlap_from_kd`` finds
+    it undefined), and ``distance``, the norm of b minus its projection onto
+    ``U a`` (sqrt(1 - direct), free of that cancellation). ``at(b)`` reads
+    the same transformation at another column without rebuilding the rest.
     """
 
     def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int) -> None:
-        self.b = check_index("b", b, dist.dim)
+        check_index("b", b, dist.dim)
         self.spectrum = ActionSpectrum(dist.basis_m, phases)
         self.unitary = unitary_from_actions(self.spectrum)
-        self.direct = overlap_direct(dist.state_a, dist.basis_b.vectors[b], self.unitary)
+        self._dist, self._image = dist, _image(dist.state_a, self.unitary)
+        self._read(b)
+
+    def at(self, b: int) -> "Transformation":
+        """This transformation read at column b; the spectrum, the unitary and its image are shared."""
+        column = object.__new__(Transformation)
+        vars(column).update(vars(self))
+        column._read(b)
+        return column
+
+    def _read(self, b: int) -> None:
+        dist, image = self._dist, self._image
+        self.b = check_index("b", b, dist.dim)
+        target = dist.basis_b.vectors[b].amp
+        self.direct = float(abs(np.vdot(target, image)) ** 2)
         try:
             self.from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
         except PostSelectionError:
             self.from_kd = None
-        image, target = self.unitary.apply(dist.state_a), dist.basis_b.vectors[b].amp
         self.distance = float(np.linalg.norm(target - np.vdot(image, target) * image))
 
 

@@ -47,6 +47,10 @@ class StateVector:
     rescales arbitrary amplitudes and fixes the global phase so that the first
     amplitude with modulus above 1e-12 is real and positive; that convention
     only stabilizes printed output and is never relied on by any algorithm.
+
+    Construction validates in one pass over the amplitudes, the norm sum: a
+    NaN or infinite amplitude makes that sum fail the unit-norm test, and only
+    then does the finiteness scan run, to choose the message.
     """
 
     amp: np.ndarray
@@ -55,10 +59,11 @@ class StateVector:
         arr = np.array(self.amp, dtype=complex).reshape(-1)
         if not 1 <= arr.size <= MAX_DIM:
             raise ValueError(f"state dimension must be in 1..{MAX_DIM}, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > TOL:
+        with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
+            norm_sq = float((abs(arr) ** 2).sum())
+        if not abs(norm_sq - 1.0) <= TOL:  # a NaN or infinite amplitude fails it as an inf or nan norm
+            if not np.isfinite(arr).all():
+                raise ValueError("state amplitudes must be finite")
             raise ValueError(f"state vector is not normalized: sum |amp|^2 = {norm_sq}")
         arr.setflags(write=False)
         object.__setattr__(self, "amp", arr)
@@ -71,7 +76,7 @@ class StateVector:
     def normalize(cls, amplitudes: Iterable[complex]) -> "StateVector":
         """Rescale to unit norm and apply the canonical global phase."""
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("state amplitudes must be finite")
         with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
             norm = float(np.linalg.norm(arr))
@@ -99,7 +104,7 @@ class Operator:
             raise ValueError(f"operator must be a square matrix, got shape {arr.shape}")
         if not 1 <= arr.shape[0] <= MAX_DIM:
             raise ValueError(f"operator dimension must be in 1..{MAX_DIM}, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
@@ -144,8 +149,10 @@ class Operator:
         return self.mat @ state.amp
 
     def is_unitary(self) -> bool:
-        gram = self.mat.conj().T @ self.mat
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= TOL)
+        # finite entries can still overflow the product to inf or nan, which fail the test unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.mat.conj().T @ self.mat
+            return bool(abs(gram - np.eye(self.dim)).max() <= TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +180,11 @@ class OrthonormalBasis:
         if len(set(labels)) != len(labels):
             raise ValueError(f"basis labels must be unique, got {labels}")
         for v in vectors:
-            same_dim(dim, v.dim)
-        mat = np.stack([v.amp for v in vectors])
+            if v.amp.size != dim:
+                same_dim(dim, v.dim)
+        mat = np.array([v.amp for v in vectors])
         gram = mat.conj() @ mat.T
-        defect = float(np.max(np.abs(gram - np.eye(dim))))
+        defect = float(abs(gram - np.eye(dim)).max())
         if defect > TOL:
             raise ValueError(f"vectors are not orthonormal (max |<v_i|v_j> - delta_ij| = {defect:.3e})")
         mat.setflags(write=False)

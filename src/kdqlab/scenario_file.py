@@ -97,8 +97,7 @@ def _basis(rows: object, labels: tuple[str, ...], dim: int, where: str) -> Ortho
     for k, row in enumerate(rows):
         amp = _complex_vector(row, dim, f"{where}[{k}]")
         try:
-            with np.errstate(over="ignore"):  # an overflowing norm fails the unit-norm check as inf
-                vectors.append(StateVector(amp))
+            vectors.append(StateVector(amp))
         except ValueError as exc:
             raise ScenarioFileError(f"{where}[{k}]: {exc}") from exc
     try:

@@ -64,6 +64,77 @@ def kd_table_oracle(a, basis_m, basis_b):
     return table
 
 
+def haar_kd_inputs(seed, dim, pinned):
+    """Haar bases m and b and a state a that is random, or pinned to the first m or b vector.
+
+    Pinning leaves rows (or columns) of Born weight 0, where a perturbation can push a sum below zero.
+    """
+    rng = np.random.default_rng(seed)
+    basis_m, basis_b = haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b")
+    a = {None: random_state(rng, dim), "m": basis_m.vectors[0], "b": basis_b.vectors[0]}[pinned]
+    return rng, a, basis_m, basis_b
+
+
+def reference_outcome(a, basis_m, basis_b, table):
+    """What ``KDDistribution`` makes of a table: its checks in their documented order, written out plainly.
+
+    Returns the rejection message, or the bytes of the accepted (prob_m, prob_b).
+    """
+    table = np.array(table, dtype=complex)
+    if not np.all(np.isfinite(table)):
+        return "table entries must be finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.sum(table))
+        sums = np.array((np.sum(table, axis=1), np.sum(table, axis=0)))
+        off = np.abs(np.complex128(total) - 1.0)  # inf, not OverflowError, past the float range
+    if not off <= TOL:
+        return f"table entries must sum to 1, got {total}"
+    born = np.array([np.abs(basis.matrix.conj() @ a.amp) ** 2 for basis in (basis_m, basis_b)])
+    row_defect = float(np.max(np.abs(sums[0] - born[0])))
+    col_defect = float(np.max(np.abs(sums[1] - born[1])))
+    if not (row_defect <= TOL and col_defect <= TOL):
+        return f"marginal identities violated (row defect {row_defect:.3e}, column defect {col_defect:.3e})"
+    real = sums.real
+    if np.max(real) > 1.0 + TOL:
+        return f"marginal outside [0, 1]: {real}"
+    totals = np.sum(real, axis=1)
+    if np.max(np.abs(totals - 1.0)) > TOL:
+        return f"marginal does not sum to 1: {totals}"
+    probs = np.clip(real, 0.0, 1.0)
+    return probs[0].tobytes(), probs[1].tobytes()
+
+
+def perturb(rng, table, kind, size):
+    """Perturb a joint table in place by noise of the given size, or by a non-finite or overflowing entry."""
+    dim, shape = table.shape[0], table.shape
+    if kind == "complex":
+        table += size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    elif kind == "imaginary":
+        table += 1j * size * rng.standard_normal(shape)
+    elif kind == "column-shift":  # row sums and the total stay; two columns move
+        row, (j, k) = rng.integers(dim), rng.integers(dim, size=2)
+        shift = size * complex(rng.standard_normal(), rng.standard_normal())
+        table[row, j] += shift
+        table[row, k] -= shift
+    elif kind == "scale":
+        table *= 1.0 + size * rng.standard_normal()
+    elif kind == "nan":
+        table[tuple(rng.integers(dim, size=2))] = complex(np.nan, 0.0) if rng.random() < 0.5 else complex(0.0, np.nan)
+    elif kind == "inf":
+        table[tuple(rng.integers(dim, size=2))] += rng.choice([np.inf, -np.inf, 1j * np.inf])
+    else:  # finite entries whose sums can pass the float range
+        table[tuple(rng.integers(dim, size=2))] = 1.7e308 * rng.choice([1.0, -1.0, 1j])
+        table[tuple(rng.integers(dim, size=2))] = 1.7e308
+
+
+def outcome(build):
+    try:
+        dist = build()
+    except ValueError as exc:
+        return str(exc)
+    return dist.prob_m.tobytes(), dist.prob_b.tobytes()
+
+
 class TestKDJoint:
     def test_joint_eigenstate(self):
         basis = OrthonormalBasis.standard(2)
@@ -166,24 +237,9 @@ class TestKDJoint:
     )
     def test_accepted_tables_have_real_nonnegative_marginals(self, seed, dim, pinned, kind, exponent):
         # The defect check alone must imply |Im| <= TOL and Re >= -TOL for every row and column sum.
-        # Pinning a to the first m (or b) vector leaves rows (or columns) of Born weight 0, the case
-        # where a perturbation can push a sum below zero.
-        rng = np.random.default_rng(seed)
-        basis_m, basis_b = haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b")
-        a = {None: random_state(rng, dim), "m": basis_m.vectors[0], "b": basis_b.vectors[0]}[pinned]
+        rng, a, basis_m, basis_b = haar_kd_inputs(seed, dim, pinned)
         table = np.array(kd_joint(a, basis_m, basis_b).table)
-        size, shape = 10.0**exponent, (dim, dim)
-        if kind == "complex":
-            table += size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        elif kind == "imaginary":
-            table += 1j * size * rng.standard_normal(shape)
-        elif kind == "column-shift":  # row sums and the total stay; two columns move
-            row, (j, k) = rng.integers(dim), rng.integers(dim, size=2)
-            shift = size * complex(rng.standard_normal(), rng.standard_normal())
-            table[row, j] += shift
-            table[row, k] -= shift
-        else:
-            table *= 1.0 + size * rng.standard_normal()
+        perturb(rng, table, kind, 10.0**exponent)
         try:
             KDDistribution(a, basis_m, basis_b, table)
         except ValueError:
@@ -191,6 +247,36 @@ class TestKDJoint:
         sums = np.concatenate([table.sum(axis=1), table.sum(axis=0)])
         assert np.abs(sums.imag).max() <= TOL
         assert sums.real.min() >= -TOL
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=seeds, dim=st.integers(min_value=1, max_value=16), pinned=st.sampled_from([None, "m", "b"]))
+    def test_kernel_born_path_matches_the_public_constructor(self, seed, dim, pinned):
+        # kd_joint hands its own |<m|a>|^2 and |<a|b>|^2 to the validation; the result must be the
+        # table the public constructor builds from scratch, bit for bit
+        _, a, basis_m, basis_b = haar_kd_inputs(seed, dim, pinned)
+        dist = kd_joint(a, basis_m, basis_b)
+        public = KDDistribution(a, basis_m, basis_b, dist.table)
+        for name in ("table", "prob_m", "prob_b"):
+            assert getattr(dist, name).tobytes() == getattr(public, name).tobytes()
+            assert getattr(dist, name).dtype == getattr(public, name).dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=16),
+        pinned=st.sampled_from([None, "m", "b"]),
+        kind=st.sampled_from(["complex", "imaginary", "column-shift", "scale", "nan", "inf", "overflow"]),
+        exponent=st.floats(min_value=-12.0, max_value=-8.0),
+    )
+    def test_perturbed_tables_keep_their_verdicts_and_messages(self, seed, dim, pinned, kind, exponent):
+        # the public constructor and the kernel's Born path both give the reference's verdict and message
+        rng, a, basis_m, basis_b = haar_kd_inputs(seed, dim, pinned)
+        table = np.array(kd_joint(a, basis_m, basis_b).table)
+        perturb(rng, table, kind, 10.0**exponent)
+        kernel_born = abs(np.array((basis_m.matrix.conj() @ a.amp, a.amp.conj() @ basis_b.matrix.T))) ** 2
+        expected = reference_outcome(a, basis_m, basis_b, table)
+        assert outcome(lambda: KDDistribution(a, basis_m, basis_b, table)) == expected
+        assert outcome(lambda: KDDistribution(a, basis_m, basis_b, table, _born=kernel_born)) == expected
 
     def test_dimension_mismatch_rejected(self):
         from kdqlab import DimensionMismatchError
@@ -420,6 +506,24 @@ class TestTransformation:
                 assert t.from_kd == overlap_from_kd(dist, spectrum, b)
             assert abs(t.distance**2 - (1.0 - t.direct)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "seed, dim, orthogonal_b0",
+        [(86, 1, False), (87, 3, False), (88, 16, False), (85, 4, True)],
+        ids=["d1", "d3", "d16", "d4-b0-orthogonal-to-a"],
+    )
+    def test_at_reads_each_column_as_a_fresh_construction(self, seed, dim, orthogonal_b0):
+        a, basis_m, basis_b, phases = transformation_config(seed, dim, orthogonal_b0)
+        dist = kd_joint(a, basis_m, basis_b)
+        first = Transformation(dist, phases, dim - 1)
+        before = (first.b, first.direct, first.from_kd, first.distance)
+        for b in range(dim):
+            fresh, read = Transformation(dist, phases, b), first.at(b)
+            assert read.spectrum is first.spectrum and read.unitary is first.unitary
+            assert (read.b, read.direct, read.from_kd, read.distance) == (b, fresh.direct, fresh.from_kd, fresh.distance)
+            assert (first.b, first.direct, first.from_kd, first.distance) == before  # the original is left alone
+        with pytest.raises(ValueError, match=f"b {dim} out of range for dimension {dim}"):
+            first.at(dim)
+
 
 class TestIndexRule:
     CALLS = {
@@ -441,7 +545,10 @@ class TestIndexRule:
 
 
 class TestValidation:
-    """Each value type rejects malformed input with its own message."""
+    """Each engine value and function rejects malformed input with its own message.
+
+    The messages of the qcore value classes are pinned in ``test_qcore.TestValidation``.
+    """
 
     CASES = {
         "KDDistribution table shape": (
@@ -460,6 +567,10 @@ class TestValidation:
             lambda a, m: KDDistribution(a, m, m, np.diag([1e308, 1e308, -1e308])),
             r"table entries must sum to 1, got \(inf\+0j\)",
         ),
+        "KDDistribution sum modulus overflows": (
+            lambda a, m: KDDistribution(a, m, m, np.diag([1.7e308, 1.7e308j, 0.0])),
+            r"table entries must sum to 1, got \(1\.7e\+308\+1\.7e\+308j\)",
+        ),
         "KDDistribution sum is nan": (
             lambda a, m: KDDistribution(a, m, m, [[1.7e308, 1.7e308, -1.7e308], [-1.7e308, 0.0, 0.0], [0.0, 0.0, 1.0]]),
             r"table entries must sum to 1, got \(nan\+0j\)",
@@ -468,12 +579,9 @@ class TestValidation:
             lambda a, m: KDDistribution(a, m, m, [[1.7e308, 1.7e308, 0.0], [-1.7e308, -1.7e308, 0.0], [0.0, 0.0, 1.0]]),
             r"marginal identities violated \(row defect inf, column defect 6\.667e-01\)",
         ),
-        "Operator dim 17": (lambda a, m: Operator(np.eye(17)), r"operator dimension must be in 1\.\.16, got 17"),
-        "Operator NaN": (lambda a, m: Operator([[1.0, np.nan], [0.0, 1.0]]), "operator entries must be finite"),
-        "OrthonormalBasis no vectors": (lambda a, m: OrthonormalBasis((), ()), "basis needs at least one vector"),
-        "OrthonormalBasis label count": (
-            lambda a, m: OrthonormalBasis(("1", "2"), m.vectors),
-            "one label per basis vector required",
+        "overlap_direct product overflows": (
+            lambda a, m: overlap_direct(a, a, Operator(np.diag([1e300, 1.0, 1.0]))),
+            "operator is not unitary within tolerance",
         ),
         "complete_basis no seeds": (lambda a, m: complete_basis([], ()), "at least one seed vector required"),
         "complete_basis label count": (lambda a, m: complete_basis([a], ("x", "y")), "need 3 labels, got 2"),

@@ -353,3 +353,100 @@ class TestOperator:
     def test_is_unitary(self):
         assert Operator.identity(4).is_unitary()
         assert not projector(E0).is_unitary()
+
+    def test_is_unitary_is_false_for_an_overflowing_product(self):
+        # finite entries whose Gram product passes the float range: False, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Operator([[1e300, 0.0], [0.0, 1.0]]).is_unitary()
+            assert not Operator([[1e300, 1e300], [0.0, 1.0]]).is_unitary()
+
+
+class TestValidation:
+    """Each value class of qcore rejects malformed input with its own exception and message."""
+
+    CASES = {
+        "StateVector size 0": (lambda: StateVector([]), ValueError, r"state dimension must be in 1\.\.16, got 0"),
+        "StateVector size 17": (
+            lambda: StateVector(np.ones(17) / math.sqrt(17)),
+            ValueError,
+            r"state dimension must be in 1\.\.16, got 17",
+        ),
+        "StateVector NaN": (lambda: StateVector([np.nan, 0.0]), ValueError, "state amplitudes must be finite"),
+        "StateVector inf": (lambda: StateVector([1.0, np.inf]), ValueError, "state amplitudes must be finite"),
+        "StateVector inf pair": (
+            lambda: StateVector([np.inf, -np.inf * 1j]),
+            ValueError,
+            "state amplitudes must be finite",
+        ),
+        "StateVector unnormalized": (
+            lambda: StateVector([1.0, 1.0]),
+            ValueError,
+            r"state vector is not normalized: sum \|amp\|\^2 = 2\.0",
+        ),
+        "StateVector norm overflows": (
+            lambda: StateVector([1e200, 0.0]),
+            ValueError,
+            r"state vector is not normalized: sum \|amp\|\^2 = inf",
+        ),
+        "StateVector modulus overflows": (
+            lambda: StateVector([1.5e308 + 1.5e308j, 0.0]),
+            ValueError,
+            r"state vector is not normalized: sum \|amp\|\^2 = inf",
+        ),
+        "normalize NaN": (lambda: StateVector.normalize([np.nan, 1.0]), ValueError, "state amplitudes must be finite"),
+        "normalize zero vector": (lambda: StateVector.normalize([0.0, 0.0]), ValueError, "cannot normalize a zero vector"),
+        "normalize norm overflows": (
+            lambda: StateVector.normalize([1e200, 1e200]),
+            ValueError,
+            "cannot normalize: the norm of the amplitudes overflows",
+        ),
+        "Operator not square": (
+            lambda: Operator(np.ones((2, 3))),
+            ValueError,
+            r"operator must be a square matrix, got shape \(2, 3\)",
+        ),
+        "Operator dim 0": (lambda: Operator(np.zeros((0, 0))), ValueError, r"operator dimension must be in 1\.\.16, got 0"),
+        "Operator dim 17": (lambda: Operator(np.eye(17)), ValueError, r"operator dimension must be in 1\.\.16, got 17"),
+        "Operator NaN": (lambda: Operator([[1.0, np.nan], [0.0, 1.0]]), ValueError, "operator entries must be finite"),
+        "Operator inf": (lambda: Operator([[1.0, 0.0], [-np.inf, 1.0]]), ValueError, "operator entries must be finite"),
+        "OrthonormalBasis no vectors": (
+            lambda: OrthonormalBasis((), ()),
+            ValueError,
+            "basis needs at least one vector",
+        ),
+        "OrthonormalBasis incomplete": (
+            lambda: OrthonormalBasis(("a",), (E0,)),
+            ValueError,
+            "basis of a 2-dimensional space needs 2 vectors, got 1",
+        ),
+        "OrthonormalBasis label count": (
+            lambda: OrthonormalBasis(("a", "b", "c"), (E0, E1)),
+            ValueError,
+            "one label per basis vector required",
+        ),
+        "OrthonormalBasis duplicate labels": (
+            lambda: OrthonormalBasis(("a", "a"), (E0, E1)),
+            ValueError,
+            r"basis labels must be unique, got \('a', 'a'\)",
+        ),
+        "OrthonormalBasis mixed dimensions": (
+            lambda: OrthonormalBasis(("a", "b"), (E0, StateVector([0.0, 0.0, 1.0]))),
+            DimensionMismatchError,
+            r"dimension mismatch: \(2, 3\)",
+        ),
+        "OrthonormalBasis not orthonormal": (
+            lambda: OrthonormalBasis(("a", "b"), (E0, X_PLUS)),
+            ValueError,
+            r"vectors are not orthonormal \(max \|<v_i\|v_j> - delta_ij\| = 7\.071e-01\)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_rejects_with_its_message(self, case):
+        build, error, message = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the message must come before any numpy warning
+            with pytest.raises(error, match=f"^{message}$") as caught:
+                build()
+        assert type(caught.value) is error
