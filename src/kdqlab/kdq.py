@@ -17,6 +17,7 @@ lives only in ``overlap_from_kd``. Every index into the table goes through
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,7 @@ class KDDistribution:
 
     The checks read the table in one pass of sums: a NaN or infinite entry
     makes the total inf or nan, which fails the sum test, and only then does
-    the finiteness scan run, to choose the message. The Born weights the sums
-    are checked against are computed here, except on the private path of
-    ``kd_joint``, which hands over the ``|<m|a>|^2`` and ``|<a|b>|^2`` its
-    kernel already has as ``_born``; both paths run this one validation body.
+    the finiteness scan run, to choose the message.
     """
 
     state_a: StateVector
@@ -96,9 +94,6 @@ class KDDistribution:
     table: np.ndarray
     prob_m: np.ndarray = field(init=False, repr=False)
     prob_b: np.ndarray = field(init=False, repr=False)
-    # kd_joint's Born weights; a field, not an InitVar, so that ``__post_init__`` keeps taking
-    # ``self`` alone, as perfbench's tracer expects; cleared once the checks ran
-    _born: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
         dim = same_dim(self.state_a.dim, self.basis_m.dim, self.basis_b.dim)
@@ -118,9 +113,7 @@ class KDDistribution:
                 raise ValueError("table entries must be finite")
             raise ValueError(f"table entries must sum to 1, got {total}")
 
-        born = self._born
-        if born is None:
-            born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
+        born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
         row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
         if not (row_defect <= TOL and col_defect <= TOL):
             raise ValueError(
@@ -139,7 +132,6 @@ class KDDistribution:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "prob_m", probs[0])
         object.__setattr__(self, "prob_b", probs[1])
-        object.__setattr__(self, "_born", None)
 
     @property
     def dim(self) -> int:
@@ -172,7 +164,7 @@ def kd_joint(a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasi
     ma = m_mat.conj() @ a.amp  # <m|a>
     ab = a.amp.conj() @ b_mat.T  # <a|b>
     table = bm.T * ma[:, None] * ab[None, :]
-    return KDDistribution(a, basis_m, basis_b, table, _born=abs(np.array((ma, ab))) ** 2)
+    return KDDistribution(a, basis_m, basis_b, table)
 
 
 def marginals(dist: KDDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -247,18 +239,17 @@ class Transformation:
         check_index("b", b, dist.dim)
         self.spectrum = ActionSpectrum(dist.basis_m, phases)
         self.unitary = unitary_from_actions(self.spectrum)
-        self._dist, self._image = dist, _image(dist.state_a, self.unitary)
+        self._dist, self._ua = dist, _image(dist.state_a, self.unitary)
         self._read(b)
 
     def at(self, b: int) -> "Transformation":
         """This transformation read at column b; the spectrum, the unitary and its image are shared."""
-        column = object.__new__(Transformation)
-        vars(column).update(vars(self))
+        column = copy.copy(self)
         column._read(b)
         return column
 
     def _read(self, b: int) -> None:
-        dist, image = self._dist, self._image
+        dist, image = self._dist, self._ua
         self.b = check_index("b", b, dist.dim)
         target = dist.basis_b.vectors[b].amp
         self.direct = float(abs(np.vdot(target, image)) ** 2)
