@@ -227,19 +227,20 @@ class Transformation:
     """Action phases on the table's m basis, applied to ``a`` and read at column b.
 
     Built once from the table: the ``spectrum``, its ``unitary`` (checked
-    unitary once) and its image ``U a``, then for column b the direct overlap
-    ``direct = |<b|U|a>|^2`` (as ``overlap_direct`` computes it), the same
-    overlap from the table, ``from_kd`` (None where ``overlap_from_kd`` finds
-    it undefined), and ``distance``, the norm of b minus its projection onto
-    ``U a`` (sqrt(1 - direct), free of that cancellation). ``at(b)`` reads
-    the same transformation at another column without rebuilding the rest.
+    unitary once) and its ``image``, the read-only array ``U a``. Then for
+    column b: the direct overlap ``direct = |<b|U|a>|^2`` (as
+    ``overlap_direct`` computes it), the same overlap from the table,
+    ``from_kd`` (None where ``overlap_from_kd`` finds it undefined), and
+    ``distance``, the norm of b minus its projection onto ``U a``
+    (sqrt(1 - direct), free of that cancellation). ``at(b)`` reads the same
+    transformation at another column without rebuilding the rest.
     """
 
     def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int) -> None:
-        check_index("b", b, dist.dim)
         self.spectrum = ActionSpectrum(dist.basis_m, phases)
         self.unitary = unitary_from_actions(self.spectrum)
-        self._dist, self._ua = dist, _image(dist.state_a, self.unitary)
+        self._dist, self.image = dist, _image(dist.state_a, self.unitary)
+        self.image.setflags(write=False)
         self._read(b)
 
     def at(self, b: int) -> "Transformation":
@@ -249,7 +250,7 @@ class Transformation:
         return column
 
     def _read(self, b: int) -> None:
-        dist, image = self._dist, self._ua
+        dist, image = self._dist, self.image
         self.b = check_index("b", b, dist.dim)
         target = dist.basis_b.vectors[b].amp
         self.direct = float(abs(np.vdot(target, image)) ** 2)

@@ -119,23 +119,23 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         same_dim(self.dim, other.dim)
-        return Operator(self.mat + other.mat)
+        return _guarded(np.add, self.mat, other.mat)
 
     def __sub__(self, other: "Operator") -> "Operator":
         same_dim(self.dim, other.dim)
-        return Operator(self.mat - other.mat)
+        return _guarded(np.subtract, self.mat, other.mat)
 
     def __neg__(self) -> "Operator":
         return Operator(-self.mat)
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.mat * scalar)
+        return _guarded(np.multiply, self.mat, scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         same_dim(self.dim, other.dim)
-        return Operator(self.mat @ other.mat)
+        return _guarded(np.matmul, self.mat, other.mat)
 
     def dagger(self) -> "Operator":
         return Operator(self.mat.conj().T)
@@ -153,6 +153,16 @@ class Operator:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.mat.conj().T @ self.mat
             return bool(abs(gram - np.eye(self.dim)).max() <= TOL)
+
+
+def _guarded(fn, *operands) -> Operator:
+    """``Operator(fn(*operands))`` for arithmetic on finite operands.
+
+    The result can still overflow to inf or nan; numpy then stays silent and
+    the constructor rejects it with "operator entries must be finite".
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Operator(fn(*operands))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,20 +243,21 @@ def tensor_state(u: StateVector, v: StateVector) -> StateVector:
 
 def tensor_op(a: Operator, b: Operator) -> Operator:
     """Kronecker product with the same index convention as ``tensor_state``."""
-    return Operator(np.kron(a.mat, b.mat))
+    return _guarded(np.kron, a.mat, b.mat)
 
 
+# built once: an Operator is immutable, so every caller can share these
 _PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "X": Operator([[0, 1], [1, 0]]),
+    "Y": Operator([[0, -1j], [1j, 0]]),
+    "Z": Operator([[1, 0], [0, -1]]),
 }
 
 
 def pauli(axis: str) -> Operator:
-    """Standard 2x2 Pauli matrix for axis ``"X"``, ``"Y"`` or ``"Z"``."""
+    """Standard 2x2 Pauli matrix for axis ``"X"``, ``"Y"`` or ``"Z"``: one shared, immutable value per axis."""
     try:
-        return Operator(_PAULI[axis.upper()])
+        return _PAULI[axis.upper()]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected X, Y or Z") from None
 
@@ -279,8 +290,8 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
     """Extend orthonormal seed vectors to a full labeled basis.
 
     Deterministic Gram-Schmidt over the standard basis vectors in index
-    order; seeds keep their positions at the front. At most ``dim`` seeds
-    are accepted.
+    order; the seed vectors themselves keep their positions at the front, and
+    only the completion vectors are new. At most ``dim`` seeds are accepted.
     """
     if not seed_vectors:
         raise ValueError("at least one seed vector required")
@@ -289,7 +300,7 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
         raise ValueError(f"need at most {dim} seed vectors, got {len(seed_vectors)}")
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels, got {len(labels)}")
-    vecs = [np.array(v.amp, dtype=complex) for v in seed_vectors]
+    vecs = [v.amp for v in seed_vectors]
     for k in range(dim):
         if len(vecs) == dim:
             break
@@ -303,7 +314,7 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
             vecs.append(cand / norm)
     if len(vecs) != dim:
         raise ValueError("could not complete the basis from standard directions")
-    return OrthonormalBasis(tuple(labels), tuple(StateVector(v) for v in vecs))
+    return OrthonormalBasis(tuple(labels), (*seed_vectors, *(StateVector(v) for v in vecs[len(seed_vectors) :])))
 
 
 def post_selection_basis(a: StateVector, b: StateVector, labels: Sequence[str]) -> OrthonormalBasis:

@@ -177,7 +177,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
     flip = Transformation(dist, (0.0, math.pi), 0)
     b_plus = basis_b.vectors[0]
     p_b = float(abs(inner(b_plus, a)) ** 2)
-    amplitude = inner(b_plus, StateVector(flip.unitary.apply(a))) * inner(a, b_plus)
+    amplitude = complex(np.vdot(b_plus.amp, flip.image)) * inner(a, b_plus)
     p_transform = 0.5 * (p_b - amplitude.real)
 
     checks = [
@@ -368,10 +368,11 @@ def peres_mermin_swap() -> ScenarioReport:
     corr1_residual = float(np.max(np.abs(eig[:, 0] * eig[:, 1] + eig[:, 2])))
 
     # the rearranged products form an operator identity with the opposite sign
-    corr2_residual = float(np.max(np.abs((x1y2 @ y1x2).mat - zz.mat)))
+    corr2 = x1y2 @ y1x2
+    corr2_residual = float(np.max(np.abs(corr2.mat - zz.mat)))
     corr1_operator_residual = float(np.max(np.abs((xx @ yy).mat + zz.mat)))
     corr2_on_states = max(
-        float(np.max(np.abs((x1y2 @ y1x2).apply(v) - zz.apply(v)))) for v in (*basis_a.vectors, *basis_b.vectors)
+        float(np.max(np.abs(corr2.apply(v) - zz.apply(v)))) for v in (*basis_a.vectors, *basis_b.vectors)
     )
 
     p_b = float(dist.prob_b[0])
@@ -422,22 +423,22 @@ def chsh_cell_value(m: tuple[int, int], b: tuple[int, int]) -> int:
     return m1 * m2 + m1 * b2 + b1 * m2 - b1 * b2
 
 
-def _stabilizers(theta: float) -> tuple[Operator, Operator]:
-    x, y = pauli("X"), pauli("Y")
-    a1 = math.cos(theta) * tensor_op(x, y) + math.sin(theta) * tensor_op(x, x)
-    a2 = math.cos(theta) * tensor_op(y, x) - math.sin(theta) * tensor_op(y, y)
-    return a1, a2
-
-
 def bell_state(theta: float) -> StateVector:
     """Unique joint +1 eigenstate of the two tilted correlation observables.
 
     Built by projecting the seed ``|++>`` onto the joint eigenspace and
     normalizing; the result is verified to satisfy both eigenvalue equations.
     """
+    return _bell_state(theta)[0]
+
+
+def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
+    """``bell_state(theta)`` together with the two correlation observables it stabilizes."""
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    a1, a2 = _stabilizers(theta)
+    x, y = pauli("X"), pauli("Y")
+    a1 = math.cos(theta) * tensor_op(x, y) + math.sin(theta) * tensor_op(x, x)
+    a2 = math.cos(theta) * tensor_op(y, x) - math.sin(theta) * tensor_op(y, y)
     ident = Operator.identity(4)
     proj = 0.25 * ((ident + a1) @ (ident + a2))
     if abs(proj.trace() - 1.0) > TOL:
@@ -447,7 +448,7 @@ def bell_state(theta: float) -> StateVector:
     state = StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex))
     if max(float(np.max(np.abs(op.apply(state) - state.amp))) for op in (a1, a2)) > TOL:
         raise ValueError("the projected seed is not a joint +1 eigenstate")
-    return state
+    return state, a1, a2
 
 
 def bell_scenario(theta: float) -> ScenarioReport:
@@ -459,7 +460,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     A conditional flip, with a pi phase on (X1, X2) = (-1, -1), onto column
     (+1, +1) is the half-periodic transformation behind the negative cells.
     """
-    a = bell_state(theta)
+    a, a1, a2 = _bell_state(theta)
     dist = kd_joint(a, _product_basis(_X_EIGEN, _X_EIGEN, _CHSH_ORDER), _product_basis(_Y_EIGEN, _Y_EIGEN, _CHSH_ORDER))
 
     real = dist.table.real
@@ -467,7 +468,6 @@ def bell_scenario(theta: float) -> ScenarioReport:
     cells = np.array([[chsh_cell_value(m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
     k_expectation = float(np.sum(cells * real))
     p_k_minus2 = float(np.sum(real[cells == -2]))
-    a1, a2 = _stabilizers(theta)
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
     bound_violated = k_expectation > 2.0 + TOL

@@ -510,6 +510,15 @@ class TestTransformation:
         with pytest.raises(ValueError, match=f"b {dim} out of range for dimension {dim}"):
             first.at(dim)
 
+    @pytest.mark.parametrize("seed, dim", [(86, 1), (87, 3), (88, 16)], ids=["d1", "d3", "d16"])
+    def test_image_is_the_read_only_image_of_a_shared_by_every_column(self, seed, dim):
+        a, basis_m, basis_b, phases = transformation_config(seed, dim)
+        t = Transformation(kd_joint(a, basis_m, basis_b), phases, 0)
+        assert t.image.tobytes() == t.unitary.apply(a).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            t.image[0] = 0.0
+        assert all(t.at(b).image is t.image for b in range(dim))
+
 
 class TestIndexRule:
     CALLS = {

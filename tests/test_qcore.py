@@ -30,6 +30,9 @@ E0 = StateVector([1.0, 0.0])
 E1 = StateVector([0.0, 1.0])
 X_PLUS = StateVector.normalize([1.0, 1.0])
 Y_PLUS = StateVector.normalize([1.0, 1.0j])
+# finite operators whose products, scalings and sums pass the float range
+BIG = Operator([[1e300, 0.0], [0.0, 1.0]])
+HUGE = Operator([[1e308, 0.0], [0.0, 1.0]])
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.sampled_from([2, 3, 4])
@@ -198,6 +201,13 @@ class TestPauli:
         with pytest.raises(ValueError):
             pauli("W")
 
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    def test_one_shared_immutable_value_per_axis(self, axis):
+        op = pauli(axis)
+        assert pauli(axis.lower()) is op and pauli(axis) is op
+        with pytest.raises(ValueError, match="read-only"):
+            op.mat[0, 0] = 5.0
+
 
 class TestBlochState:
     def test_north_pole(self):
@@ -311,6 +321,12 @@ class TestBasisCompletion:
         np.testing.assert_allclose(basis.vectors[0].amp, seed_vec.amp, atol=TOL)
         assert basis.dim == dim
 
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3])
+    def test_seed_vectors_are_kept_as_given(self, n_seeds):
+        seeds = haar_basis(np.random.default_rng(7), 3, "h").vectors[:n_seeds]
+        basis = complete_basis(seeds, ("k0", "k1", "k2"))
+        assert all(kept is seed for kept, seed in zip(basis.vectors, seeds))
+
     def test_deterministic(self):
         b1 = complete_basis([X_PLUS], ("p", "q"))
         b2 = complete_basis([X_PLUS], ("p", "q"))
@@ -410,6 +426,12 @@ class TestValidation:
         "Operator dim 17": (lambda: Operator(np.eye(17)), ValueError, r"operator dimension must be in 1\.\.16, got 17"),
         "Operator NaN": (lambda: Operator([[1.0, np.nan], [0.0, 1.0]]), ValueError, "operator entries must be finite"),
         "Operator inf": (lambda: Operator([[1.0, 0.0], [-np.inf, 1.0]]), ValueError, "operator entries must be finite"),
+        "Operator product overflows": (lambda: BIG @ BIG, ValueError, "operator entries must be finite"),
+        "Operator scaling overflows": (lambda: BIG * 1e10, ValueError, "operator entries must be finite"),
+        "Operator left scaling overflows": (lambda: 1e10 * BIG, ValueError, "operator entries must be finite"),
+        "Operator sum overflows": (lambda: HUGE + HUGE, ValueError, "operator entries must be finite"),
+        "Operator difference overflows": (lambda: HUGE - (-HUGE), ValueError, "operator entries must be finite"),
+        "tensor_op overflows": (lambda: tensor_op(BIG, BIG), ValueError, "operator entries must be finite"),
         "OrthonormalBasis no vectors": (
             lambda: OrthonormalBasis((), ()),
             ValueError,
