@@ -287,12 +287,13 @@ def is_half_periodic(spectrum: ActionSpectrum) -> bool:
 
 def negativity(dist: KDDistribution) -> NegativityReport:
     """Total negative weight, most negative entry, and largest action phase."""
-    real = dist.table.real
-    total = float(np.sum(np.maximum(0.0, -real)))
-    flat_idx = int(np.argmin(real))
-    mi, bi = np.unravel_index(flat_idx, real.shape)
-    significant = np.abs(dist.table) > TOL
-    max_phase = float(np.max(np.abs(np.angle(dist.table[significant])))) if significant.any() else 0.0
+    table = dist.table
+    real = table.real
+    total = float(np.maximum(0.0, -real).sum())
+    mi, bi = divmod(int(real.argmin()), real.shape[1])
+    significant = table[abs(table) > TOL]
+    # arctan2(imag, real) is np.angle without its wrapper overhead
+    max_phase = float(abs(np.arctan2(significant.imag, significant.real)).max()) if significant.size else 0.0
     return NegativityReport(
         total_negativity=total,
         min_real=float(real[mi, bi]),

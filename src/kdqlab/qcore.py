@@ -237,13 +237,20 @@ def expectation(op: Operator, v: StateVector) -> complex:
 
 
 def tensor_state(u: StateVector, v: StateVector) -> StateVector:
-    """Product state with the left factor as the slow index: ``amp[i*v.dim + j] = u_i v_j``."""
-    return StateVector(np.kron(u.amp, v.amp))
+    """Product state with the left factor as the slow index: ``amp[i*v.dim + j] = u_i v_j``.
+
+    Each amplitude is the one product ``u_i v_j``, so the result equals ``np.kron`` bit for bit.
+    """
+    return StateVector(np.multiply.outer(u.amp, v.amp).reshape(-1))
 
 
 def tensor_op(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with the same index convention as ``tensor_state``."""
-    return _guarded(np.kron, a.mat, b.mat)
+    """Kronecker product with the same index convention as ``tensor_state``, bit for bit ``np.kron``.
+
+    One broadcast multiply: entry ``[i*b.dim + k, j*b.dim + l]`` is ``a_ij b_kl``.
+    """
+    n = a.dim * b.dim
+    return _guarded(lambda: (a.mat[:, None, :, None] * b.mat[None, :, None, :]).reshape(n, n))
 
 
 # built once: an Operator is immutable, so every caller can share these

@@ -9,13 +9,17 @@ machine-checked ``Check`` records, and adds the checks every transformation
 gets: half-periodicity, the overlap identity against the direct overlap and,
 where the transformation maps a onto b, the half-periodic law for column b.
 Builders contain no arithmetic shortcuts: every number in a report comes from
-the engine.
+the engine. The two-qubit constants that no angle changes, the Pauli product
+bases and the Pauli products, are built once, on first use, and shared
+read-only by every build; tables, transformations and checks are computed
+anew on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -271,7 +275,7 @@ def hardy() -> ScenarioReport:
     other particle's outer path, has probability zero.
     """
     basis_m = OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2"))  # products of the paths O, I
-    ports = (_X_EIGEN[+1], _X_EIGEN[-1])  # c and b
+    ports = (_EIGEN["X"][+1], _EIGEN["X"][-1])  # c and b
     basis_b = OrthonormalBasis(
         ("c1c2", "c1b2", "b1c2", "b1b2"),
         tuple(tensor_state(u, v) for u in ports for v in ports),
@@ -284,8 +288,8 @@ def hardy() -> ScenarioReport:
 
     # mixed path/port events that are directly observable and vanish
     outer = StateVector([1.0, 0.0])
-    p_b1_outer2 = float(abs(inner(tensor_state(_X_EIGEN[-1], outer), a)) ** 2)
-    p_outer1_b2 = float(abs(inner(tensor_state(outer, _X_EIGEN[-1]), a)) ** 2)
+    p_b1_outer2 = float(abs(inner(tensor_state(ports[1], outer), a)) ** 2)
+    p_outer1_b2 = float(abs(inner(tensor_state(outer, ports[1]), a)) ** 2)
     signed_sum = complex(np.sum(col * np.exp(-1j * np.asarray(flip.spectrum.phase))))
 
     checks = (
@@ -306,18 +310,31 @@ def hardy() -> ScenarioReport:
     return _report("hardy", dist, flip, "double flip", checks, column, "positivity of P(O1, O2; b1, b2 | a)")
 
 
-_X_EIGEN = {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])}
-_Y_EIGEN = {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])}
+# the +/-1 eigenstates of the X and Y Paulis
+_EIGEN = {
+    "X": {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])},
+    "Y": {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])},
+}
 
 
-def _product_basis(
-    first: dict[int, StateVector], second: dict[int, StateVector], order: tuple[tuple[int, int], ...]
-) -> OrthonormalBasis:
-    """Two-qubit product basis ``first[s1] (x) second[s2]`` over the sign pairs in ``order``, labeled "(s1,s2)"."""
+# The two-qubit constants below do not depend on any angle. Each is built on its first use and then
+# shared by every build: its values are immutable and read-only, so no caller can change them.
+@cache
+def _product_basis(first: str, second: str, order: tuple[tuple[int, int], ...]) -> OrthonormalBasis:
+    """Two-qubit product basis ``first[s1] (x) second[s2]`` of Pauli eigenstates over the sign pairs in ``order``.
+
+    ``first`` and ``second`` name the axes, "X" or "Y"; each vector is labeled "(s1,s2)".
+    """
     return OrthonormalBasis(
         tuple(f"({s1:+d},{s2:+d})" for s1, s2 in order),
-        tuple(tensor_state(first[s1], second[s2]) for s1, s2 in order),
+        tuple(tensor_state(_EIGEN[first][s1], _EIGEN[second][s2]) for s1, s2 in order),
     )
+
+
+@cache
+def _pauli_pair(first: str, second: str) -> Operator:
+    """The two-qubit Pauli product ``first`` (x) ``second``, such as X1Y2 for ("X", "Y")."""
+    return tensor_op(pauli(first), pauli(second))
 
 
 def _eigenvalue_of(op: Operator, v: StateVector) -> float:
@@ -339,8 +356,8 @@ def peres_mermin_swap() -> ScenarioReport:
     state as its pi eigenvector, forcing a -1/8 joint weight on it.
     """
     order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-    basis_a = _product_basis(_X_EIGEN, _Y_EIGEN, order)  # the (X1, Y2) context that a belongs to
-    basis_b = _product_basis(_Y_EIGEN, _X_EIGEN, order)
+    basis_a = _product_basis("X", "Y", order)  # the (X1, Y2) context that a belongs to
+    basis_b = _product_basis("Y", "X", order)
     a, b = basis_a.vectors[0], basis_b.vectors[0]
     s = math.sqrt(0.5)
     basis_m = OrthonormalBasis(
@@ -356,11 +373,8 @@ def peres_mermin_swap() -> ScenarioReport:
     swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
     col = dist.table[:, 0]
 
-    xx = tensor_op(pauli("X"), pauli("X"))
-    yy = tensor_op(pauli("Y"), pauli("Y"))
-    zz = tensor_op(pauli("Z"), pauli("Z"))
-    x1y2 = tensor_op(pauli("X"), pauli("Y"))
-    y1x2 = tensor_op(pauli("Y"), pauli("X"))
+    xx, yy, zz = _pauli_pair("X", "X"), _pauli_pair("Y", "Y"), _pauli_pair("Z", "Z")
+    x1y2, y1x2 = _pauli_pair("X", "Y"), _pauli_pair("Y", "X")
 
     # product values on the swap eigenbasis, by direct application: one row per
     # swap eigenvector, columns X1X2, Y1Y2, Z1Z2
@@ -436,11 +450,13 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     """``bell_state(theta)`` together with the two correlation observables it stabilizes."""
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    x, y = pauli("X"), pauli("Y")
-    a1 = math.cos(theta) * tensor_op(x, y) + math.sin(theta) * tensor_op(x, x)
-    a2 = math.cos(theta) * tensor_op(y, x) - math.sin(theta) * tensor_op(y, y)
-    ident = Operator.identity(4)
-    proj = 0.25 * ((ident + a1) @ (ident + a2))
+    c, s = math.cos(theta), math.sin(theta)
+    # one numpy expression each, wrapped once; the operations and their order, c XY + s XX,
+    # c YX - s YY and 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
+    a1 = Operator(c * _pauli_pair("X", "Y").mat + s * _pauli_pair("X", "X").mat)
+    a2 = Operator(c * _pauli_pair("Y", "X").mat - s * _pauli_pair("Y", "Y").mat)
+    ident = np.eye(4, dtype=complex)
+    proj = Operator(0.25 * ((ident + a1.mat) @ (ident + a2.mat)))
     if abs(proj.trace() - 1.0) > TOL:
         raise ValueError(f"joint eigenspace is not one-dimensional (trace {proj.trace()})")
     # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
@@ -461,7 +477,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     (+1, +1) is the half-periodic transformation behind the negative cells.
     """
     a, a1, a2 = _bell_state(theta)
-    dist = kd_joint(a, _product_basis(_X_EIGEN, _X_EIGEN, _CHSH_ORDER), _product_basis(_Y_EIGEN, _Y_EIGEN, _CHSH_ORDER))
+    dist = kd_joint(a, _product_basis("X", "X", _CHSH_ORDER), _product_basis("Y", "Y", _CHSH_ORDER))
 
     real = dist.table.real
     target = np.array([[_chsh_target_entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])

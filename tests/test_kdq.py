@@ -723,6 +723,20 @@ class TestNegativity:
         assert (report.total_negativity > 0.0) == (report.min_real < 0.0)
         assert report.min_real == pytest.approx(float(dist.table.real.min()), abs=0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, dim=dims)
+    def test_equals_the_numpy_function_form_bit_for_bit(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        dist = kd_joint(random_state(rng, dim), haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b"))
+        real = dist.table.real
+        mi, bi = np.unravel_index(int(np.argmin(real)), real.shape)
+        significant = np.abs(dist.table) > TOL
+        report = negativity(dist)
+        assert report.total_negativity == float(np.sum(np.maximum(0.0, -real)))
+        assert report.min_real == float(real[mi, bi])
+        assert report.argmin == (dist.basis_m.labels[mi], dist.basis_b.labels[bi])
+        assert report.max_abs_phase == float(np.max(np.abs(np.angle(dist.table[significant]))))
+
 
 class TestReconstruction:
     def test_qubit_mutually_unbiased(self):

@@ -170,6 +170,20 @@ class TestTensor:
         with pytest.raises(ValueError, match="1..16"):
             tensor_state(big, mid)  # 32 exceeds the dense-dimension cap
         assert tensor_state(mid, mid).dim == 16
+        with pytest.raises(ValueError, match="^operator dimension must be in 1..16, got 32$"):
+            tensor_op(Operator.identity(8), Operator.identity(4))
+        assert tensor_op(Operator.identity(4), Operator.identity(4)).dim == 16
+
+    @pytest.mark.parametrize("left", [1, 2, 3, 4])
+    @pytest.mark.parametrize("right", [1, 2, 3, 4])
+    def test_products_equal_np_kron_bit_for_bit(self, left, right):
+        rng = np.random.default_rng(100 * left + right)
+        for _ in range(5):
+            u, v = random_state(rng, left), random_state(rng, right)
+            a = Operator(rng.standard_normal((left, left)) + 1j * rng.standard_normal((left, left)))
+            b = Operator(rng.standard_normal((right, right)) + 1j * rng.standard_normal((right, right)))
+            assert np.array_equal(tensor_state(u, v).amp, np.kron(u.amp, v.amp))
+            assert np.array_equal(tensor_op(a, b).mat, np.kron(a.mat, b.mat))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdqlab
 from kdqlab import (
     Check,
+    Operator,
     StateVector,
     bell_scenario,
     bell_state,
@@ -21,7 +27,14 @@ from kdqlab import (
     tensor_op,
     three_box,
 )
-from kdqlab.scenarios import chsh_cell_value, leggett_garg_joint_probability
+from kdqlab.scenarios import (
+    _CHSH_ORDER,
+    _bell_state,
+    _pauli_pair,
+    _product_basis,
+    chsh_cell_value,
+    leggett_garg_joint_probability,
+)
 
 TOL = 1e-10
 LAW = "column b follows the half-periodic law e^(i phase) P(m|a) S"
@@ -332,6 +345,82 @@ class TestBell:
     def test_rejects_out_of_range(self, theta):
         with pytest.raises(ValueError):
             bell_state(theta)
+
+
+PM_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+# the +/-1 eigenstates and the matrices of the Paulis, written out apart from the package's own
+EIGEN = {
+    "X": {+1: [1.0, 1.0], -1: [1.0, -1.0]},
+    "Y": {+1: [1.0, 1.0j], -1: [1.0, -1.0j]},
+}
+PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+PRODUCT_BASES = [("X", "X", _CHSH_ORDER), ("Y", "Y", _CHSH_ORDER), ("X", "Y", PM_ORDER), ("Y", "X", PM_ORDER)]
+PAULI_PAIRS = [("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Y"), ("Y", "X")]
+
+
+def chained_bell_state(theta):
+    """The Bell state and its two stabilizers through Operator arithmetic on np.kron products."""
+    def kron(p, q):
+        return Operator(np.kron(PAULI[p], PAULI[q]))
+
+    a1 = math.cos(theta) * kron("X", "Y") + math.sin(theta) * kron("X", "X")
+    a2 = math.cos(theta) * kron("Y", "X") - math.sin(theta) * kron("Y", "Y")
+    ident = Operator.identity(4)
+    proj = 0.25 * ((ident + a1) @ (ident + a2))
+    return StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex)), a1, a2
+
+
+class TestSharedConstants:
+    def test_builds_share_the_product_bases(self):
+        first, second = bell_scenario(0.3).kd, bell_scenario(1.1).kd
+        assert first.basis_m is second.basis_m and first.basis_b is second.basis_b
+        assert peres_mermin_swap().kd.basis_b is peres_mermin_swap().kd.basis_b
+
+    @pytest.mark.parametrize("key", PRODUCT_BASES, ids=lambda k: f"{k[0]}{k[1]}")
+    def test_product_basis_is_read_only_and_equals_np_kron(self, key):
+        first, second, order = key
+        basis = _product_basis(first, second, order)
+        assert basis is _product_basis(first, second, order)
+        assert basis.labels == tuple(f"({s1:+d},{s2:+d})" for s1, s2 in order)
+        for (s1, s2), v in zip(order, basis.vectors):
+            u1, u2 = StateVector.normalize(EIGEN[first][s1]), StateVector.normalize(EIGEN[second][s2])
+            assert np.array_equal(v.amp, np.kron(u1.amp, u2.amp))
+            assert not v.amp.flags.writeable
+        assert not basis.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("key", PAULI_PAIRS, ids="".join)
+    def test_pauli_pair_is_read_only_and_equals_np_kron(self, key):
+        op = _pauli_pair(*key)
+        assert op is _pauli_pair(*key)
+        assert np.array_equal(op.mat, np.kron(PAULI[key[0]], PAULI[key[1]]))
+        with pytest.raises(ValueError, match="read-only"):
+            op.mat[0, 0] = 1.0
+
+    def test_bell_state_equals_the_operator_chain_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        for theta in [0.0, math.pi / 2, 1e-10, *rng.uniform(0.0, math.pi / 2, 20)]:
+            state, a1, a2 = _bell_state(float(theta))
+            want_state, want_a1, want_a2 = chained_bell_state(float(theta))
+            assert np.array_equal(state.amp, want_state.amp), theta
+            assert np.array_equal(a1.mat, want_a1.mat), theta
+            assert np.array_equal(a2.mat, want_a2.mat), theta
+
+    def test_import_builds_no_constant(self):
+        code = (
+            "import kdqlab.scenarios as s; "
+            "print(s._product_basis.cache_info().currsize, s._pauli_pair.cache_info().currsize)"
+        )
+        src = str(Path(kdqlab.__file__).resolve().parents[1])  # this checkout's package, or the installed one
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestRegistry:
