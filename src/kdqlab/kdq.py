@@ -18,6 +18,7 @@ lives only in ``overlap_from_kd``. Every index into the table goes through
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .qcore import (
     Operator,
     OrthonormalBasis,
     StateVector,
+    _finite,
     check_index,
     same_dim,
 )
@@ -58,19 +60,23 @@ class ActionSpectrum:
     """Per-outcome action phases attached to a generator eigenbasis.
 
     ``phase[m]`` is dimensionless (action over hbar), stored reduced to
-    (-pi, pi].
+    (-pi, pi] by ``reduce_phase``'s arithmetic, applied to all phases in one
+    numpy pass: the stored floats are ``reduce_phase``'s, bit for bit.
     """
 
     basis: OrthonormalBasis
     phase: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        phases = tuple(float(p) for p in self.phase)
+        phases = [float(p) for p in self.phase]
         if len(phases) != self.basis.dim:
             raise ValueError(f"need {self.basis.dim} phases, got {len(phases)}")
-        if not all(np.isfinite(phases)):
+        if not all(map(math.isfinite, phases)):
             raise ValueError("action phases must be finite")
-        object.__setattr__(self, "phase", tuple(reduce_phase(p) for p in phases))
+        # reduce_phase's operations on all phases at once, so the same bits (pi - phi is -phi + pi)
+        reduced = -(np.subtract(np.pi, phases) % (2.0 * np.pi) - np.pi)
+        reduced[reduced <= -np.pi] = np.pi
+        object.__setattr__(self, "phase", tuple(reduced.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +91,10 @@ class KDDistribution:
 
     The checks read the table in one pass of sums: a NaN or infinite entry
     makes the total inf or nan, which fails the sum test, and only then does
-    the finiteness scan run, to choose the message.
+    the finiteness scan run, to choose the message. The Born weights come
+    from the bases and the state, never from the kernel's factors, so the
+    checks still catch a wrong kernel. Each check reduces its defect to one
+    number, and only a failed check computes the figures of its message.
     """
 
     state_a: StateVector
@@ -114,8 +123,8 @@ class KDDistribution:
             raise ValueError(f"table entries must sum to 1, got {total}")
 
         born = abs(np.array((self.basis_m.matrix, self.basis_b.matrix)).conj() @ self.state_a.amp) ** 2
-        row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
-        if not (row_defect <= TOL and col_defect <= TOL):
+        if not abs(sums - born).max() <= TOL:
+            row_defect, col_defect = abs(sums - born).max(axis=1).tolist()
             raise ValueError(
                 f"marginal identities violated (row defect {row_defect:.3e}, column defect {col_defect:.3e})"
             )
@@ -124,7 +133,8 @@ class KDDistribution:
         if real.max() > 1.0 + TOL:
             raise ValueError(f"marginal outside [0, 1]: {real}")
         totals = real.sum(axis=1)
-        if abs(totals - 1.0).max() > TOL:
+        row_total, col_total = totals.tolist()
+        if not (abs(row_total - 1.0) <= TOL and abs(col_total - 1.0) <= TOL):
             raise ValueError(f"marginal does not sum to 1: {totals}")
         probs = real.clip(0.0, 1.0)
         table.setflags(write=False)
@@ -182,7 +192,7 @@ def weak_value(a: StateVector, b: StateVector, op: Operator) -> complex:
     denom = complex(np.vdot(b.amp, a.amp))
     if abs(denom) <= TOL:
         raise PostSelectionError("post-selection is orthogonal to the preparation (|<b|a>| ~ 0)")
-    return complex(np.vdot(b.amp, op.mat @ a.amp)) / denom
+    return _finite(complex(np.vdot(b.amp, op.apply(a))) / denom, "weak value")
 
 
 def unitary_from_actions(spectrum: ActionSpectrum) -> Operator:
@@ -196,7 +206,7 @@ def _image(a: StateVector, unitary: Operator) -> np.ndarray:
     """``U|a>``, once ``U`` has passed the unitarity check."""
     if not unitary.is_unitary():
         raise ValueError("operator is not unitary within tolerance")
-    return unitary.apply(a)
+    return unitary.mat @ a.amp  # a unitary cannot take a unit vector past the float range: no guard needed
 
 
 def overlap_direct(a: StateVector, b: StateVector, unitary: Operator) -> float:
@@ -312,9 +322,8 @@ def reconstruct_state(dist: KDDistribution) -> Operator:
     m_mat = dist.basis_m.matrix
     b_mat = dist.basis_b.matrix
     bm = b_mat.conj() @ m_mat.T  # bm[b, m] = <b|m>
-    small = np.argwhere(np.abs(bm) <= TOL)
-    if small.size:
-        b_i, m_i = small[0]
+    if abs(bm).min() <= TOL:
+        b_i, m_i = np.argwhere(np.abs(bm) <= TOL)[0]
         raise ReconstructionError(
             f"<b|m> ~ 0 for (m={dist.basis_m.labels[m_i]!r}, b={dist.basis_b.labels[b_i]!r}); "
             "reconstruction is ill-posed"

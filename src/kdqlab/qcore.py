@@ -8,8 +8,9 @@ whole module is safe for concurrent use.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ class DimensionMismatchError(ValueError):
 
 
 def same_dim(*dims: int) -> int:
-    if any(d != dims[0] for d in dims):
+    if dims.count(dims[0]) != len(dims):
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
     return dims[0]
 
@@ -48,9 +49,12 @@ class StateVector:
     amplitude with modulus above 1e-12 is real and positive; that convention
     only stabilizes printed output and is never relied on by any algorithm.
 
-    Construction validates in one pass over the amplitudes, the norm sum: a
-    NaN or infinite amplitude makes that sum fail the unit-norm test, and only
-    then does the finiteness scan run, to choose the message.
+    Construction validates in one pass over the amplitudes: the squared norm
+    is one real BLAS dot of the amplitudes' float view with itself. An
+    overflow reads as inf and a NaN passes through, both without a numpy
+    warning, so a NaN, infinite or overflowing amplitude fails the unit-norm
+    test. Only then does the finiteness scan run, to choose the message, and
+    the sum ``sum |amp|^2`` it reports.
     """
 
     amp: np.ndarray
@@ -59,11 +63,12 @@ class StateVector:
         arr = np.array(self.amp, dtype=complex).reshape(-1)
         if not 1 <= arr.size <= MAX_DIM:
             raise ValueError(f"state dimension must be in 1..{MAX_DIM}, got {arr.size}")
-        with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
-            norm_sq = float((abs(arr) ** 2).sum())
-        if not abs(norm_sq - 1.0) <= TOL:  # a NaN or infinite amplitude fails it as an inf or nan norm
+        flat = arr.view(float)  # (re, im) pairs: the dot is |amp|^2 summed
+        if not abs(float(np.vdot(flat, flat)) - 1.0) <= TOL:
             if not np.isfinite(arr).all():
                 raise ValueError("state amplitudes must be finite")
+            with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
+                norm_sq = float((abs(arr) ** 2).sum())
             raise ValueError(f"state vector is not normalized: sum |amp|^2 = {norm_sq}")
         arr.setflags(write=False)
         object.__setattr__(self, "amp", arr)
@@ -141,18 +146,42 @@ class Operator:
         return Operator(self.mat.conj().T)
 
     def trace(self) -> complex:
-        return complex(np.trace(self.mat))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(complex(np.trace(self.mat)), "operator trace")
 
     def apply(self, state: StateVector) -> np.ndarray:
         """Raw amplitudes of ``A|v>`` (not necessarily normalized)."""
         same_dim(self.dim, state.dim)
-        return self.mat @ state.amp
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self.mat @ state.amp
+        if not np.isfinite(image).all():
+            raise ValueError("operator image of the state overflows")
+        return image
 
     def is_unitary(self) -> bool:
         # finite entries can still overflow the product to inf or nan, which fail the test unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.mat.conj().T @ self.mat
-            return bool(abs(gram - np.eye(self.dim)).max() <= TOL)
+            return _gram_defect(self.mat.conj().T @ self.mat) <= TOL
+
+
+def _finite(value: complex, what: str) -> complex:
+    """``value``, which arithmetic on finite operands gave; a ValueError if it overflowed to inf or nan."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} overflows")
+    return value
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only complex ``dim`` x ``dim`` identity, built once per dimension and shared."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+def _gram_defect(gram: np.ndarray) -> float:
+    """``max |G_ij - delta_ij|`` of a Gram matrix; nan fails ``<= TOL`` like any defect above it."""
+    return float(abs(gram - _identity(len(gram))).max())
 
 
 def _guarded(fn, *operands) -> Operator:
@@ -193,8 +222,7 @@ class OrthonormalBasis:
             if v.amp.size != dim:
                 same_dim(dim, v.dim)
         mat = np.array([v.amp for v in vectors])
-        gram = mat.conj() @ mat.T
-        defect = float(abs(gram - np.eye(dim)).max())
+        defect = _gram_defect(mat.conj() @ mat.T)
         if defect > TOL:
             raise ValueError(f"vectors are not orthonormal (max |<v_i|v_j> - delta_ij| = {defect:.3e})")
         mat.setflags(write=False)
@@ -233,7 +261,7 @@ def projector(v: StateVector) -> Operator:
 
 def expectation(op: Operator, v: StateVector) -> complex:
     """``<v|A|v>``."""
-    return complex(np.vdot(v.amp, op.apply(v)))
+    return _finite(complex(np.vdot(v.amp, op.apply(v))), "expectation value")
 
 
 def tensor_state(u: StateVector, v: StateVector) -> StateVector:
@@ -289,8 +317,10 @@ def product_trace(ops: Sequence[Operator]) -> complex:
     if not ops:
         raise ValueError("product_trace needs at least one operator")
     same_dim(*[op.dim for op in ops])
-    prod = reduce(lambda acc, op: acc @ op.mat, ops[1:], ops[0].mat)
-    return complex(np.trace(prod))
+    # an entry that overflows to inf or nan reaches the trace as inf or nan, or is never read by it
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = reduce(lambda acc, op: acc @ op.mat, ops[1:], ops[0].mat)
+        return _finite(complex(np.trace(prod)), "product trace")
 
 
 def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -> OrthonormalBasis:

@@ -574,6 +574,15 @@ class TestValidation:
             lambda a, m: KDDistribution(a, m, m, [[1.7e308, 1.7e308, 0.0], [-1.7e308, -1.7e308, 0.0], [0.0, 0.0, 1.0]]),
             r"marginal identities violated \(row defect inf, column defect 6\.667e-01\)",
         ),
+        "weak_value image overflows": (
+            lambda a, m: weak_value(a, a, Operator(np.full((3, 3), 1.5e308))),
+            "operator image of the state overflows",
+        ),
+        "weak_value quotient overflows": (
+            # <b|a> ~ 4e-9 passes the post-selection test; the finite numerator ~ 8e307 divided by it does not fit
+            lambda a, m: weak_value(a, StateVector.normalize([1.0, -1.0, 1e-8]), Operator(np.diag([1e308, -1e308, 0.0]))),
+            "weak value overflows",
+        ),
         "overlap_direct product overflows": (
             lambda a, m: overlap_direct(a, a, Operator(np.diag([1e300, 1.0, 1.0]))),
             "operator is not unitary within tolerance",
@@ -691,6 +700,27 @@ class TestHalfPeriodic:
         above_pi = float(np.nextafter(math.pi, 4.0))
         assert reduce_phase(above_pi) == math.pi
         assert ActionSpectrum(OrthonormalBasis.standard(3), (above_pi, 0.0, 0.0)).phase[0] == math.pi
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        phases=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=-20.0, max_value=20.0),
+                st.sampled_from(
+                    [math.pi, -math.pi, 0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -1e-310]
+                    + [k * math.pi for k in range(-41, 42, 2)]
+                    + [float(np.nextafter(k * math.pi, to)) for k in (-3, -1, 1, 3) for to in (-np.inf, np.inf)]
+                ),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_spectrum_phases_equal_reduce_phase_bit_for_bit(self, phases):
+        spectrum = ActionSpectrum(OrthonormalBasis.standard(len(phases)), tuple(phases))
+        assert all(type(p) is float for p in spectrum.phase)
+        assert np.array(spectrum.phase).tobytes() == np.array([reduce_phase(p) for p in phases]).tobytes()
 
     def test_phase_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_basis, random_state
@@ -23,6 +23,7 @@ from kdqlab import (
     tensor_op,
     tensor_state,
 )
+from kdqlab.qcore import _identity
 
 TOL = 1e-10
 
@@ -446,6 +447,36 @@ class TestValidation:
         "Operator sum overflows": (lambda: HUGE + HUGE, ValueError, "operator entries must be finite"),
         "Operator difference overflows": (lambda: HUGE - (-HUGE), ValueError, "operator entries must be finite"),
         "tensor_op overflows": (lambda: tensor_op(BIG, BIG), ValueError, "operator entries must be finite"),
+        "Operator.apply overflows": (
+            lambda: Operator([[1.5e308] * 2] * 2).apply(X_PLUS),
+            ValueError,
+            "operator image of the state overflows",
+        ),
+        "Operator.trace overflows": (
+            lambda: Operator(np.diag([1.5e308, 1.5e308])).trace(),
+            ValueError,
+            "operator trace overflows",
+        ),
+        "expectation image overflows": (
+            lambda: expectation(Operator([[1.5e308] * 2] * 2), X_PLUS),
+            ValueError,
+            "operator image of the state overflows",
+        ),
+        "expectation value overflows": (
+            lambda: expectation(Operator([[1e308] * 2] * 2), X_PLUS),
+            ValueError,
+            "expectation value overflows",
+        ),
+        "product_trace product overflows": (
+            lambda: product_trace([Operator([[1e300] * 2] * 2)] * 2),
+            ValueError,
+            "product trace overflows",
+        ),
+        "product_trace sum overflows": (
+            lambda: product_trace([Operator(np.diag([1.5e308, 1.5e308]))]),
+            ValueError,
+            "product trace overflows",
+        ),
         "OrthonormalBasis no vectors": (
             lambda: OrthonormalBasis((), ()),
             ValueError,
@@ -486,3 +517,111 @@ class TestValidation:
             with pytest.raises(error, match=f"^{message}$") as caught:
                 build()
         assert type(caught.value) is error
+
+
+# The constructors decide with one BLAS norm and a shared identity; these formulas are the plain
+# ones they replace. A state's squared norm summed both ways differed by at most 3 ulps of 1.0 over
+# 200,000 near-unit vectors of dims 1-16, so the state test leaves out the 8-ulp band (1.8e-15)
+# on either side of the tolerance. The Gram checks form the same product as the plain formula
+# and subtract an equal identity, so their verdicts must agree with no band at all.
+ULP = float(np.finfo(float).eps)
+STATE_BAND = 8 * ULP
+# non-finite entries, and finite ones whose square or modulus passes the float range
+BAD_ENTRIES = [np.nan, np.inf, -np.inf, 1e200, complex(0.0, np.nan), complex(0.0, -np.inf), complex(0.0, 1e200),
+               1.5e308 + 1.5e308j]
+
+
+def plain_state_outcome(amplitudes):
+    """The plain formulas' outcome for ``StateVector(amplitudes)``: its message, or None to accept."""
+    arr = np.array(amplitudes, dtype=complex)
+    if not np.isfinite(arr).all():
+        return "state amplitudes must be finite"
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(abs(arr) ** 2))
+    return None if abs(norm_sq - 1) <= TOL else f"state vector is not normalized: sum |amp|^2 = {norm_sq}"
+
+
+def plain_gram_defect(gram):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(abs(gram - np.eye(len(gram))).max())
+
+
+def outcome(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOnePassVerdicts:
+    """The lean accept paths give the verdicts and messages of the plain formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=16),
+        offset=st.one_of(
+            st.floats(min_value=-3 * TOL, max_value=3 * TOL),
+            st.builds(lambda sign, k: sign * TOL + k * ULP, st.sampled_from([-1.0, 1.0]), st.integers(-64, 64)),
+        ),
+    )
+    def test_state_norm(self, seed, dim, offset):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        amp = z / np.linalg.norm(z) * math.sqrt(1.0 + offset)
+        norm_sq = float(np.sum(abs(amp) ** 2))
+        assume(abs(abs(norm_sq - 1) - TOL) > STATE_BAND)
+        assert outcome(lambda: StateVector(amp)) == plain_state_outcome(amp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=16),
+        value=st.sampled_from(BAD_ENTRIES),
+        scale=st.sampled_from([1.0, 1e-200, 1e200]),
+    )
+    def test_state_with_a_non_finite_or_huge_entry(self, seed, dim, value, scale):
+        # the same exception type and message as before, and no numpy warning (tier-1 makes one an error)
+        rng = np.random.default_rng(seed)
+        amp = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * scale
+        amp[rng.integers(dim)] = value
+        expected = plain_state_outcome(amp)
+        assert expected is not None
+        with pytest.raises(ValueError) as caught:
+            StateVector(amp)
+        assert type(caught.value) is ValueError and str(caught.value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, dim=st.integers(min_value=1, max_value=16), exponent=st.floats(min_value=-11.5, max_value=-8.5))
+    def test_orthonormal_basis(self, seed, dim, exponent):
+        # each vector is tilted by about 10^exponent and renormalized: the Gram defect lands around TOL
+        rng = np.random.default_rng(seed)
+        basis = haar_basis(rng, dim)
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        vectors = tuple(StateVector.normalize(row) for row in basis.matrix + 10.0**exponent * noise)
+        mat = np.array([v.amp for v in vectors])
+        defect = plain_gram_defect(mat.conj() @ mat.T)
+        expected = None if defect <= TOL else f"vectors are not orthonormal (max |<v_i|v_j> - delta_ij| = {defect:.3e})"
+        assert outcome(lambda: OrthonormalBasis(basis.labels, vectors)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=16),
+        size=st.one_of(st.floats(min_value=-11.5, max_value=-8.5).map(lambda e: 10.0**e), st.sampled_from([1e200, 1e300])),
+    )
+    def test_is_unitary(self, seed, dim, size):
+        rng = np.random.default_rng(seed)
+        mat = haar_basis(rng, dim).matrix + size * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = plain_gram_defect(mat.conj().T @ mat) <= TOL
+        assert Operator(mat).is_unitary() is expected
+
+    def test_identities_are_shared_and_read_only(self):
+        for dim in (1, 2, 16):
+            eye = _identity(dim)
+            assert eye is _identity(dim)
+            assert np.array_equal(eye, np.eye(dim))
+            with pytest.raises(ValueError, match="read-only"):
+                eye[0, 0] = 2.0

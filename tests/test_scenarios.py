@@ -30,6 +30,7 @@ from kdqlab import (
 from kdqlab.scenarios import (
     _CHSH_ORDER,
     _bell_state,
+    _eigenvalues_of,
     _pauli_pair,
     _product_basis,
     chsh_cell_value,
@@ -251,6 +252,27 @@ class TestPeresMermin:
         by_name = {c.name: c for c in report.checks}
         assert complex(by_name["(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors"].got).real <= TOL
         assert complex(by_name["(X1Y2)(Y1X2) = Z1Z2 on all eight product-context states"].got).real <= TOL
+
+    def test_eigenvalues_equal_one_application_per_vector_bit_for_bit(self):
+        # the batched products give the bits of applying each operator to each vector on its own
+        report = peres_mermin_swap()
+        pairs = [(_pauli_pair(*axes), report.kd.basis_m.matrix) for axes in ("XX", "YY", "ZZ")]
+        pairs += [(_pauli_pair("X", "Y"), report.kd.state_a.amp[None]), (_pauli_pair("Y", "X"), report.kd.basis_b.matrix[:1])]
+        for op, vectors in pairs:
+            one_by_one = [complex(np.vdot(v, op.mat @ v)).real for v in vectors]
+            assert _eigenvalues_of(op, vectors).tobytes() == np.array(one_by_one).tobytes()
+
+    @pytest.mark.parametrize(
+        "op, vectors, message",
+        [
+            (pauli("X"), [[math.sqrt(0.5), math.sqrt(0.5)], [1.0, 0.0]], "state is not an eigenvector of the operator"),
+            (Operator(np.diag([1.0, 1j])), [[1.0, 0.0], [0.0, 1.0]], "eigenvalue is not real: 1j"),
+        ],
+    )
+    def test_eigenvalue_checks_keep_their_messages(self, op, vectors, message):
+        # the first vector passes both checks, the second fails one of them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _eigenvalues_of(op, np.array(vectors, dtype=complex))
 
     def test_conditional_averages(self):
         report = peres_mermin_swap()
