@@ -207,13 +207,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]:
     rows, transform = [], Transformation(dist, phases, 0)
     for j, label in enumerate(dist.basis_b.labels):
-        t = transform.at(j)
-        from_kd, difference = (
-            ("undefined", "undefined") if t.from_kd is None else (t.from_kd, abs(t.from_kd - t.direct))
-        )
-        rows.append(
-            {"b": label, "overlap_from_kd": from_kd, "overlap_direct": t.direct, "difference": difference}
-        )
+        direct, from_kd = transform.column(j)
+        from_kd, difference = ("undefined", "undefined") if from_kd is None else (from_kd, abs(from_kd - direct))
+        rows.append({"b": label, "overlap_from_kd": from_kd, "overlap_direct": direct, "difference": difference})
     return rows
 
 

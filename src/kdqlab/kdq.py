@@ -7,9 +7,13 @@ identity linking the two, per-entry optimal action phases, half-periodicity
 detection, negativity summaries, and direct state reconstruction from the
 table. Pure functions over immutable values throughout.
 
+Declared phases become numbers in one place: ``ActionSpectrum`` reduces them
+with ``reduce_phase`` and keeps their factors ``e^{-i phase}``, which the
+unitary, the overlap identity and the scenario reports all read.
 ``Transformation`` bundles one transformation of ``a``: the spectrum, its
-unitary and both overlaps onto one column b, computed once at construction
-and never changed after. The built-in scenario reports and ``kdqlab kd`` read
+unitary, its image ``U a`` and both overlaps onto one column b, set once at
+construction; ``column(b)`` reads the overlaps of any other column from the
+same spectrum and image. The built-in scenario reports and ``kdqlab kd`` read
 their overlaps from it, so the rule for when the table's overlap is undefined
 lives only in ``overlap_from_kd``. Every index into the table goes through
 ``qcore.check_index``: a negative index is rejected, not wrapped.
@@ -17,7 +21,6 @@ lives only in ``overlap_from_kd``. Every index into the table goes through
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +32,7 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     _finite,
+    _spectral_sum,
     check_index,
     same_dim,
 )
@@ -60,23 +64,25 @@ class ActionSpectrum:
     """Per-outcome action phases attached to a generator eigenbasis.
 
     ``phase[m]`` is dimensionless (action over hbar), stored reduced to
-    (-pi, pi] by ``reduce_phase``'s arithmetic, applied to all phases in one
-    numpy pass: the stored floats are ``reduce_phase``'s, bit for bit.
+    (-pi, pi] by ``reduce_phase``. ``factor`` is the read-only array of the
+    phase factors ``e^{-i phase(m)}``, computed once: every use of the
+    spectrum's numbers reads it.
     """
 
     basis: OrthonormalBasis
     phase: tuple[float, ...]
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        phases = [float(p) for p in self.phase]
-        if len(phases) != self.basis.dim:
-            raise ValueError(f"need {self.basis.dim} phases, got {len(phases)}")
-        if not all(map(math.isfinite, phases)):
+        reduced = tuple(map(reduce_phase, self.phase))  # an infinite or NaN phase reduces to NaN
+        if len(reduced) != self.basis.dim:
+            raise ValueError(f"need {self.basis.dim} phases, got {len(reduced)}")
+        if not all(map(math.isfinite, reduced)):
             raise ValueError("action phases must be finite")
-        # reduce_phase's operations on all phases at once, so the same bits (pi - phi is -phi + pi)
-        reduced = -(np.subtract(np.pi, phases) % (2.0 * np.pi) - np.pi)
-        reduced[reduced <= -np.pi] = np.pi
-        object.__setattr__(self, "phase", tuple(reduced.tolist()))
+        factor = np.exp(-1j * np.asarray(reduced))
+        factor.setflags(write=False)
+        object.__setattr__(self, "phase", reduced)
+        object.__setattr__(self, "factor", factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +203,7 @@ def weak_value(a: StateVector, b: StateVector, op: Operator) -> complex:
 
 def unitary_from_actions(spectrum: ActionSpectrum) -> Operator:
     """Unitary generated by the action spectrum: ``U = sum_m e^{-i phase(m)} |m><m|``."""
-    m_mat = spectrum.basis.matrix
-    phases = np.exp(-1j * np.asarray(spectrum.phase))
-    return Operator((m_mat.T * phases) @ m_mat.conj())
+    return _spectral_sum(spectrum.basis, spectrum.factor)
 
 
 def _image(a: StateVector, unitary: Operator) -> np.ndarray:
@@ -229,21 +233,21 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
     p_b = float(dist.prob_b[check_index("b_index", b_index, dist.dim)])
     if p_b <= TOL:
         raise PostSelectionError(f"P(b|a) ~ 0 for b index {b_index}; the overlap identity is undefined")
-    amplitude = complex(np.sum(dist.table[:, b_index] * np.exp(-1j * np.asarray(spectrum.phase))))
+    amplitude = complex(np.sum(dist.table[:, b_index] * spectrum.factor))
     return float(abs(amplitude) ** 2 / p_b)
 
 
 class Transformation:
     """Action phases on the table's m basis, applied to ``a`` and read at column b.
 
-    Built once from the table: the ``spectrum``, its ``unitary`` (checked
-    unitary once) and its ``image``, the read-only array ``U a``. Then for
-    column b: the direct overlap ``direct = |<b|U|a>|^2`` (as
-    ``overlap_direct`` computes it), the same overlap from the table,
-    ``from_kd`` (None where ``overlap_from_kd`` finds it undefined), and
-    ``distance``, the norm of b minus its projection onto ``U a``
-    (sqrt(1 - direct), free of that cancellation). ``at(b)`` reads the same
-    transformation at another column without rebuilding the rest.
+    Every attribute is set once, in ``__init__``, from the table: the
+    ``spectrum``, its ``unitary`` (checked unitary once) and its ``image``,
+    the read-only array ``U a``. Then for its column b: the direct overlap
+    ``direct = |<b|U|a>|^2`` (as ``overlap_direct`` computes it), the same
+    overlap from the table, ``from_kd`` (None where ``overlap_from_kd`` finds
+    it undefined), and ``distance``, the norm of b minus its projection onto
+    ``U a`` (sqrt(1 - direct), free of that cancellation). ``column(b)``
+    returns ``(direct, from_kd)`` for any column and changes nothing.
     """
 
     def __init__(self, dist: KDDistribution, phases: tuple[float, ...], b: int) -> None:
@@ -251,24 +255,19 @@ class Transformation:
         self.unitary = unitary_from_actions(self.spectrum)
         self._dist, self.image = dist, _image(dist.state_a, self.unitary)
         self.image.setflags(write=False)
-        self._read(b)
+        self.direct, self.from_kd = self.column(b)  # checks b
+        self.b, target = b, dist.basis_b.matrix[b]
+        self.distance = float(np.linalg.norm(target - np.vdot(self.image, target) * self.image))
 
-    def at(self, b: int) -> "Transformation":
-        """This transformation read at column b; the spectrum, the unitary and its image are shared."""
-        column = copy.copy(self)
-        column._read(b)
-        return column
-
-    def _read(self, b: int) -> None:
-        dist, image = self._dist, self.image
-        self.b = check_index("b", b, dist.dim)
-        target = dist.basis_b.vectors[b].amp
-        self.direct = float(abs(np.vdot(target, image)) ** 2)
+    def column(self, b: int) -> tuple[float, float | None]:
+        """``(direct, from_kd)`` at column b, read from the shared spectrum and image."""
+        dist = self._dist
+        target = dist.basis_b.matrix[check_index("b", b, dist.dim)]
         try:
-            self.from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
+            from_kd: float | None = overlap_from_kd(dist, self.spectrum, b)
         except PostSelectionError:
-            self.from_kd = None
-        self.distance = float(np.linalg.norm(target - np.vdot(image, target) * image))
+            from_kd = None
+        return float(abs(np.vdot(target, self.image)) ** 2), from_kd
 
 
 def optimal_action(dist: KDDistribution, m_index: int, b_index: int) -> float:

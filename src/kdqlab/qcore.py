@@ -9,6 +9,7 @@ whole module is safe for concurrent use.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Iterable, Sequence
@@ -79,21 +80,24 @@ class StateVector:
 
     @classmethod
     def normalize(cls, amplitudes: Iterable[complex]) -> "StateVector":
-        """Rescale to unit norm and apply the canonical global phase."""
+        """Rescale to unit norm and apply the canonical global phase.
+
+        The norm is ``np.linalg.norm``'s formula, ``sqrt(re.re + im.im)``, bit for bit. Its two
+        dots read inf on overflow and pass a NaN through, both without a numpy warning, so one
+        range test on the norm accepts; only a rejected input is scanned, to choose the message.
+        """
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.isfinite(arr).all():
-            raise ValueError("state amplitudes must be finite")
-        with np.errstate(over="ignore"):  # finite amplitudes can still square past the float range
-            norm = float(np.linalg.norm(arr))
-        if not np.isfinite(norm):
-            raise ValueError("cannot normalize: the norm of the amplitudes overflows")
-        if norm <= _PHASE_ANCHOR:
+        norm = math.sqrt(np.vdot(arr.real, arr.real) + np.vdot(arr.imag, arr.imag))
+        if not _PHASE_ANCHOR < norm < math.inf:
+            if not np.isfinite(arr).all():
+                raise ValueError("state amplitudes must be finite")
+            if norm > _PHASE_ANCHOR:
+                raise ValueError("cannot normalize: the norm of the amplitudes overflows")
             raise ValueError("cannot normalize a zero vector")
         arr = arr / norm
         # a unit vector has an amplitude of modulus >= 1/sqrt(size) >= 1/4, far above the anchor
-        # threshold, so ``significant`` is never empty
-        significant = np.flatnonzero(np.abs(arr) > _PHASE_ANCHOR)
-        anchor = arr[significant[0]]
+        # threshold, so some amplitude always qualifies; Python's complex abs is libm's hypot, as numpy's is
+        anchor = arr[next(k for k, z in enumerate(arr.tolist()) if abs(z) > _PHASE_ANCHOR)]
         return cls(arr * (anchor.conjugate() / abs(anchor)))
 
 
@@ -182,6 +186,11 @@ def _identity(dim: int) -> np.ndarray:
 def _gram_defect(gram: np.ndarray) -> float:
     """``max |G_ij - delta_ij|`` of a Gram matrix; nan fails ``<= TOL`` like any defect above it."""
     return float(abs(gram - _identity(len(gram))).max())
+
+
+def _spectral_sum(basis: OrthonormalBasis, values: np.ndarray) -> Operator:
+    """The operator ``sum_m values[m] |m><m|`` over the basis vectors, as ``(B.T * v) @ B.conj()``."""
+    return Operator((basis.matrix.T * values) @ basis.matrix.conj())
 
 
 def _guarded(fn, *operands) -> Operator:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kdq import PostSelectionError
-from .qcore import TOL, Operator, OrthonormalBasis, StateVector, check_index, same_dim
+from .qcore import TOL, Operator, OrthonormalBasis, StateVector, _spectral_sum, check_index, same_dim
 
 CHUNK = 8192  # fixed sampling chunk; chunk k draws from generator (seed, k)
 REACH = 12.0  # quadrature range past each center, in widths; the Gaussian tail beyond is below 1e-32
@@ -104,8 +104,7 @@ def observable_from_eigenvalues(basis_m: OrthonormalBasis, eigenvalue: tuple[flo
     """The measured observable ``sum_m eigenvalue[m] |m><m|``."""
     if len(eigenvalue) != basis_m.dim:
         raise ValueError(f"need {basis_m.dim} eigenvalues, got {len(eigenvalue)}")
-    m_mat = basis_m.matrix
-    return Operator((m_mat.T * np.asarray(eigenvalue, dtype=float)) @ m_mat.conj())
+    return _spectral_sum(basis_m, np.asarray(eigenvalue, dtype=float))
 
 
 def _coefficients(
@@ -163,18 +162,24 @@ def pointer_joint_density(
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
 
 
+@dataclass(frozen=True, init=False)
 class PointerStatistics:
     """Closed forms of one pointer configuration, for every final outcome b.
 
-    Built once from one coefficient matrix ``<b|m><m|a>`` and one overlap
-    kernel K: ``probability[b] = sum_nm c*_n K_nm c_m`` over row c of the
-    coefficients, the post-selection probability of b, and ``mean[b]``, the
-    mean pointer reading conditioned on b, None where ``probability[b] <= TOL``.
-    The mean weighs K with the pair average ``(k_n + k_m) / 2``; each eigenvalue
-    is halved before the sum, which therefore cannot overflow.
+    Built once, by ``PointerStatistics(a, basis_m, basis_b, cfg)``, from one
+    coefficient matrix ``<b|m><m|a>`` and one overlap kernel K:
+    ``probability[b] = sum_nm c*_n K_nm c_m`` over row c of the coefficients,
+    the post-selection probability of b, and ``mean[b]``, the mean pointer
+    reading conditioned on b, None where ``probability[b] <= TOL``. Both are
+    tuples, and the record is frozen like ``PointerConfig``. The mean weighs K
+    with the pair average ``(k_n + k_m) / 2``; each eigenvalue is halved
+    before the sum, which therefore cannot overflow.
     ``post_selection_probability`` and ``conditional_pointer_mean`` read their
     outcome from this record.
     """
+
+    probability: tuple[float, ...]
+    mean: tuple[float | None, ...]
 
     def __init__(
         self, a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
@@ -184,13 +189,12 @@ class PointerStatistics:
         half = 0.5 * np.asarray(cfg.eigenvalue)
         centered = kernel * (half[:, None] + half)
         # lists, not generators: at these sizes the Python overhead is a visible share of a call
-        self.probability = tuple([float(complex(c.conj() @ kernel @ c).real) for c in rows])
-        self.mean = tuple(
-            [
-                None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
-                for c, p in zip(rows, self.probability)
-            ]
-        )
+        object.__setattr__(self, "probability", tuple([float(complex(c.conj() @ kernel @ c).real) for c in rows]))
+        means = [
+            None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
+            for c, p in zip(rows, self.probability)
+        ]
+        object.__setattr__(self, "mean", tuple(means))
 
 
 def post_selection_probability(

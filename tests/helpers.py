@@ -26,3 +26,13 @@ def haar_basis(rng: np.random.Generator, dim: int, prefix: str = "v") -> Orthono
         tuple(f"{prefix}{k}" for k in range(dim)),
         tuple(StateVector(q[:, k]) for k in range(dim)),
     )
+
+
+def real_haar_basis(rng: np.random.Generator, dim: int, prefix: str = "v") -> OrthonormalBasis:
+    """Haar-random real orthogonal basis via sign-fixed QR: every amplitude has imaginary part exactly 0."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diagonal(r))
+    return OrthonormalBasis(
+        tuple(f"{prefix}{k}" for k in range(dim)),
+        tuple(StateVector(q[:, k]) for k in range(dim)),
+    )

@@ -432,6 +432,16 @@ class TestValidation:
             ValueError,
             "cannot normalize: the norm of the amplitudes overflows",
         ),
+        "normalize norm underflows": (
+            lambda: StateVector.normalize([1e-170, 0.0]),
+            ValueError,
+            "cannot normalize a zero vector",
+        ),
+        "normalize size 17": (
+            lambda: StateVector.normalize(np.ones(17)),
+            ValueError,
+            r"state dimension must be in 1\.\.16, got 17",
+        ),
         "Operator not square": (
             lambda: Operator(np.ones((2, 3))),
             ValueError,
@@ -541,6 +551,23 @@ def plain_state_outcome(amplitudes):
     return None if abs(norm_sq - 1) <= TOL else f"state vector is not normalized: sum |amp|^2 = {norm_sq}"
 
 
+def plain_normalize(amplitudes):
+    """``StateVector.normalize`` as written with ``np.linalg.norm``: the amplitudes it built, or its message."""
+    arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if not np.isfinite(arr).all():
+        return "state amplitudes must be finite"
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not np.isfinite(norm):
+        return "cannot normalize: the norm of the amplitudes overflows"
+    if norm <= 1e-12:
+        return "cannot normalize a zero vector"
+    arr = arr / norm
+    anchor = arr[np.flatnonzero(np.abs(arr) > 1e-12)[0]]
+    amp = arr * (anchor.conjugate() / abs(anchor))
+    return amp if amp.size <= 16 else f"state dimension must be in 1..16, got {amp.size}"
+
+
 def plain_gram_defect(gram):
     with np.errstate(over="ignore", invalid="ignore"):
         return float(abs(gram - np.eye(len(gram))).max())
@@ -617,6 +644,34 @@ class TestOnePassVerdicts:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = plain_gram_defect(mat.conj().T @ mat) <= TOL
         assert Operator(mat).is_unitary() is expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=0, max_value=17),
+        exponent=st.one_of(st.integers(-330, 308), st.sampled_from([-160, -154, 0, 153, 154, 155])),
+        zeros=st.integers(min_value=0, max_value=17),
+        special=st.sampled_from([None, None, None, np.nan, np.inf, -np.inf, complex(0.0, np.nan), 0.0, 1e-13]),
+        real=st.booleans(),
+    )
+    def test_normalize(self, seed, dim, exponent, zeros, special, real):
+        # the same amplitude bytes as np.linalg.norm gave, or the same message, and no numpy warning;
+        # leading zeros move the phase anchor, and the exponents reach underflow and overflow
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal(dim) + (0.0 if real else 1j) * rng.standard_normal(dim)).astype(complex)
+        with np.errstate(over="ignore"):  # near 1e308 an entry may overflow to inf: one more non-finite input
+            amp = z * 10.0**exponent
+        amp[: min(zeros, dim)] = 0.0
+        if special is not None and dim:
+            amp[rng.integers(dim)] = special
+        expected = plain_normalize(amp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = StateVector.normalize(amp).amp.tobytes()
+            except ValueError as exc:
+                got = str(exc)
+        assert got == (expected if isinstance(expected, str) else expected.tobytes())
 
     def test_identities_are_shared_and_read_only(self):
         for dim in (1, 2, 16):

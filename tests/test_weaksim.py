@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -344,6 +345,15 @@ class TestPointerStatistics:
         stats = self.assert_matches_per_outcome_functions(a, basis_m, basis_b, cfg)
         assert stats.mean[2] is None
         assert all(mean is not None for mean in stats.mean[:2])
+
+    @pytest.mark.parametrize("name", ["probability", "mean"])
+    def test_record_is_frozen(self, name):
+        a, basis_m, basis_b = three_box_setup()
+        stats = PointerStatistics(a, basis_m, basis_b, PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0)))
+        before = getattr(stats, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stats, name, (1.0,))
+        assert getattr(stats, name) is before and isinstance(before, tuple)
 
     @pytest.mark.parametrize("b_index", [-1, 3])
     @pytest.mark.parametrize(
