@@ -13,7 +13,6 @@ from .qcore import (
     inner,
     pauli,
     post_selection_basis,
-    product_trace,
     projector,
     tensor_op,
     tensor_state,
@@ -25,12 +24,10 @@ from .kdq import (
     PostSelectionError,
     ReconstructionError,
     Transformation,
-    UndefinedPhaseError,
     is_half_periodic,
     kd_joint,
     marginals,
     negativity,
-    optimal_action,
     overlap_direct,
     overlap_from_kd,
     reconstruct_state,
@@ -57,7 +54,6 @@ from .weaksim import (
     conditional_pointer_mean,
     conditional_pointer_mean_quadrature,
     observable_from_eigenvalues,
-    pointer_joint_density,
     post_selection_probability,
     sample,
 )

@@ -3,9 +3,10 @@
 Computes the complex joint table ``P(m,b|a) = <b|m><m|a><a|b>`` over two
 bases given a pure preparation, its Born-rule marginals, weak values, the
 unitary synthesized from a per-outcome action phase spectrum, the overlap
-identity linking the two, per-entry optimal action phases, half-periodicity
-detection, negativity summaries, and direct state reconstruction from the
-table. Pure functions over immutable values throughout.
+identity linking the two, half-periodicity detection, negativity summaries,
+and direct state reconstruction from the table. The action phase that best
+maps ``a`` to b along m is ``arg table[m, b]``. Pure functions over immutable
+values throughout.
 
 Declared phases become numbers in one place: ``ActionSpectrum`` reduces them
 with ``reduce_phase`` and keeps their factors ``e^{-i phase}``, which the
@@ -40,10 +41,6 @@ from .qcore import (
 
 class PostSelectionError(ValueError):
     """The outcome b that a quantity is conditioned on has vanishing probability."""
-
-
-class UndefinedPhaseError(ValueError):
-    """Phase requested for an entry with vanishing modulus."""
 
 
 class ReconstructionError(ValueError):
@@ -268,21 +265,6 @@ class Transformation:
         except PostSelectionError:
             from_kd = None
         return float(abs(np.vdot(target, self.image)) ** 2), from_kd
-
-
-def optimal_action(dist: KDDistribution, m_index: int, b_index: int) -> float:
-    """Action phase (in (-pi, pi]) that best maps ``a`` to outcome b along m.
-
-    This is the argument of the complex table entry; it is undefined when the
-    entry's modulus is at noise level.
-    """
-    m_index, b_index = check_index("m_index", m_index, dist.dim), check_index("b_index", b_index, dist.dim)
-    entry = complex(dist.table[m_index, b_index])
-    if abs(entry) <= TOL:
-        raise UndefinedPhaseError(
-            f"entry ({dist.basis_m.labels[m_index]}, {dist.basis_b.labels[b_index]}) has vanishing modulus"
-        )
-    return float(np.angle(entry))
 
 
 def is_half_periodic(spectrum: ActionSpectrum) -> bool:

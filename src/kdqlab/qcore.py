@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small quantum systems (dim <= 16).
 
 States, operators, labeled orthonormal bases, tensor products, projectors,
-Pauli and Bloch-sphere constructors, and ordered product traces. Everything
-is an immutable value after construction and every function is pure, so the
-whole module is safe for concurrent use.
+and Pauli and Bloch-sphere constructors. Everything is an immutable value
+after construction and every function is pure, so the whole module is safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,11 +83,12 @@ class StateVector:
         """Rescale to unit norm and apply the canonical global phase.
 
         The norm is ``np.linalg.norm``'s formula, ``sqrt(re.re + im.im)``, bit for bit. Its two
-        dots read inf on overflow and pass a NaN through, both without a numpy warning, so one
-        range test on the norm accepts; only a rejected input is scanned, to choose the message.
+        dots read inf on overflow and pass a NaN through, and their sum is taken in Python floats,
+        which overflow to inf too, all without a numpy warning; so one range test on the norm
+        accepts, and only a rejected input is scanned, to choose the message.
         """
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = math.sqrt(np.vdot(arr.real, arr.real) + np.vdot(arr.imag, arr.imag))
+        norm = math.sqrt(float(np.vdot(arr.real, arr.real)) + float(np.vdot(arr.imag, arr.imag)))
         if not _PHASE_ANCHOR < norm < math.inf:
             if not np.isfinite(arr).all():
                 raise ValueError("state amplitudes must be finite")
@@ -121,10 +122,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return int(self.mat.shape[0])
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex))
 
     def __add__(self, other: "Operator") -> "Operator":
         same_dim(self.dim, other.dim)
@@ -315,21 +312,6 @@ def bloch_state(theta: float, phi: float = 0.0) -> StateVector:
     return StateVector(
         np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
     )
-
-
-def product_trace(ops: Sequence[Operator]) -> complex:
-    """Trace of the ordered product ``ops[0] ops[1] ...``.
-
-    The list order is semantically significant (only cyclic rotations leave
-    the value unchanged).
-    """
-    if not ops:
-        raise ValueError("product_trace needs at least one operator")
-    same_dim(*[op.dim for op in ops])
-    # an entry that overflows to inf or nan reaches the trace as inf or nan, or is never read by it
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = reduce(lambda acc, op: acc @ op.mat, ops[1:], ops[0].mat)
-        return _finite(complex(np.trace(prod)), "product trace")
 
 
 def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -> OrthonormalBasis:

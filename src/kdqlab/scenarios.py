@@ -144,11 +144,6 @@ def _leggett_garg_table(theta: float) -> KDDistribution:
     return kd_joint(bloch_state(0.0, 0.0), _spin_basis(theta), _spin_basis(2.0 * theta))
 
 
-def leggett_garg_joint_probability(theta: float) -> float:
-    """Engine value of P(spin_m = -1, spin_b = +1 | spin_a = +1) for coplanar spins at 0, theta, 2 theta."""
-    return float(_leggett_garg_table(theta).table[1, 0].real)
-
-
 def leggett_garg(theta: float) -> ScenarioReport:
     """Coplanar three-direction spin correlation with a half-periodic flip.
 

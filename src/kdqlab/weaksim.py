@@ -134,34 +134,6 @@ def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
     return np.exp((cfg.coupling * delta / cfg.width) ** 2 * -0.125)  # equals -(...)/8 bit for bit, one pass fewer
 
 
-def pointer_joint_density(
-    a: StateVector,
-    basis_m: OrthonormalBasis,
-    basis_b: OrthonormalBasis,
-    cfg: PointerConfig,
-    x: float | np.ndarray,
-    b_index: int,
-) -> float | np.ndarray:
-    """Joint density of reading ``x`` and post-selecting outcome ``b_index``.
-
-    ``p(x, b) = |sum_m <b|m><m|a> A(x - g k_m)|^2`` with ``A`` the amplitude
-    of a mean-zero Gaussian of standard deviation ``width``. Non-negative by
-    construction; integrates over x to the outcome probability of b.
-
-    The exponent is squared as one ratio, ``((x - g k_m) / (2 width))**2``. It
-    overflows only where its true value is past the float range, so the
-    density there is exactly 0, the limit ``exp(-inf)``, with no warning.
-    """
-    c = _row(_coefficients(a, basis_m, basis_b, cfg), b_index)
-    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    prefactor = (2.0 * np.pi * cfg.width**2) ** -0.25
-    with np.errstate(over="ignore"):
-        ratio = (np.asarray(x, dtype=float)[..., None] - centers) / (2.0 * cfg.width)
-        amps = prefactor * np.exp(-(ratio**2))
-    density = np.abs(amps @ c) ** 2
-    return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
-
-
 @dataclass(frozen=True, init=False)
 class PointerStatistics:
     """Closed forms of one pointer configuration, for every final outcome b.

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import haar_basis, random_state
+from helpers import haar_basis, pointer_joint_density, random_state
 from kdqlab import (
     ActionSpectrum,
     OrthonormalBasis,
@@ -28,7 +28,6 @@ from kdqlab import (
     overlap_direct,
     overlap_from_kd,
     peres_mermin_swap,
-    pointer_joint_density,
     post_selection_basis,
     projector,
     reconstruct_state,

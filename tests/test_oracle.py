@@ -1,4 +1,5 @@
-"""``kd_joint`` against an oracle that shares none of numpy's arithmetic: mpmath at 50 digits.
+"""``kd_joint`` and ``PointerStatistics`` against an oracle that shares none of numpy's arithmetic:
+mpmath at 50 digits.
 
 The oracle reads each input as given, as exact binary floats, and computes the joint table
 ``<b|m><m|a><a|b>`` and its row and column sums from them at 50 digits. Its error is far below
@@ -14,13 +15,25 @@ bound, with ``u = 2**-53`` the unit roundoff:
 - A marginal sums d entries whose moduli add up to at most 1, so it is off by at most d times the
   entry bound plus ``d u`` of summation error. The clip to [0, 1] moves no value farther from the
   equally clipped oracle value.
+- ``PointerStatistics`` is held to 1e-10 relative in P(b) and in the mean. Near orthogonal
+  post-selection it does not meet that yet (ROADMAP item 8); the case is pinned as a strict xfail.
 """
 
 import numpy as np
 import pytest
 
 from helpers import haar_basis, random_state
-from kdqlab import SCENARIO_NAMES, build, kd_joint
+from kdqlab import (
+    SCENARIO_NAMES,
+    OrthonormalBasis,
+    PointerConfig,
+    PointerStatistics,
+    StateVector,
+    build,
+    complete_basis,
+    kd_joint,
+    post_selection_basis,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -90,3 +103,61 @@ def test_the_oracle_sees_a_moved_entry():
     table[0, 0] += 1e-14
     entries, _ = max_errors(type(dist)(dist.state_a, dist.basis_m, dist.basis_b, table))
     assert abs(entries - 1e-14) <= entry_bound(dist.dim)
+
+
+def pointer_oracle(a, basis_m, basis_b, cfg, b_index):
+    """``PointerStatistics``' probability and mean of outcome ``b_index`` at 50 digits, from the same float inputs.
+
+    ``p = sum_nm c*_n K_nm c_m`` and ``mean = g sum_nm c*_n K_nm (k_n + k_m) / 2 c_m / p``, with
+    ``c_m = <b|m><m|a>`` and ``K_nm = exp(-(g (k_n - k_m) / width)**2 / 8)``.
+    """
+    with mpmath.workdps(DIGITS):
+        amp = [mpmath.mpc(complex(z)) for z in a.amp]
+        b = [mpmath.mpc(complex(z)) for z in basis_b.matrix[b_index]]
+        c = []
+        for row in basis_m.matrix.tolist():
+            m = [mpmath.mpc(z) for z in row]
+            c.append(
+                mpmath.fsum(mpmath.conj(x) * y for x, y in zip(b, m))
+                * mpmath.fsum(mpmath.conj(x) * y for x, y in zip(m, amp))
+            )
+        g, width = mpmath.mpf(cfg.coupling), mpmath.mpf(cfg.width)
+        kappa = [mpmath.mpf(k) for k in cfg.eigenvalue]
+        pairs = [(n, m) for n in range(len(c)) for m in range(len(c))]
+        weight = {
+            (n, m): mpmath.conj(c[n]) * mpmath.exp(-((g * (kappa[n] - kappa[m]) / width) ** 2) / 8) * c[m]
+            for n, m in pairs
+        }
+        p = mpmath.fsum(weight.values()).real
+        moment = mpmath.fsum(weight[n, m] * (kappa[n] + kappa[m]) / 2 for n, m in pairs).real
+        return p, g * moment / p
+
+
+def assert_pointer_statistics_match_the_oracle(a, basis_m, basis_b, cfg, b_index):
+    stats = PointerStatistics(a, basis_m, basis_b, cfg)
+    p, mean = pointer_oracle(a, basis_m, basis_b, cfg, b_index)
+    with mpmath.workdps(DIGITS):
+        assert abs(stats.probability[b_index] - p) <= 1e-10 * abs(p)
+        assert abs(stats.mean[b_index] - mean) <= 1e-10 * abs(mean)
+
+
+@pytest.mark.parametrize("width", [0.3, 1.0, 50.0])
+def test_pointer_statistics_of_three_box_against_the_oracle(width):
+    # no cancellation here: P(b) is about 1/9, and both values agree within a few u
+    a, b = StateVector.normalize([1.0, 1.0, 1.0]), StateVector.normalize([1.0, 1.0, -1.0])
+    basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
+    cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=(0.0, 0.0, 1.0))
+    assert_pointer_statistics_match_the_oracle(a, OrthonormalBasis.standard(3), basis_b, cfg, 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: the closed form cancels terms of about 0.1 down to P(b) ~ 1e-10 and loses 7 digits",
+)
+def test_pointer_statistics_near_orthogonal_post_selection():
+    a = StateVector.normalize(np.ones(3))
+    b0 = StateVector.normalize(np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0) + 1e-5 * a.amp)
+    basis_b = complete_basis([b0], ("b0", "b1", "b2"))
+    cfg = PointerConfig(coupling=1.0, width=1e6, eigenvalue=(0.0, 1.0, 2.0))
+    # P(b0) = 1.0004e-10, just above TOL: today both values are off by 1.3e-7 relative
+    assert_pointer_statistics_match_the_oracle(a, OrthonormalBasis.standard(3), basis_b, cfg, 0)

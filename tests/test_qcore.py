@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_basis, random_state
+from helpers import haar_basis, product_trace, random_state
 from kdqlab import (
     DimensionMismatchError,
     Operator,
@@ -18,7 +18,6 @@ from kdqlab import (
     inner,
     pauli,
     post_selection_basis,
-    product_trace,
     projector,
     tensor_op,
     tensor_state,
@@ -147,7 +146,7 @@ class TestTensor:
         assert np.linalg.norm(uv.amp) == pytest.approx(1.0, abs=TOL)
 
     def test_op_identity(self):
-        got = tensor_op(Operator.identity(2), Operator.identity(2))
+        got = tensor_op(Operator(np.eye(2)), Operator(np.eye(2)))
         np.testing.assert_allclose(got.mat, np.eye(4), atol=TOL)
 
     def test_op_double_flip(self):
@@ -172,8 +171,8 @@ class TestTensor:
             tensor_state(big, mid)  # 32 exceeds the dense-dimension cap
         assert tensor_state(mid, mid).dim == 16
         with pytest.raises(ValueError, match="^operator dimension must be in 1..16, got 32$"):
-            tensor_op(Operator.identity(8), Operator.identity(4))
-        assert tensor_op(Operator.identity(4), Operator.identity(4)).dim == 16
+            tensor_op(Operator(np.eye(8)), Operator(np.eye(4)))
+        assert tensor_op(Operator(np.eye(4)), Operator(np.eye(4))).dim == 16
 
     @pytest.mark.parametrize("left", [1, 2, 3, 4])
     @pytest.mark.parametrize("right", [1, 2, 3, 4])
@@ -292,7 +291,7 @@ class TestProductTrace:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            product_trace([Operator.identity(2), Operator.identity(3)])
+            product_trace([Operator(np.eye(2)), Operator(np.eye(3))])
 
 
 class TestOrthonormalBasis:
@@ -370,11 +369,11 @@ class TestOperator:
 
     def test_apply_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            Operator.identity(3).apply(E0)
+            Operator(np.eye(3)).apply(E0)
 
     def test_arithmetic(self):
         z = pauli("Z")
-        combo = 0.5 * (Operator.identity(2) + z)
+        combo = 0.5 * (Operator(np.eye(2)) + z)
         np.testing.assert_allclose(combo.mat, projector(E0).mat, atol=TOL)
         np.testing.assert_allclose((z @ z).mat, np.eye(2), atol=TOL)
         np.testing.assert_allclose((-z).mat, -z.mat, atol=TOL)
@@ -382,7 +381,7 @@ class TestOperator:
         assert pauli("Y").dagger().mat == pytest.approx(pauli("Y").mat)
 
     def test_is_unitary(self):
-        assert Operator.identity(4).is_unitary()
+        assert Operator(np.eye(4)).is_unitary()
         assert not projector(E0).is_unitary()
 
     def test_is_unitary_is_false_for_an_overflowing_product(self):
@@ -429,6 +428,12 @@ class TestValidation:
         "normalize zero vector": (lambda: StateVector.normalize([0.0, 0.0]), ValueError, "cannot normalize a zero vector"),
         "normalize norm overflows": (
             lambda: StateVector.normalize([1e200, 1e200]),
+            ValueError,
+            "cannot normalize: the norm of the amplitudes overflows",
+        ),
+        "normalize re.re + im.im overflows": (
+            # each dot, 1.44e308, is finite; their sum is not
+            lambda: StateVector.normalize([1.2e154 + 1.2e154j]),
             ValueError,
             "cannot normalize: the norm of the amplitudes overflows",
         ),

@@ -14,14 +14,15 @@ from kdqlab import (
     StateVector,
     bell_scenario,
     bell_state,
+    bloch_state,
     build,
     cheshire_cat,
+    complete_basis,
     expectation,
     hardy,
     kd_joint,
     leggett_garg,
     negativity,
-    optimal_action,
     pauli,
     peres_mermin_swap,
     tensor_op,
@@ -34,7 +35,6 @@ from kdqlab.scenarios import (
     _pauli_pair,
     _product_basis,
     chsh_cell_value,
-    leggett_garg_joint_probability,
 )
 
 TOL = 1e-10
@@ -103,7 +103,7 @@ class TestReportContract:
             for i in range(table.shape[0]):
                 for j in range(table.shape[1]):
                     if table[i, j].real < -TOL:
-                        phase = abs(optimal_action(report.kd, i, j))
+                        phase = abs(float(np.angle(table[i, j])))
                         assert phase >= math.pi / 2, f"{name} entry ({i},{j})"
 
     def test_violated_inequality_reported(self, reports):
@@ -134,7 +134,7 @@ class TestLeggettGarg:
         report = leggett_garg(math.pi / 3)
         i = report.kd.basis_m.index_of("-1")
         j = report.kd.basis_b.index_of("+1")
-        assert optimal_action(report.kd, i, j) == pytest.approx(math.pi, abs=TOL)
+        assert float(np.angle(report.kd.table[i, j])) == pytest.approx(math.pi, abs=TOL)
 
     def test_zero_at_right_angle(self):
         report = leggett_garg(math.pi / 2)
@@ -169,11 +169,15 @@ class TestLeggettGarg:
 
     def test_grid_search_finds_the_maximum_violation(self):
         # two-stage scan so the located value resolves the quadratic minimum
+        def joint_probability(t):  # P(spin_m = -1, spin_b = +1 | spin_a = +1) for spins at 0, t, 2 t
+            basis_m, basis_b = (complete_basis([bloch_state(theta)], ("+1", "-1")) for theta in (t, 2 * t))
+            return float(kd_joint(bloch_state(0.0), basis_m, basis_b).table[1, 0].real)
+
         coarse = np.linspace(0.05, math.pi / 2 - 0.05, 2001)
-        values = [leggett_garg_joint_probability(t) for t in coarse]
+        values = [joint_probability(t) for t in coarse]
         best = coarse[int(np.argmin(values))]
         fine = np.linspace(best - 2e-3, best + 2e-3, 2001)
-        values = [leggett_garg_joint_probability(t) for t in fine]
+        values = [joint_probability(t) for t in fine]
         best = float(fine[int(np.argmin(values))])
         assert abs(math.cos(best) - 0.5) <= 1e-4
         assert min(values) == pytest.approx(-0.125, abs=1e-9)
@@ -391,7 +395,7 @@ def chained_bell_state(theta):
 
     a1 = math.cos(theta) * kron("X", "Y") + math.sin(theta) * kron("X", "X")
     a2 = math.cos(theta) * kron("Y", "X") - math.sin(theta) * kron("Y", "Y")
-    ident = Operator.identity(4)
+    ident = Operator(np.eye(4))
     proj = 0.25 * ((ident + a1) @ (ident + a2))
     return StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex)), a1, a2
 

@@ -5,9 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from helpers import haar_basis, random_state
+from helpers import haar_basis, pointer_joint_density, random_state
 from kdqlab import (
     OrthonormalBasis,
     PointerConfig,
@@ -20,7 +19,6 @@ from kdqlab import (
     expectation,
     inner,
     observable_from_eigenvalues,
-    pointer_joint_density,
     post_selection_basis,
     post_selection_probability,
     projector,
@@ -42,6 +40,7 @@ def three_box_setup():
 
 
 def quad_mass(a, basis_m, basis_b, cfg, b_index):
+    integrate = pytest.importorskip("scipy.integrate")
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
     span = float(np.max(np.abs(centers))) + 12.0 * cfg.width
     value, _ = integrate.quad(
@@ -97,7 +96,7 @@ class TestPointerConfig:
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 1.0, (0.0, 1.0))
         with pytest.raises(ValueError, match="eigenvalues"):
-            pointer_joint_density(a, basis_m, basis_b, cfg, 0.0, 0)
+            PointerStatistics(a, basis_m, basis_b, cfg)
 
 
 class TestDensity:
@@ -154,6 +153,7 @@ class TestDensity:
 
     def test_narrow_pointer_window_masses(self):
         # quadrature over +/- 4 sigma windows around each separated peak
+        integrate = pytest.importorskip("scipy.integrate")
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(coupling=1.0, width=0.01, eigenvalue=(-1.0, 0.0, 1.0))
         for m, center in enumerate((-1.0, 0.0, 1.0)):
@@ -358,15 +358,14 @@ class TestPointerStatistics:
     @pytest.mark.parametrize("b_index", [-1, 3])
     @pytest.mark.parametrize(
         "function",
-        [post_selection_probability, conditional_pointer_mean, conditional_pointer_mean_quadrature, pointer_joint_density],
+        [post_selection_probability, conditional_pointer_mean, conditional_pointer_mean_quadrature],
     )
     def test_out_of_range_b_index_is_rejected(self, function, b_index):
         # a negative index must not wrap around to the last outcome
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0))
-        args = (0.0, b_index) if function is pointer_joint_density else (b_index,)
         with pytest.raises(ValueError, match=f"b_index {b_index} out of range"):
-            function(a, basis_m, basis_b, cfg, *args)
+            function(a, basis_m, basis_b, cfg, b_index)
 
 
 class TestObservable:
