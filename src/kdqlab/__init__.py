@@ -56,6 +56,7 @@ from .weaksim import (
     observable_from_eigenvalues,
     post_selection_probability,
     sample,
+    sample_moments,
 )
 from .scenario_file import ScenarioFile, ScenarioFileError, load_scenario_file, parse_scenario_text
 

@@ -48,7 +48,7 @@ from .weaksim import (
     PointerStatistics,
     conditional_pointer_mean_quadrature,
     observable_from_eigenvalues,
-    sample,
+    sample_moments,
 )
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 SWEEP_RATIOS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-MAX_SHOTS = 10**8  # readings and outcome indices take 16 bytes per shot
+MAX_SHOTS = 10**8  # bounds the run time; `weak` folds the draw chunk by chunk, so its memory does not grow with it
 
 
 def _fmt(x: float) -> str:
@@ -253,7 +253,7 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"--sweep: {exc}") from exc
     stats = PointerStatistics(a, basis_m, basis_b, cfg)
-    batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
+    count, empirical = sample_moments(a, basis_m, basis_b, cfg, args.shots, args.seed)
 
     print(
         f"pointer measurement: coupling={_fmt(cfg.coupling)} width={_fmt(cfg.width)}"
@@ -262,14 +262,12 @@ def _cmd_weak(args: argparse.Namespace) -> int:
     header = ["b", "P(b)", "mean_closed", "mean_quadrature", "mean_empirical", "n"]
     rows = []
     for j, (label, mass, closed) in enumerate(zip(basis_b.labels, stats.probability, stats.mean)):
-        selected = batch.readings[batch.b_index == j]
-        count = int(selected.size)
         if closed is None:
-            rows.append([label, "undefined", "undefined", "undefined", "undefined", str(count)])
+            rows.append([label, "undefined", "undefined", "undefined", "undefined", str(count[j])])
             continue
         quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
-        empirical = _fmt(float(selected.mean())) if count else "n/a"
-        rows.append([label, _fmt(mass), _fmt(closed), _fmt(quad), empirical, str(count)])
+        mean = "n/a" if empirical[j] is None else _fmt(empirical[j])
+        rows.append([label, _fmt(mass), _fmt(closed), _fmt(quad), mean, str(count[j])])
     print(_format_table(header, rows))
 
     if args.sweep:

@@ -10,8 +10,13 @@ statistics, and nothing in between ever exposes a negative density.
 
 Sampling is exact in every regime. Summed over b the joint density is the
 Gaussian mixture ``sum_m |<m|a>|^2 N(coupling * eigenvalue[m], width^2)``,
-because ``sum_b |b><b|`` is the identity; ``sample`` draws the reading from
+because ``sum_b |b><b|`` is the identity; each shot draws the reading from
 that mixture and then b from the discrete conditional ``p(x, b) / p(x)``.
+One private chunk generator makes the draw, ``CHUNK`` shots at a time, and
+it has two consumers: ``sample`` copies the chunks into one ``SampleBatch``
+(9 bytes per shot), and ``sample_moments`` folds each chunk into per-outcome
+counts and sums as it is drawn, so its memory does not grow with the shot
+count.
 
 ``PointerStatistics`` holds the closed forms of one configuration for every
 outcome: the post-selection probability and the conditional mean, computed
@@ -24,7 +29,9 @@ record and read one outcome from it, so they return the same numbers.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +84,13 @@ class SampleBatch:
 
     Readings and outcome indices are parallel 1-D arrays of equal length, and
     ``len()`` is the shot count. ``b_index`` indexes the final basis the batch
-    was drawn for; the batch keeps no labels. A batch holds read-only views
-    of the float64 and int64 arrays it is given and does not copy them, so
-    the caller's arrays stay writable; other dtypes are converted first. ``sample`` gives
-    bit-identical batches for identical (seed, shots, config, scenario) inputs.
+    was drawn for; the batch keeps no labels. ``b_index`` must hold
+    non-negative integers, and is kept in its own integer dtype: ``uint8``
+    from ``sample``. Readings are converted to float64. A batch holds
+    read-only views of the arrays it is given and does not copy a float64
+    ``readings`` or any integer ``b_index``, so the caller's arrays stay
+    writable. ``sample`` gives bit-identical batches for identical (seed,
+    shots, config, scenario) inputs.
     """
 
     readings: np.ndarray
@@ -88,9 +98,13 @@ class SampleBatch:
 
     def __post_init__(self) -> None:
         readings = np.asarray(self.readings, dtype=float).view()
-        b_index = np.asarray(self.b_index, dtype=np.int64).view()
+        b_index = np.asarray(self.b_index).view()
+        if b_index.dtype.kind not in "iu":  # a cast would truncate floats, and bool is a mask
+            raise ValueError(f"b_index must hold non-negative integers, got dtype {b_index.dtype}")
         if readings.ndim != 1 or b_index.shape != readings.shape:
             raise ValueError("readings and b_index must both hold one entry per shot")
+        if b_index.dtype.kind == "i" and b_index.size and b_index.min() < 0:
+            raise ValueError(f"b_index must hold non-negative integers, got {b_index.min()}")
         readings.setflags(write=False)
         b_index.setflags(write=False)
         object.__setattr__(self, "readings", readings)
@@ -262,6 +276,63 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _chunks(
+    a: StateVector,
+    basis_m: OrthonormalBasis,
+    basis_b: OrthonormalBasis,
+    cfg: PointerConfig,
+    shots: int,
+    seed: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draw of ``sample``, one (readings, uint8 outcome index) pair per chunk, in order.
+
+    The arguments are checked on the call; the chunks are drawn as they are
+    iterated, so a consumer that folds each one never holds the whole draw.
+    """
+    # bool is an int subclass, but True shots or a False seed is a caller's mistake
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+    c = _coefficients(a, basis_m, basis_b, cfg)
+    dim = len(c)
+    stacked = np.concatenate([c.real, c.imag])  # one real matmul yields Re and Im of every amplitude
+    cumulative = np.cumsum(np.sum(c.real**2 + c.imag**2, axis=0))  # sum over b of |<b|m><m|a>|^2
+    cumulative /= cumulative[-1]
+    cumulative[-1] = 1.0
+    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
+    half_gap = (centers[None, :] - centers[:, None]) / (2.0 * cfg.width)  # [n, m] = (c_m - c_n) / 2w
+
+    def draw(start: int) -> tuple[np.ndarray, np.ndarray]:
+        count = min(CHUNK, shots - start)
+        rng = np.random.default_rng([int(seed), start // CHUNK])
+        u = rng.random(count)
+        drawn = np.zeros(count, dtype=np.intp)
+        for k in range(dim - 1):  # searchsorted(cumulative, u, side="right"), as cumulative[-1] = 1 > u
+            drawn += cumulative[k] <= u
+        z = rng.standard_normal(count)
+        d = half_gap.take(drawn, axis=1)  # (dim, count), C-contiguous
+        e = d + z
+        e *= d
+        np.negative(e, out=e)  # exact, so this is exp(-d * (d + z)) bit for bit
+        np.exp(e, out=e)
+        amps = stacked @ e
+        np.square(amps, out=amps)
+        weight = amps[:dim]
+        weight += amps[dim:]
+        for k in range(1, dim):  # the sequential sum of cumsum(axis=0), one contiguous row at a time
+            weight[k] += weight[k - 1]
+        threshold = rng.random(count)
+        threshold *= weight[-1]
+        b_index = np.zeros(count, dtype=np.uint8)  # dim <= MAX_DIM = 16 fits in one byte
+        for k in range(dim):  # sum(weight <= threshold, axis=0) without its int64 temporary
+            b_index += weight[k] <= threshold
+        return centers[drawn] + cfg.width * z, b_index
+
+    return map(draw, range(0, shots, CHUNK))
+
+
 def sample(
     a: StateVector,
     basis_m: OrthonormalBasis,
@@ -283,43 +354,40 @@ def sample(
     contiguous, in-place passes that make the same floating-point operations in
     the same order as the direct form (a column gather, ``exp(-d * (d + z))``
     and a cumulative sum over outcomes), so they change no bit of the batch.
+    ``b_index`` is ``uint8``, so the batch takes 9 bytes per shot.
     """
-    # bool is an int subclass, but True shots or a False seed is a caller's mistake
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-    c = _coefficients(a, basis_m, basis_b, cfg)
-    dim = len(c)
-    stacked = np.concatenate([c.real, c.imag])  # one real matmul yields Re and Im of every amplitude
-    cumulative = np.cumsum(np.sum(c.real**2 + c.imag**2, axis=0))  # sum over b of |<b|m><m|a>|^2
-    cumulative /= cumulative[-1]
-    cumulative[-1] = 1.0
-    centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    half_gap = (centers[None, :] - centers[:, None]) / (2.0 * cfg.width)  # [n, m] = (c_m - c_n) / 2w
-
+    chunks = _chunks(a, basis_m, basis_b, cfg, shots, seed)  # checks the arguments before anything is allocated
     readings = np.empty(shots, dtype=float)
-    b_index = np.empty(shots, dtype=np.int64)
-    for start in range(0, shots, CHUNK):
-        count = min(CHUNK, shots - start)
-        rng = np.random.default_rng([int(seed), start // CHUNK])
-        u = rng.random(count)
-        drawn = np.zeros(count, dtype=np.intp)
-        for k in range(dim - 1):  # searchsorted(cumulative, u, side="right"), as cumulative[-1] = 1 > u
-            drawn += cumulative[k] <= u
-        z = rng.standard_normal(count)
-        d = half_gap.take(drawn, axis=1)  # (dim, count), C-contiguous
-        e = d + z
-        e *= d
-        np.negative(e, out=e)  # exact, so this is exp(-d * (d + z)) bit for bit
-        np.exp(e, out=e)
-        amps = stacked @ e
-        np.square(amps, out=amps)
-        weight = amps[:dim]
-        weight += amps[dim:]
-        for k in range(1, dim):  # the sequential sum of cumsum(axis=0), one contiguous row at a time
-            weight[k] += weight[k - 1]
-        b_index[start : start + count] = np.sum(weight <= rng.random(count) * weight[-1], axis=0)
-        readings[start : start + count] = centers[drawn] + cfg.width * z
+    b_index = np.empty(shots, dtype=np.uint8)
+    for start, (x, b) in zip(range(0, shots, CHUNK), chunks):
+        readings[start : start + x.size] = x
+        b_index[start : start + b.size] = b
     return SampleBatch(readings, b_index)
+
+
+def sample_moments(
+    a: StateVector,
+    basis_m: OrthonormalBasis,
+    basis_b: OrthonormalBasis,
+    cfg: PointerConfig,
+    shots: int,
+    seed: int,
+) -> tuple[tuple[int, ...], tuple[float | None, ...]]:
+    """Per-outcome shot count and mean reading of the draw ``sample`` makes, in bounded memory.
+
+    Returns ``(count, mean)``, two tuples indexed by b; ``mean[b]`` is None
+    where ``count[b]`` is 0. Each chunk is folded with ``np.bincount`` as it is
+    drawn, and the chunk sums of each outcome are merged with ``math.fsum``. The
+    counts equal ``np.bincount(sample(...).b_index, minlength=dim)``, and each
+    mean lies within ``CHUNK * eps`` times the mean of ``|reading|`` of the exact
+    mean of the same readings: a chunk sum adds one rounding per reading.
+    """
+    chunks = _chunks(a, basis_m, basis_b, cfg, shots, seed)
+    dim = basis_b.dim
+    count = np.zeros(dim, dtype=np.int64)
+    sums = np.empty((-(-shots // CHUNK), dim))  # one row per chunk
+    for row, (x, b) in zip(sums, chunks):
+        count += np.bincount(b, minlength=dim)
+        row[:] = np.bincount(b, weights=x, minlength=dim)
+    mean = [math.fsum(column) / n if n else None for column, n in zip(sums.T.tolist(), count.tolist())]
+    return tuple(count.tolist()), tuple(mean)

@@ -477,7 +477,7 @@ class TestWeakCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started before the shot count was checked")
 
-        monkeypatch.setattr(cli_module, "sample", no_sampling)
+        monkeypatch.setattr(cli_module, "sample_moments", no_sampling)
         path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
         code, out, err = run_cli(
             capsys, "weak", str(path), "--coupling", "1", "--width", "50", "--shots", str(shots), "--seed", "1"
@@ -578,6 +578,25 @@ class TestWeakCommand:
             closed = kdqlab.conditional_pointer_mean(kd.state_a, kd.basis_m, kd.basis_b, cfg, j)
             assert line.split()[2:4] == [f"{closed:.12g}", f"{quad:.12g}"]
         assert lines[4].split()[1:] == ["undefined"] * 4 + ["0"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
+    def test_weak_folds_its_draw_in_bounded_memory(self, tmp_path):
+        # A batch of 2e7 shots alone would take 180 MB at 9 bytes per shot. The peak is read
+        # in a fresh wrapper process, whose only child is this run: RUSAGE_CHILDREN keeps
+        # the largest child ever waited for, and this process has waited for others.
+        path = three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0])
+        probe = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run([sys.executable, '-m', 'kdqlab', *sys.argv[1:]], stdout=subprocess.DEVNULL).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        proc = run_python(
+            "-c", probe, "weak", str(path), "--coupling", "1", "--width", "1", "--shots", str(2 * 10**7),
+            capture_output=True, text=True,
+        )
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == EXIT_OK, proc.stderr
+        assert peak_kb < 100 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 class TestExitCodeContract:

@@ -621,6 +621,18 @@ class TestValidation:
             lambda a, m: SampleBatch(np.zeros(3), np.zeros(2, dtype=int)),
             "readings and b_index must both hold one entry per shot",
         ),
+        "SampleBatch float index": (  # a cast would store [0, 1, -2]
+            lambda a, m: SampleBatch(np.zeros(3), np.array([0.5, 1.7, -2.9])),
+            "b_index must hold non-negative integers, got dtype float64",
+        ),
+        "SampleBatch bool index": (
+            lambda a, m: SampleBatch(np.zeros(3), np.array([True, False, True])),
+            "b_index must hold non-negative integers, got dtype bool",
+        ),
+        "SampleBatch negative index": (
+            lambda a, m: SampleBatch(np.zeros(3), np.array([0, -2, 1])),
+            "b_index must hold non-negative integers, got -2",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES, ids=str)

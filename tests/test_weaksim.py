@@ -23,6 +23,7 @@ from kdqlab import (
     post_selection_probability,
     projector,
     sample,
+    sample_moments,
     scenarios,
     weak_value,
 )
@@ -400,6 +401,12 @@ class TestSampling:
         assert not batch.readings.flags.writeable and not batch.b_index.flags.writeable
         assert np.shares_memory(batch.readings, readings) and np.shares_memory(batch.b_index, b_index)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_batch_keeps_an_integer_index_in_its_dtype(self, dtype):
+        b_index = np.array([0, 2, 1], dtype=dtype)
+        batch = SampleBatch(np.zeros(3), b_index)
+        assert batch.b_index.dtype == dtype and np.shares_memory(batch.b_index, b_index)
+
     def test_seed_validation(self):
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(1.0, 1.0, (0.0, 0.0, 1.0))
@@ -439,11 +446,12 @@ class TestSampling:
         if name == "hardy":
             kd = scenarios.build("hardy").kd
             return kd.state_a, kd.basis_m, kd.basis_b, (0.0, 1.0, -1.0, 2.0), (1e-3, 1.0, 50.0)
-        rng = np.random.default_rng(8)
-        kappa = tuple(rng.uniform(-1.0, 1.0, 8))
-        return random_state(rng, 8), haar_basis(rng, 8), haar_basis(rng, 8, "w"), kappa, (1e-3, 1.0, 50.0)
+        dim = int(name.removeprefix("dim"))  # dim8, or dim16 for MAX_DIM and the kernel's widest row loops
+        rng = np.random.default_rng(dim)
+        kappa = tuple(rng.uniform(-1.0, 1.0, dim))
+        return random_state(rng, dim), haar_basis(rng, dim), haar_basis(rng, dim, "w"), kappa, (1e-3, 1.0, 50.0)
 
-    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8"])
+    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8", "dim16"])
     def test_stream_matches_the_reference_kernel(self, name):
         a, basis_m, basis_b, kappa, widths = self.stream_case(name)
         for width in widths:
@@ -454,6 +462,27 @@ class TestSampling:
                     readings, b_index = reference_sample(a, basis_m, basis_b, cfg, shots, seed)
                     assert np.array_equal(batch.readings, readings), (width, seed, shots)
                     assert np.array_equal(batch.b_index, b_index), (width, seed, shots)
+
+    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8", "dim16"])
+    def test_moments_fold_the_batch(self, name):
+        # A chunk's bincount sum rounds once per reading, so each mean lies within
+        # CHUNK * eps * mean|x| of the exact mean; fsum and the division add two roundings more.
+        a, basis_m, basis_b, kappa, widths = self.stream_case(name)
+        for width in widths:
+            cfg = PointerConfig(1.0, width, kappa)
+            for shots in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+                batch = sample(a, basis_m, basis_b, cfg, shots, 5)
+                assert batch.b_index.dtype == np.uint8
+                count, mean = sample_moments(a, basis_m, basis_b, cfg, shots, 5)
+                assert count == tuple(np.bincount(batch.b_index, minlength=basis_b.dim).tolist()), (width, shots)
+                for j, m in enumerate(mean):
+                    selected = batch.readings[batch.b_index == j].tolist()
+                    if not selected:
+                        assert m is None
+                        continue
+                    exact = math.fsum(selected) / len(selected)
+                    scale = math.fsum(map(abs, selected)) / len(selected)
+                    assert abs(m - exact) <= CHUNK * np.finfo(float).eps * scale, (width, shots, j)
 
     def test_zero_probability_outcome_is_never_drawn(self):
         a, basis_m, basis_b = three_box_setup()
