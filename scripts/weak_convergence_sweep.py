@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from kdqlab import PointerConfig, PointerStatistics, sample, three_box
+from kdqlab import PointerConfig, PointerStatistics, sample_moments, three_box
 
 
 def main() -> int:
@@ -32,10 +32,9 @@ def main() -> int:
     for ratio in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         cfg = PointerConfig(coupling=g, width=ratio * g, eigenvalue=(0.0, 0.0, 1.0))
         closed = PointerStatistics(a, basis_m, basis_b, cfg).mean[0] / g
-        batch = sample(a, basis_m, basis_b, cfg, args.shots, args.seed)
-        selected = batch.readings[batch.b_index == 0]
-        empirical = float(selected.mean()) / g if selected.size else math.nan
-        print(f"{ratio:8.1f}  {closed:16.9f}  {empirical:17.9f}  {abs(closed + 1.0):13.3e}  {selected.size:7d}")
+        count, mean = sample_moments(a, basis_m, basis_b, cfg, args.shots, args.seed)
+        empirical = mean[0] / g if count[0] else math.nan
+        print(f"{ratio:8.1f}  {closed:16.9f}  {empirical:17.9f}  {abs(closed + 1.0):13.3e}  {count[0]:7d}")
     print("weak value of the box-3 projector between a and b: -1 (the readout target)")
     return 0
 

@@ -39,7 +39,6 @@ from .scenarios import (
     ScenarioReport,
     SCENARIO_NAMES,
     bell_scenario,
-    bell_state,
     build,
     cheshire_cat,
     hardy,

@@ -10,7 +10,8 @@ values throughout.
 
 Declared phases become numbers in one place: ``ActionSpectrum`` reduces them
 with ``reduce_phase`` and keeps their factors ``e^{-i phase}``, which the
-unitary, the overlap identity and the scenario reports all read.
+unitary, the overlap identity, the half-periodicity test (through their
+squares) and the scenario reports all read.
 ``Transformation`` bundles one transformation of ``a``: the spectrum, its
 unitary, its image ``U a`` and both overlaps onto one column b, set once at
 construction; ``column(b)`` reads the overlaps of any other column from the
@@ -270,9 +271,10 @@ class Transformation:
 def is_half_periodic(spectrum: ActionSpectrum) -> bool:
     """True when applying the spectrum's unitary twice is the identity up to phase.
 
-    Equivalent to all pairwise phase differences lying in {0, pi} mod 2 pi.
+    Equivalent to all pairwise phase differences lying in {0, pi} mod 2 pi: the squared
+    factors ``e^{-2i phase(m)}`` all agree.
     """
-    doubled = np.exp(-2j * np.asarray(spectrum.phase))
+    doubled = spectrum.factor * spectrum.factor
     return bool(np.max(np.abs(doubled - doubled[0])) <= TOL)
 
 

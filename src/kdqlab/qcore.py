@@ -131,20 +131,9 @@ class Operator:
         same_dim(self.dim, other.dim)
         return _guarded(np.subtract, self.mat, other.mat)
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return _guarded(np.multiply, self.mat, scalar)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Operator") -> "Operator":
         same_dim(self.dim, other.dim)
         return _guarded(np.matmul, self.mat, other.mat)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.mat.conj().T)
 
     def trace(self) -> complex:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -125,13 +125,13 @@ def parse_scenario_text(text: str) -> ScenarioFile:
         raise ScenarioFileError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
 
     amp = _complex_vector(raw["state_a"], dim, "state_a")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amp))
-    if not 1e-12 < norm < math.inf:  # also rejects NaN and infinite amplitudes and an overflowing norm
-        raise ScenarioFileError("state_a does not normalize to a valid state")
+    try:  # normalize's one range test on the norm also rejects NaN, infinite and overflowing amplitudes
+        state_a = StateVector.normalize(amp)
+    except ValueError as exc:
+        raise ScenarioFileError("state_a does not normalize to a valid state") from exc
+    norm = float(np.linalg.norm(amp))  # finite now: normalize accepted it
     if abs(norm - 1.0) > _NORM_WARN:
         warnings.warn(f"state_a renormalized (norm was {norm:.12g})", stacklevel=2)
-    state_a = StateVector.normalize(amp)
 
     basis_m = _basis(raw["basis_m"], _labels(raw.get("labels_m"), dim, "m", "labels_m"), dim, "basis_m")
     basis_b = _basis(raw["basis_b"], _labels(raw.get("labels_b"), dim, "b", "labels_b"), dim, "basis_b")

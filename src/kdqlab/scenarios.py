@@ -137,13 +137,6 @@ def _spin_basis(theta: float) -> OrthonormalBasis:
     return complete_basis([bloch_state(theta, 0.0)], ("+1", "-1"))
 
 
-def _leggett_garg_table(theta: float) -> KDDistribution:
-    """Joint table for coplanar spins: preparation along 0, m along ``theta``, b along ``2 theta``."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    return kd_joint(bloch_state(0.0, 0.0), _spin_basis(theta), _spin_basis(2.0 * theta))
-
-
 def leggett_garg(theta: float) -> ScenarioReport:
     """Coplanar three-direction spin correlation with a half-periodic flip.
 
@@ -154,7 +147,9 @@ def leggett_garg(theta: float) -> ScenarioReport:
     part of the joint table entry. It is negative for all theta < pi/2 and
     reaches -1/8 at cos(theta) = 1/2.
     """
-    dist = _leggett_garg_table(theta)
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+    dist = kd_joint(bloch_state(0.0, 0.0), _spin_basis(theta), _spin_basis(2.0 * theta))
     a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
@@ -436,17 +431,12 @@ def chsh_cell_value(m: tuple[int, int], b: tuple[int, int]) -> int:
     return m1 * m2 + m1 * b2 + b1 * m2 - b1 * b2
 
 
-def bell_state(theta: float) -> StateVector:
-    """Unique joint +1 eigenstate of the two tilted correlation observables.
+def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
+    """The unique joint +1 eigenstate of two tilted correlation observables, and the two observables.
 
     Built by projecting the seed ``|++>`` onto the joint eigenspace and
     normalizing; the result is verified to satisfy both eigenvalue equations.
     """
-    return _bell_state(theta)[0]
-
-
-def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
-    """``bell_state(theta)`` together with the two correlation observables it stabilizes."""
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     c, s = math.cos(theta), math.sin(theta)

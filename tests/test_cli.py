@@ -370,6 +370,32 @@ class TestKdCommand:
             config = kdqlab.parse_scenario_text(text)
         assert config.state_a.amp.tolist() == [1.0]
 
+    @pytest.mark.parametrize(
+        "state_a",
+        [
+            pytest.param("[[0, 0], [0, 0]]", id="zeros"),
+            pytest.param("[[NaN, 0], [1, 0]]", id="nan"),
+            pytest.param("[[Infinity, 0], [0, 0]]", id="infinity"),
+            pytest.param("[[1e308, 0], [1e308, 0]]", id="norm-overflows"),
+        ],
+    )
+    def test_loader_rejects_a_state_that_does_not_normalize(self, state_a):
+        identity = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+        text = f'{{"dim": 2, "state_a": {state_a}, "basis_m": {identity}, "basis_b": {identity}}}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kdqlab.ScenarioFileError, match=r"^state_a does not normalize to a valid state$"):
+                kdqlab.parse_scenario_text(text)
+
+    def test_loader_warns_once_when_it_renormalizes(self):
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        text = json.dumps({"dim": 2, "state_a": [[3, 0], [4, 0]], "basis_m": identity, "basis_b": identity})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = kdqlab.parse_scenario_text(text)
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "state_a renormalized (norm was 5)")]
+        assert config.state_a.amp.tolist() == pytest.approx([0.6, 0.8])
+
     @pytest.mark.parametrize("field", ["action_phase", "kappa"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_numbers_are_usage_errors(self, capsys, tmp_path, field, value):

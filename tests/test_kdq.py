@@ -688,6 +688,17 @@ class TestOptimalAction:
             assert overlap_from_kd(dist, other, j) <= optimum + 1e-9
 
 
+def half_periodic_oracle(spectrum):
+    """The verdict with the doubled phase factors computed afresh as ``exp(-2i phase)``."""
+    doubled = np.exp(-2j * np.asarray(spectrum.phase))
+    return bool(np.max(np.abs(doubled - doubled[0])) <= TOL)
+
+
+# half the phase step at which |e^{-2i phi} - e^{-2i phi_0}| = 2 |sin(phi - phi_0)| crosses TOL, scaled
+# 1e-3 inside and outside: far beyond the rounding of either route to the doubled factors
+INSIDE, OUTSIDE = 0.5 * TOL * (1.0 - 1e-3), 0.5 * TOL * (1.0 + 1e-3)
+
+
 class TestHalfPeriodic:
     def test_examples(self):
         basis2 = OrthonormalBasis.standard(2)
@@ -712,6 +723,38 @@ class TestHalfPeriodic:
         scale = squared[0, 0] / np.eye(dim)[0, 0]
         np.testing.assert_allclose(squared, scale * np.eye(dim), atol=TOL)
 
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_verdict_equals_the_recomputed_factor_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        basis = OrthonormalBasis.standard(dim)
+        special = [0.0, math.pi, math.pi + 1e-9, math.pi - 1e-9]
+
+        def flips(offset, steps):
+            # the first phase carries no step, so the largest distance is 2 |sin(step)| of some later one
+            jumps = math.pi * rng.integers(2, size=dim)
+            return tuple(offset + jump + (step if k else 0.0) for k, (jump, step) in enumerate(zip(jumps, steps)))
+
+        cases = []  # (phases, verdict the boundary cases must have, or None)
+        for _ in range(20):
+            offset = rng.uniform(-math.pi, math.pi)
+            cases.append((tuple(rng.uniform(-math.pi, math.pi, dim)), None))
+            cases.append((tuple(rng.choice(special, dim)), None))
+            cases.append((flips(offset, np.zeros(dim)), True))
+            cases.append((flips(offset, INSIDE * rng.choice([-1.0, 1.0], dim)), True))
+            if dim > 1:
+                steps = INSIDE * rng.choice([-1.0, 0.0, 1.0], dim)
+                steps[rng.integers(1, dim)] = OUTSIDE * rng.choice([-1.0, 1.0])
+                cases.append((flips(offset, steps), False))
+        verdicts = set()
+        for phases, expected in cases:
+            spectrum = ActionSpectrum(basis, phases)
+            oracle = half_periodic_oracle(spectrum)
+            assert is_half_periodic(spectrum) == oracle, phases
+            if expected is not None:
+                assert oracle == expected, phases
+            verdicts.add(oracle)
+        assert verdicts == ({True} if dim == 1 else {True, False})
+
     def test_phase_reduction(self):
         basis = OrthonormalBasis.standard(2)
         spectrum = ActionSpectrum(basis, (3 * math.pi, -math.pi))
@@ -733,9 +776,9 @@ class TestHalfPeriodic:
     @settings(max_examples=300, deadline=None)
     @given(phases=PHASE_LISTS)
     def test_factor_is_the_read_only_phase_factor(self, phases):
-        # the unitary, the overlap identity and the scenario reports read these bits. The half-periodic
-        # law reads the conjugate as e^{i phase}: it equals np.exp's value, and its bits differ only in
-        # the sign of a zero imaginary part (phase -0.0), which the law's residual cannot see
+        # the unitary, the overlap identity, is_half_periodic and the scenario reports read these bits. The
+        # half-periodic law reads the conjugate as e^{i phase}: it equals np.exp's value, and its bits differ
+        # only in the sign of a zero imaginary part (phase -0.0), which the law's residual cannot see
         spectrum = ActionSpectrum(OrthonormalBasis.standard(len(phases)), tuple(phases))
         reduced = np.array(spectrum.phase)
         assert spectrum.factor.tobytes() == np.exp(-1j * reduced).tobytes()

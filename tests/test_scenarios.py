@@ -13,7 +13,6 @@ from kdqlab import (
     Operator,
     StateVector,
     bell_scenario,
-    bell_state,
     bloch_state,
     build,
     cheshire_cat,
@@ -287,7 +286,7 @@ class TestPeresMermin:
 
 class TestBell:
     def test_bell_state_theta_zero_expectations(self):
-        a = bell_state(0.0)
+        a = _bell_state(0.0)[0]
         x, y = pauli("X"), pauli("Y")
         assert expectation(tensor_op(x, y), a).real == pytest.approx(1.0, abs=TOL)
         assert expectation(tensor_op(y, x), a).real == pytest.approx(1.0, abs=TOL)
@@ -295,13 +294,13 @@ class TestBell:
         assert expectation(tensor_op(y, y), a).real == pytest.approx(0.0, abs=TOL)
 
     def test_bell_state_right_angle_expectations(self):
-        a = bell_state(math.pi / 2)
+        a = _bell_state(math.pi / 2)[0]
         x, y = pauli("X"), pauli("Y")
         assert expectation(tensor_op(x, x), a).real == pytest.approx(1.0, abs=TOL)
         assert expectation(tensor_op(y, y), a).real == pytest.approx(-1.0, abs=TOL)
 
     def test_seed_projection_never_vanishes(self):
-        # bell_state projects the one seed |++>: its projection has norm^2 (1 + sin theta) / 4 >= 1/4
+        # _bell_state projects the one seed |++>: its projection has norm^2 (1 + sin theta) / 4 >= 1/4
         x, y = pauli("X"), pauli("Y")
         ident = np.eye(4)
         plus_plus = np.full(4, 0.5, dtype=complex)
@@ -312,13 +311,13 @@ class TestBell:
             norm_sq = float(np.vdot(image, image).real)
             assert norm_sq == pytest.approx((1.0 + math.sin(theta)) / 4.0, abs=1e-12), theta
             assert norm_sq >= 0.25 - 1e-12, theta
-            state = bell_state(float(theta))
+            state = _bell_state(float(theta))[0]
             np.testing.assert_allclose(state.amp, StateVector.normalize(image).amp, atol=1e-12)
             np.testing.assert_allclose(a1 @ state.amp, state.amp, atol=TOL)
             np.testing.assert_allclose(a2 @ state.amp, state.amp, atol=TOL)
 
     def test_chsh_maximum_via_expectation_oracle(self):
-        a = bell_state(math.pi / 4)
+        a = _bell_state(math.pi / 4)[0]
         x, y = pauli("X"), pauli("Y")
         k_op = (
             tensor_op(x, x) + tensor_op(x, y) + tensor_op(y, x) - tensor_op(y, y)
@@ -370,7 +369,7 @@ class TestBell:
     @pytest.mark.parametrize("theta", [-0.1, math.pi / 2 + 0.1])
     def test_rejects_out_of_range(self, theta):
         with pytest.raises(ValueError):
-            bell_state(theta)
+            _bell_state(theta)
 
 
 PM_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
@@ -393,10 +392,13 @@ def chained_bell_state(theta):
     def kron(p, q):
         return Operator(np.kron(PAULI[p], PAULI[q]))
 
-    a1 = math.cos(theta) * kron("X", "Y") + math.sin(theta) * kron("X", "X")
-    a2 = math.cos(theta) * kron("Y", "X") - math.sin(theta) * kron("Y", "Y")
+    def scaled(c, op):
+        return Operator(c * op.mat)
+
+    a1 = scaled(math.cos(theta), kron("X", "Y")) + scaled(math.sin(theta), kron("X", "X"))
+    a2 = scaled(math.cos(theta), kron("Y", "X")) - scaled(math.sin(theta), kron("Y", "Y"))
     ident = Operator(np.eye(4))
-    proj = 0.25 * ((ident + a1) @ (ident + a2))
+    proj = scaled(0.25, (ident + a1) @ (ident + a2))
     return StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex)), a1, a2
 
 
