@@ -5,8 +5,16 @@ Writes seeded scenario files into OUTDIR, runs a fixed table of 98
 ``python -m kdqlab`` commands in fresh processes from that directory (file
 arguments are relative paths), and writes one file per command under
 ``OUTDIR/runs`` holding its argv, exit code, stdout and stderr. The inputs
-are built with numpy alone, so two source trees get the same files. To
-compare two trees, snapshot each and diff the directories:
+are built with numpy alone, so two source trees get the same files.
+
+The CLI prints 12 significant digits, so a change in the last bits of a
+result can hide behind the rounding. ``OUTDIR/reports.txt`` shows it: for
+each distinct (name, theta) among the ``scenario`` rows that exit 0, with
+``--deg`` converted, the report is built in process through
+``kdqlab.scenarios.build``, and the file lists every check name with the
+``float.hex`` of the real and imaginary part of its ``got``, and the joint
+table's bytes in hex. To compare two trees, snapshot each and diff the
+directories:
 
     PYTHONPATH=/path/to/old/src python scripts/cli_snapshot.py /tmp/snap-old
     PYTHONPATH=/path/to/new/src python scripts/cli_snapshot.py /tmp/snap-new
@@ -28,6 +36,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from kdqlab.scenarios import build
 
 HAAR_DIMS = (1, 2, 3, 4, 8, 16)
 FORMATS = ("table", "json", "csv")
@@ -139,6 +149,27 @@ def commands() -> list[tuple[int, list[str]]]:
     return table
 
 
+def scenario_key(args: list[str]) -> tuple[str, float | None]:
+    """The (name, theta) that a ``scenario`` row builds, ``--deg`` converted as the CLI converts it."""
+    theta = float(args[args.index("--theta") + 1]) if "--theta" in args else None
+    if theta is not None and "--deg" in args:
+        theta = math.radians(theta)
+    return args[1], theta
+
+
+def report_bits(keys) -> str:
+    """Per report: every check name with the hex bits of its ``got``, then the joint table's bytes in hex."""
+    lines = []
+    for name, theta in keys:
+        report = build(name, theta)
+        lines.append(f"scenario {name} theta={theta!r}")
+        for check in report.checks:
+            got = complex(check.got)
+            lines.append(f"  {check.name}: {got.real.hex()} {got.imag.hex()}")
+        lines.append(f"  table: {report.kd.table.tobytes().hex()}")
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("outdir", type=Path)
@@ -152,6 +183,7 @@ def main() -> int:
     if env.get("PYTHONPATH"):  # the commands run from OUTDIR, so relative entries would break
         env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
     wrong = noisy = 0
+    built = {}  # the (name, theta) of each exit-0 scenario row, in run order, once
     for number, (expected, args) in enumerate(commands(), start=1):
         done = subprocess.run(
             [sys.executable, "-m", "kdqlab", *args], cwd=outdir, env=env, capture_output=True, text=True
@@ -160,6 +192,8 @@ def main() -> int:
         record = f"argv: kdqlab {line}\nexit: {done.returncode}\n"
         record += f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
         (runs / f"{number:03d}.txt").write_text(record, encoding="utf-8")
+        if done.returncode == 0 and args[0] == "scenario" and "--help" not in args:
+            built[scenario_key(args)] = None
         if done.returncode != expected:
             wrong += 1
             print(f"{number:03d} kdqlab {line}: exit {done.returncode}, expected {expected}", file=sys.stderr)
@@ -167,7 +201,9 @@ def main() -> int:
             noisy += 1
             first = done.stderr.splitlines()[0]
             print(f"{number:03d} kdqlab {line}: exit 0 but wrote to stderr: {first}", file=sys.stderr)
+    (outdir / "reports.txt").write_text(report_bits(built), encoding="utf-8")
     print(f"{number} commands, {wrong} with an unexpected exit code, {noisy} with unexpected stderr; records in {runs}")
+    print(f"{len(built)} scenario reports in process, their bits in {outdir / 'reports.txt'}")
     return 1 if wrong or noisy else 0
 
 

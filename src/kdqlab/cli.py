@@ -346,7 +346,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,9 @@
 States, operators, labeled orthonormal bases, tensor products, projectors,
 and Pauli and Bloch-sphere constructors. Everything is an immutable value
 after construction and every function is pure, so the whole module is safe
-for concurrent use.
+for concurrent use. An ``Operator`` is a validated value, not an algebra: the
+constructors here build it, and a caller that combines operators computes one
+numpy expression on their read-only ``.mat`` and wraps the result once.
 """
 
 from __future__ import annotations
@@ -104,7 +106,11 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square complex matrix with entries ``mat[row, col] = <row|A|col>``."""
+    """Square complex matrix with entries ``mat[row, col] = <row|A|col>``, finite and read-only.
+
+    It has no arithmetic: sums and products are taken on ``mat`` and wrapped in a new ``Operator``,
+    whose constructor rejects an entry that overflowed to inf or nan.
+    """
 
     mat: np.ndarray
 
@@ -122,22 +128,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return int(self.mat.shape[0])
-
-    def __add__(self, other: "Operator") -> "Operator":
-        same_dim(self.dim, other.dim)
-        return _guarded(np.add, self.mat, other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        same_dim(self.dim, other.dim)
-        return _guarded(np.subtract, self.mat, other.mat)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        same_dim(self.dim, other.dim)
-        return _guarded(np.matmul, self.mat, other.mat)
-
-    def trace(self) -> complex:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(complex(np.trace(self.mat)), "operator trace")
 
     def apply(self, state: StateVector) -> np.ndarray:
         """Raw amplitudes of ``A|v>`` (not necessarily normalized)."""
@@ -177,16 +167,6 @@ def _gram_defect(gram: np.ndarray) -> float:
 def _spectral_sum(basis: OrthonormalBasis, values: np.ndarray) -> Operator:
     """The operator ``sum_m values[m] |m><m|`` over the basis vectors, as ``(B.T * v) @ B.conj()``."""
     return Operator((basis.matrix.T * values) @ basis.matrix.conj())
-
-
-def _guarded(fn, *operands) -> Operator:
-    """``Operator(fn(*operands))`` for arithmetic on finite operands.
-
-    The result can still overflow to inf or nan; numpy then stays silent and
-    the constructor rejects it with "operator entries must be finite".
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Operator(fn(*operands))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +253,10 @@ def tensor_op(a: Operator, b: Operator) -> Operator:
     One broadcast multiply: entry ``[i*b.dim + k, j*b.dim + l]`` is ``a_ij b_kl``.
     """
     n = a.dim * b.dim
-    return _guarded(lambda: (a.mat[:, None, :, None] * b.mat[None, :, None, :]).reshape(n, n))
+    # finite factors can still multiply past the float range: numpy stays silent and the constructor
+    # rejects the inf entry with "operator entries must be finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Operator((a.mat[:, None, :, None] * b.mat[None, :, None, :]).reshape(n, n))
 
 
 # built once: an Operator is immutable, so every caller can share these

@@ -154,13 +154,13 @@ def leggett_garg(theta: float) -> ScenarioReport:
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
     # route 1: separate expectation values of the three spin observables
-    sigma_m = projector(basis_m.vectors[0]) - projector(basis_m.vectors[1])
-    sigma_b = projector(basis_b.vectors[0]) - projector(basis_b.vectors[1])
+    sigma_m = Operator(projector(basis_m.vectors[0]).mat - projector(basis_m.vectors[1]).mat)
+    sigma_b = Operator(projector(basis_b.vectors[0]).mat - projector(basis_b.vectors[1]).mat)
     p_expectation = 0.25 * (
         1.0
         + expectation(sigma_b, a).real
         - expectation(sigma_m, a).real
-        - expectation(sigma_m @ sigma_b, a).real
+        - expectation(Operator(sigma_m.mat @ sigma_b.mat), a).real
     )
 
     # route 2: closed form for the symmetric coplanar geometry
@@ -243,7 +243,7 @@ def cheshire_cat() -> ScenarioReport:
         Check(
             "path-p1 weight equals the weak value of the p1 projector",
             complex(path1, 0.0),
-            weak_value(a, b, projector(basis_m.vectors[0]) + projector(basis_m.vectors[1])),
+            weak_value(a, b, Operator(projector(basis_m.vectors[0]).mat + projector(basis_m.vectors[1]).mat)),
         ),
         Check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
     )
@@ -377,11 +377,11 @@ def peres_mermin_swap() -> ScenarioReport:
     corr1_residual = float(np.max(np.abs(eig[:, 0] * eig[:, 1] + eig[:, 2])))
 
     # the rearranged products form an operator identity with the opposite sign
-    corr2 = x1y2 @ y1x2
-    corr2_residual = float(np.max(np.abs(corr2.mat - zz.mat)))
-    corr1_operator_residual = float(np.max(np.abs((xx @ yy).mat + zz.mat)))
+    corr2 = x1y2.mat @ y1x2.mat
+    corr2_residual = float(np.max(np.abs(corr2 - zz.mat)))
+    corr1_operator_residual = float(np.max(np.abs(xx.mat @ yy.mat + zz.mat)))
     contexts = np.concatenate((basis_a.matrix, basis_b.matrix))  # the eight product-context states, one per row
-    corr2_on_states = float(np.max(np.abs(contexts @ corr2.mat.T - contexts @ zz.mat.T)))
+    corr2_on_states = float(np.max(np.abs(contexts @ corr2.T - contexts @ zz.mat.T)))
 
     p_b = float(dist.prob_b[0])
     cond_xx, cond_yy, cond_zz = (col.real @ eig / p_b).tolist()
@@ -440,14 +440,16 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    # one numpy expression each, wrapped once; the operations and their order, c XY + s XX,
-    # c YX - s YY and 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
+    # one numpy expression each on the read-only .mat, wrapped once, as every builder combines
+    # operators; the operations and their order, c XY + s XX, c YX - s YY and
+    # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
     a1 = Operator(c * _pauli_pair("X", "Y").mat + s * _pauli_pair("X", "X").mat)
     a2 = Operator(c * _pauli_pair("Y", "X").mat - s * _pauli_pair("Y", "Y").mat)
     ident = np.eye(4, dtype=complex)
     proj = Operator(0.25 * ((ident + a1.mat) @ (ident + a2.mat)))
-    if abs(proj.trace() - 1.0) > TOL:
-        raise ValueError(f"joint eigenspace is not one-dimensional (trace {proj.trace()})")
+    trace = complex(np.trace(proj.mat))
+    if abs(trace - 1.0) > TOL:
+        raise ValueError(f"joint eigenspace is not one-dimensional (trace {trace})")
     # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
     # projection of |++> has norm^2 (1 + sin(theta)) / 4 >= 1/4 on [0, pi/2]: it never vanishes
     state = StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex))

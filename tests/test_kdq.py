@@ -719,7 +719,7 @@ class TestHalfPeriodic:
         spectrum = ActionSpectrum(basis, phases)
         assert is_half_periodic(spectrum)
         u = unitary_from_actions(spectrum)
-        squared = (u @ u).mat
+        squared = u.mat @ u.mat
         scale = squared[0, 0] / np.eye(dim)[0, 0]
         np.testing.assert_allclose(squared, scale * np.eye(dim), atol=TOL)
 

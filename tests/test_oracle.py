@@ -1,5 +1,5 @@
-"""``kd_joint`` and ``PointerStatistics`` against an oracle that shares none of numpy's arithmetic:
-mpmath at 50 digits.
+"""``kd_joint``, ``overlap_from_kd`` and ``PointerStatistics`` against an oracle that shares none
+of numpy's arithmetic: mpmath at 50 digits.
 
 The oracle reads each input as given, as exact binary floats, and computes the joint table
 ``<b|m><m|a><a|b>`` and its row and column sums from them at 50 digits. Its error is far below
@@ -15,16 +15,28 @@ bound, with ``u = 2**-53`` the unit roundoff:
 - A marginal sums d entries whose moduli add up to at most 1, so it is off by at most d times the
   entry bound plus ``d u`` of summation error. The clip to [0, 1] moves no value farther from the
   equally clipped oracle value.
+- ``overlap_from_kd`` reads the same float column ``T[:, b]``, the spectrum's reduced phases and
+  the float ``P(b)``; the oracle forms ``|sum_m T[m,b] e^{-i phase(m)}|^2 / P(b)`` from them. Each
+  factor is off by at most 2 u (one ulp in each of cos and sin), each complex product adds at most
+  3 u of ``|T[m,b]|``, and the sum adds ``(d - 1) u`` of ``S = sum_m |T[m,b]|``: the amplitude is
+  off by ``(d + 4) u S``, and ``abs`` by 2 u more. Squaring doubles that against ``|A| S <= S^2``,
+  and the square and the division add 3 u. So the overlap is off by at most ``(2d + 15) u O*_b``,
+  where ``O*_b = S^2 / P(b)`` bounds the overlap itself; the bound below allows ``(2d + 20) u O*_b``.
 - ``PointerStatistics`` is held to 1e-10 relative in P(b) and in the mean. Near orthogonal
   post-selection it does not meet that yet (ROADMAP item 8); the case is pinned as a strict xfail.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import kdqlab.scenarios
 from helpers import haar_basis, random_state
 from kdqlab import (
     SCENARIO_NAMES,
+    TOL,
+    ActionSpectrum,
     OrthonormalBasis,
     PointerConfig,
     PointerStatistics,
@@ -32,6 +44,7 @@ from kdqlab import (
     build,
     complete_basis,
     kd_joint,
+    overlap_from_kd,
     post_selection_basis,
 )
 
@@ -103,6 +116,63 @@ def test_the_oracle_sees_a_moved_entry():
     table[0, 0] += 1e-14
     entries, _ = max_errors(type(dist)(dist.state_a, dist.basis_m, dist.basis_b, table))
     assert abs(entries - 1e-14) <= entry_bound(dist.dim)
+
+
+def overlap_error(dist, spectrum, b):
+    """``overlap_from_kd``'s error at column b against the 50-digit value, and its bound ``(2d + 20) u O*_b``."""
+    column, p_b = dist.table[:, b].tolist(), float(dist.prob_b[b])
+    with mpmath.workdps(DIGITS):
+        terms = [mpmath.mpc(t) * mpmath.expj(-mpmath.mpf(phi)) for t, phi in zip(column, spectrum.phase)]
+        exact = abs(mpmath.fsum(terms)) ** 2 / mpmath.mpf(p_b)
+        error = float(abs(mpmath.mpf(overlap_from_kd(dist, spectrum, b)) - exact))
+    o_star = sum(map(abs, column)) ** 2 / p_b
+    return error, (2 * dist.dim + 20) * U * o_star
+
+
+def assert_overlaps_within_bound(dist, spectrum):
+    """Every column with ``P(b|a) > TOL``, where the overlap identity is defined."""
+    for b in np.flatnonzero(dist.prob_b > TOL).tolist():
+        error, bound = overlap_error(dist, spectrum, b)
+        assert error <= bound, (b, error, bound)
+
+
+def declared_transformation(name, monkeypatch):
+    """The scenario's joint table and the one ``Transformation`` its builder declares."""
+    made, original = [], kdqlab.scenarios.Transformation
+
+    def record(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(kdqlab.scenarios, "Transformation", record)
+    report = build(name)
+    (transform,) = made
+    return report.kd, transform.spectrum
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_overlaps_against_the_oracle(name, monkeypatch):
+    assert_overlaps_within_bound(*declared_transformation(name, monkeypatch))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_haar_overlaps_against_the_oracle(dim, seed):
+    rng = np.random.default_rng(2000 * dim + seed)
+    dist = kd_joint(random_state(rng, dim), haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b"))
+    assert_overlaps_within_bound(dist, ActionSpectrum(dist.basis_m, tuple(rng.uniform(-np.pi, np.pi, dim))))
+
+
+def test_the_overlap_oracle_sees_a_moved_factor(monkeypatch):
+    # three-box, column b: T = (1, 1, -1) / 9, factors (1, 1, -1), P(b) = 1/9 and O*_b = 1. Moving
+    # the first factor by 1e-14 moves the overlap by 2 (1/3) (1/9) 1e-14 / (1/9) = 6.7e-15, above
+    # the bound of 26 u = 2.9e-15
+    dist, spectrum = declared_transformation("three-box", monkeypatch)
+    factor = spectrum.factor.copy()
+    factor[0] += 1e-14
+    error, bound = overlap_error(dist, SimpleNamespace(basis=spectrum.basis, phase=spectrum.phase, factor=factor), 0)
+    assert error > bound
+    assert abs(error - 2e-14 / 3) <= bound
 
 
 def pointer_oracle(a, basis_m, basis_b, cfg, b_index):

@@ -30,9 +30,8 @@ E0 = StateVector([1.0, 0.0])
 E1 = StateVector([0.0, 1.0])
 X_PLUS = StateVector.normalize([1.0, 1.0])
 Y_PLUS = StateVector.normalize([1.0, 1.0j])
-# finite operators whose products and sums pass the float range
+# a finite operator whose tensor product with itself passes the float range
 BIG = Operator([[1e300, 0.0], [0.0, 1.0]])
-HUGE = Operator([[1e308, 0.0], [0.0, 1.0]])
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.sampled_from([2, 3, 4])
@@ -208,8 +207,8 @@ class TestPauli:
         op = pauli(axis)
         np.testing.assert_allclose(op.mat, op.mat.conj().T, atol=TOL)
         assert op.is_unitary()
-        assert op.trace() == pytest.approx(0.0, abs=TOL)
-        np.testing.assert_allclose((op @ op).mat, np.eye(2), atol=TOL)
+        assert np.trace(op.mat) == pytest.approx(0.0, abs=TOL)
+        np.testing.assert_allclose(op.mat @ op.mat, np.eye(2), atol=TOL)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -371,13 +370,6 @@ class TestOperator:
         with pytest.raises(DimensionMismatchError):
             Operator(np.eye(3)).apply(E0)
 
-    def test_arithmetic(self):
-        z = pauli("Z")
-        combo = 0.5 * (Operator(np.eye(2)) + z).mat
-        np.testing.assert_allclose(combo, projector(E0).mat, atol=TOL)
-        np.testing.assert_allclose((z @ z).mat, np.eye(2), atol=TOL)
-        np.testing.assert_allclose((z - z).mat, np.zeros((2, 2)), atol=TOL)
-
     def test_is_unitary(self):
         assert Operator(np.eye(4)).is_unitary()
         assert not projector(E0).is_unitary()
@@ -454,19 +446,11 @@ class TestValidation:
         "Operator dim 17": (lambda: Operator(np.eye(17)), ValueError, r"operator dimension must be in 1\.\.16, got 17"),
         "Operator NaN": (lambda: Operator([[1.0, np.nan], [0.0, 1.0]]), ValueError, "operator entries must be finite"),
         "Operator inf": (lambda: Operator([[1.0, 0.0], [-np.inf, 1.0]]), ValueError, "operator entries must be finite"),
-        "Operator product overflows": (lambda: BIG @ BIG, ValueError, "operator entries must be finite"),
-        "Operator sum overflows": (lambda: HUGE + HUGE, ValueError, "operator entries must be finite"),
-        "Operator difference overflows": (lambda: HUGE - Operator(-HUGE.mat), ValueError, "operator entries must be finite"),
         "tensor_op overflows": (lambda: tensor_op(BIG, BIG), ValueError, "operator entries must be finite"),
         "Operator.apply overflows": (
             lambda: Operator([[1.5e308] * 2] * 2).apply(X_PLUS),
             ValueError,
             "operator image of the state overflows",
-        ),
-        "Operator.trace overflows": (
-            lambda: Operator(np.diag([1.5e308, 1.5e308])).trace(),
-            ValueError,
-            "operator trace overflows",
         ),
         "expectation image overflows": (
             lambda: expectation(Operator([[1.5e308] * 2] * 2), X_PLUS),

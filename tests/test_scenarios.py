@@ -319,9 +319,7 @@ class TestBell:
     def test_chsh_maximum_via_expectation_oracle(self):
         a = _bell_state(math.pi / 4)[0]
         x, y = pauli("X"), pauli("Y")
-        k_op = (
-            tensor_op(x, x) + tensor_op(x, y) + tensor_op(y, x) - tensor_op(y, y)
-        )
+        k_op = Operator(tensor_op(x, x).mat + tensor_op(x, y).mat + tensor_op(y, x).mat - tensor_op(y, y).mat)
         assert expectation(k_op, a).real == pytest.approx(2.0 * math.sqrt(2.0), abs=TOL)
         got = check_values(bell_scenario(math.pi / 4))
         assert got["<K> = 2 (sin + cos)"] == pytest.approx(expectation(k_op, a).real, abs=TOL)
@@ -388,18 +386,16 @@ PAULI_PAIRS = [("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Y"), ("Y", "X")]
 
 
 def chained_bell_state(theta):
-    """The Bell state and its two stabilizers through Operator arithmetic on np.kron products."""
+    """The Bell state and its two stabilizers by numpy on np.kron products, in _bell_state's operation order."""
     def kron(p, q):
-        return Operator(np.kron(PAULI[p], PAULI[q]))
+        return np.kron(PAULI[p], PAULI[q])
 
-    def scaled(c, op):
-        return Operator(c * op.mat)
-
-    a1 = scaled(math.cos(theta), kron("X", "Y")) + scaled(math.sin(theta), kron("X", "X"))
-    a2 = scaled(math.cos(theta), kron("Y", "X")) - scaled(math.sin(theta), kron("Y", "Y"))
-    ident = Operator(np.eye(4))
-    proj = scaled(0.25, (ident + a1) @ (ident + a2))
-    return StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex)), a1, a2
+    c, s = math.cos(theta), math.sin(theta)
+    a1 = Operator(c * kron("X", "Y") + s * kron("X", "X"))
+    a2 = Operator(c * kron("Y", "X") - s * kron("Y", "Y"))
+    ident = np.eye(4, dtype=complex)
+    proj = 0.25 * ((ident + a1.mat) @ (ident + a2.mat))
+    return StateVector.normalize(proj @ np.full(4, 0.5, dtype=complex)), a1, a2
 
 
 class TestSharedConstants:
