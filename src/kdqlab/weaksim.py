@@ -20,10 +20,17 @@ count.
 
 ``PointerStatistics`` holds the closed forms of one configuration for every
 outcome: the post-selection probability and the conditional mean, computed
-from one coefficient matrix and one overlap kernel. It is the one place
+from one coefficient matrix and one overlap kernel. Centers whose kernel
+with their sorted neighbour is at least 1/2 form a cluster, and each
+cluster's sum of coefficients is squared on its own, so near orthogonal
+post-selection does not cancel large kernel terms. It is the one place
 where an outcome of probability ``<= TOL`` gets no mean (None).
 ``post_selection_probability`` and ``conditional_pointer_mean`` build that
 record and read one outcome from it, so they return the same numbers.
+
+``conditional_pointer_mean_quadrature`` is a second, independent route to
+the mean: Gauss-Legendre quadrature of the joint density, in which each
+center integrates its own cell out to the midpoints with its neighbours.
 """
 
 from __future__ import annotations
@@ -136,30 +143,37 @@ def _row(rows: np.ndarray | tuple, b_index: int) -> np.ndarray | float | None:
     return rows[check_index("b_index", b_index, len(rows))]
 
 
-def _overlap_kernel(cfg: PointerConfig) -> np.ndarray:
-    """Gaussian overlap of pointer wave packets centered per outcome.
-
-    The exponent is squared as one ratio, ``(g * delta / width)**2``, which
-    ``PointerConfig`` keeps finite; ``g**2`` alone may underflow while
-    ``delta**2`` overflows.
-    """
-    kappa = np.asarray(cfg.eigenvalue)
-    delta = kappa[:, None] - kappa[None, :]
-    return np.exp((cfg.coupling * delta / cfg.width) ** 2 * -0.125)  # equals -(...)/8 bit for bit, one pass fewer
-
-
 @dataclass(frozen=True, init=False)
 class PointerStatistics:
     """Closed forms of one pointer configuration, for every final outcome b.
 
     Built once, by ``PointerStatistics(a, basis_m, basis_b, cfg)``, from one
-    coefficient matrix ``<b|m><m|a>`` and one overlap kernel K:
+    coefficient matrix ``<b|m><m|a>`` and one overlap kernel
+    ``K_nm = exp(-x_nm)``, ``x_nm = (g (k_n - k_m) / width)**2 / 8``:
     ``probability[b] = sum_nm c*_n K_nm c_m`` over row c of the coefficients,
     the post-selection probability of b, and ``mean[b]``, the mean pointer
     reading conditioned on b, None where ``probability[b] <= TOL``. Both are
     tuples, and the record is frozen like ``PointerConfig``. The mean weighs K
-    with the pair average ``(k_n + k_m) / 2``; each eigenvalue is halved
-    before the sum, which therefore cannot overflow.
+    with the pair average ``H_nm = (k_n + k_m) / 2``; each eigenvalue is halved
+    before the sum, which therefore cannot overflow. The exponent is squared
+    as one ratio, which ``PointerConfig`` keeps finite; ``g**2`` alone may
+    underflow while ``(k_n - k_m)**2`` overflows.
+
+    Near orthogonal post-selection ``c† K c`` cancels terms of order
+    ``(sum |c|)**2`` down to a small P(b). So the centers are split into
+    clusters: sorted by eigenvalue, a new cluster starts wherever the kernel
+    between neighbours drops below 1/2. Inside a cluster C, with
+    ``s_C = sum_{m in C} c_m`` and ``D = -expm1(-x)`` (``K = 1 - D``, each
+    entry exact to an ulp), ``c_C† K c_C = |s_C|**2 - c_C† D c_C`` and the
+    moment is ``Re(conj(s_C) sum_{m in C} k_m c_m) - c_C† (D∘H) c_C``; pairs
+    across clusters keep their kernel entries. Where b is nearly orthogonal
+    to a, P(b) is then off by at most ``F = 2 d (2d + 8) u / sqrt(P(b))``
+    relative, ``u = 2**-53``: the bound on what rounding the coefficients
+    themselves does to it (9e-10 at d = 3 and ``P(b) = TOL``). The mean is off
+    by at most ``F (|mean| + g max|k| (1 + sum |c| / sqrt(P(b))))``.
+    ``tests/test_oracle.py`` derives both and checks them against mpmath. Not
+    covered: a b near a null direction of K itself, with several centers a
+    few widths apart, where the kernel terms still cancel (ROADMAP item 8).
     ``post_selection_probability`` and ``conditional_pointer_mean`` read their
     outcome from this record.
     """
@@ -171,15 +185,21 @@ class PointerStatistics:
         self, a: StateVector, basis_m: OrthonormalBasis, basis_b: OrthonormalBasis, cfg: PointerConfig
     ) -> None:
         rows = _coefficients(a, basis_m, basis_b, cfg)
-        kernel = _overlap_kernel(cfg)
-        half = 0.5 * np.asarray(cfg.eigenvalue)
-        centered = kernel * (half[:, None] + half)
-        # lists, not generators: at these sizes the Python overhead is a visible share of a call
-        object.__setattr__(self, "probability", tuple([float(complex(c.conj() @ kernel @ c).real) for c in rows]))
-        means = [
-            None if p <= TOL else float(cfg.coupling * complex(c.conj() @ centered @ c).real / p)
-            for c, p in zip(rows, self.probability)
-        ]
+        kappa = np.asarray(cfg.eigenvalue)
+        x = (cfg.coupling * (kappa[:, None] - kappa) / cfg.width) ** 2 * 0.125
+        kernel = np.exp(-x)
+        rank = np.argsort(kappa, kind="stable")
+        cluster = np.zeros(kappa.size, dtype=np.intp)
+        cluster[rank[1:]] = np.cumsum(kernel[rank[:-1], rank[1:]] < 0.5)  # a new cluster past each kernel < 1/2
+        member = np.eye(cluster[rank[-1]] + 1)[cluster]  # (m, cluster), one-hot
+        split = np.where(cluster[:, None] == cluster, np.expm1(-x), kernel)  # -D inside a cluster, K across
+        half = 0.5 * kappa
+        s, t = rows @ member, (rows * half) @ member  # per cluster: sum c and sum c k / 2
+        probability = np.sum(s.real**2 + s.imag**2, axis=1) + np.sum((rows.conj() @ split) * rows, axis=1).real
+        moment = 2.0 * np.sum(s.real * t.real + s.imag * t.imag, axis=1)
+        moment += np.sum((rows.conj() @ (split * (half[:, None] + half))) * rows, axis=1).real
+        object.__setattr__(self, "probability", tuple(probability.tolist()))
+        means = [None if p <= TOL else cfg.coupling * m / p for m, p in zip(moment.tolist(), self.probability)]
         object.__setattr__(self, "mean", tuple(means))
 
 
@@ -209,12 +229,13 @@ def conditional_pointer_mean_quadrature(
 ) -> float:
     """Same conditional mean via composite Gauss-Legendre quadrature of the joint density.
 
-    Centers fewer than ``2 * REACH`` widths apart form a cluster. Each cluster is
-    integrated in the local coordinate ``u = (x - anchor) / width``, with the anchor
-    its lowest center, out to ``REACH`` widths past its outermost centers, over
-    pieces split at every center and ``REACH`` widths either side of it. Offsets
-    come from eigenvalue differences, so no width is too small for the centers.
-    The density is evaluated once on the nodes of both orders in
+    Each center integrates its own cell, in its own coordinate ``u = (x - g k_m) / width``:
+    from the midpoint with its lower neighbour to the midpoint with its upper one, capped
+    at ``REACH`` widths, as two pieces split at the center. The cells tile the line
+    wherever a center lies within ``2 * REACH`` widths of the next, and any gap they leave
+    lies more than ``REACH`` widths from every center; coincident centers get pieces of
+    zero width. Offsets come from eigenvalue differences, so no width is too small for
+    the centers. The density is evaluated once on the nodes of both orders in
     ``QUAD_ORDERS``; the higher order gives the mean. Its error estimate is the
     difference of the two means plus the rounding of the summed moment, and a
     ``RuntimeWarning`` reports an estimate above ``1e-8 * max(1, |mean|)``.
@@ -223,28 +244,18 @@ def conditional_pointer_mean_quadrature(
     rank = np.argsort(cfg.eigenvalue, kind="stable")
     kappa = np.asarray(cfg.eigenvalue)[rank]
     stacked = np.stack([c.real, c.imag], axis=1)[rank]  # (d, 2): one real matmul gives Re and Im
-    gaps = cfg.coupling * np.diff(kappa) / cfg.width
-    firsts = np.flatnonzero(np.concatenate([[True], gaps >= 2.0 * REACH]))
-    offsets = cfg.coupling * (kappa[None, :] - kappa[firsts, None]) / cfg.width  # (clusters, d), local units
-
-    cluster, lo, hi = [], [], []
-    for k, (start, stop) in enumerate(zip(firsts, [*firsts[1:], kappa.size])):
-        own = offsets[k, start:stop]
-        cuts = np.unique(np.concatenate([own - REACH, own, own + REACH]))
-        cluster += [k] * (cuts.size - 1)
-        lo.append(cuts[:-1])
-        hi.append(cuts[1:])
-    cluster = np.asarray(cluster)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    offsets = cfg.coupling * (kappa[None, :] - kappa[:, None]) / cfg.width  # [n, m]: center m in n's coordinate
+    reach = np.minimum(REACH, np.diag(offsets, 1) / 2)  # half the gap to the next center up
+    half = 0.5 * np.stack([np.append(REACH, reach), np.append(reach, REACH)], axis=1).ravel()  # below, above
+    owner = np.repeat(np.arange(kappa.size), 2)
     nodes, weights = _gauss_legendre()
-    half = 0.5 * (hi - lo)
-    u = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes  # (pieces, nodes)
-    amps = np.exp(-0.25 * (u[:, :, None] - offsets[cluster][:, None, :]) ** 2) @ stacked  # (pieces, nodes, 2)
+    u = (np.tile([-1.0, 1.0], kappa.size) * half)[:, None] * (1.0 + nodes)  # (pieces, nodes), owner's coordinate
+    amps = np.exp(-0.25 * (u[:, :, None] - offsets[owner][:, None, :]) ** 2) @ stacked  # (pieces, nodes, 2)
     p = np.sum(amps**2, axis=-1) * (half[:, None] / np.sqrt(2.0 * np.pi))  # density in u, scaled to the piece
     mass = np.sum(p @ weights.T, axis=0)  # one entry per order
     if mass[-1] <= TOL:
         raise PostSelectionError(f"post-selection probability ~ 0 for b index {b_index}")
-    anchor = cfg.coupling * kappa[firsts][cluster, None]
+    anchor = cfg.coupling * kappa[owner, None]
     means = np.sum((anchor * p + cfg.width * u * p) @ weights.T, axis=0) / mass
     # Summing x p in floating point adds an error of a few eps * E|x| that the orders
     # share (up to 2 eps * E|x| measured at widths 1e5 to 1e12), so it is added on top.

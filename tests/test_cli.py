@@ -605,6 +605,30 @@ class TestWeakCommand:
             assert line.split()[2:4] == [f"{closed:.12g}", f"{quad:.12g}"]
         assert lines[4].split()[1:] == ["undefined"] * 4 + ["0"]
 
+    def test_near_orthogonal_post_selection_agrees_with_the_quadrature(self, capsys, tmp_path):
+        # b0 = (1, -1, 0)/sqrt(2) + 1e-5 a, normalised: P(b0) = 1.0e-10 at width 1e6, and the
+        # closed form once printed -40806.8318351 against the quadrature's -40806.8264091
+        a = kdqlab.StateVector.normalize(np.ones(3))
+        b0 = kdqlab.StateVector.normalize(np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0) + 1e-5 * a.amp)
+        basis_b = kdqlab.complete_basis([b0], ("b0", "b1", "b2"))
+        payload = {
+            "dim": 3,
+            "state_a": state_pairs(a.amp),
+            "basis_m": [state_pairs(v) for v in np.eye(3)],
+            "basis_b": [state_pairs(v.amp) for v in basis_b.vectors],
+            "kappa": [0.0, 1.0, 2.0],
+        }
+        path = tmp_path / "near_orthogonal.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "weak", str(path), "--coupling", "1", "--width", "1e6", "--shots", "1000")
+        assert code == EXIT_OK and err == ""
+        row = next(line.split() for line in out.splitlines() if line.split()[:1] == ["b0"])
+        closed, quad = float(row[2]), float(row[3])
+        assert float(row[1]) == pytest.approx(1.0004e-10, rel=1e-4)
+        assert abs(closed - quad) <= 1e-8 * abs(closed)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
     def test_weak_folds_its_draw_in_bounded_memory(self, tmp_path):
         # A batch of 2e7 shots alone would take 180 MB at 9 bytes per shot. The peak is read

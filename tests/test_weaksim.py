@@ -27,7 +27,7 @@ from kdqlab import (
     scenarios,
     weak_value,
 )
-from kdqlab.weaksim import CHUNK
+from kdqlab.weaksim import CHUNK, REACH
 
 TOL = 1e-10
 
@@ -282,6 +282,30 @@ class TestConditionalMean:
                 closed = conditional_pointer_mean(a, basis_m, basis_b, cfg, j)
                 quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
                 assert abs(quad - closed) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "eigenvalue, width",
+        [
+            ((0.0, 2 * REACH - 1e-9, 2 * REACH + 3.0), 1.0),
+            ((0.0, 2 * REACH, 2 * REACH + 3.0), 1.0),
+            ((0.0, 2 * REACH + 1e-9, 2 * REACH + 3.0), 1.0),
+            ((0.0, 0.0, 0.0, 5.0), 1.0),
+            ((0.0, 3e-150, 1.0), 1e-150),
+        ],
+        ids=["cells-just-meet", "cells-touch", "cells-just-apart", "three-coincident", "1e150-widths-apart"],
+    )
+    def test_quadrature_cells_tile_the_line(self, eigenvalue, width):
+        # each center integrates up to the midpoint with its neighbour: cells that overlapped or
+        # left a gap near a center would move the mass and the mean far beyond 1e-8
+        rng = np.random.default_rng(len(eigenvalue))
+        dim = len(eigenvalue)
+        a, basis_m, basis_b = random_state(rng, dim), haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b")
+        cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=eigenvalue)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j, closed in enumerate(PointerStatistics(a, basis_m, basis_b, cfg).mean):
+                quad = conditional_pointer_mean_quadrature(a, basis_m, basis_b, cfg, j)
+                assert abs(quad - closed) <= 1e-8 * max(1.0, abs(closed))
 
     def test_quadrature_reports_its_error_estimate_at_huge_width(self):
         # a mean 1e-12 widths off the anchor: rounding alone leaves ~1e-4
