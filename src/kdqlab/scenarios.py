@@ -11,8 +11,8 @@ where the transformation maps a onto b, the half-periodic law for column b.
 Builders contain no arithmetic shortcuts: every number in a report comes from
 the engine. The two-qubit constants that no angle changes, the Pauli product
 bases and the Pauli products, are built once, on first use, and shared
-read-only by every build; tables, transformations and checks are computed
-anew on every call.
+read-only by every build; the CHSH sign vectors and cell values are built at
+import. Tables, transformations and checks are computed anew on every call.
 """
 
 from __future__ import annotations
@@ -407,28 +407,23 @@ def peres_mermin_swap() -> ScenarioReport:
 
 
 _CHSH_ORDER = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
+_CHSH_SIGNS = np.array(_CHSH_ORDER).T  # (2, 4): the first and the second sign of each outcome pair
+_CHSH_SIGNS.setflags(write=False)  # shared by every build, as are its views below
+_M1, _M2 = _CHSH_SIGNS[:, :, None]  # the X outcome signs of the rows (m), as columns
+_B1, _B2 = _CHSH_SIGNS[:, None, :]  # the Y outcome signs of the columns (b), as rows
+# K per (m, b) cell: X1 X2 from m, Y1 Y2 from b and the cross terms X1 Y2 and Y1 X2 from their pairing; always +-2
+_CHSH_CELLS = _M1 * _M2 + _M1 * _B2 + _B1 * _M2 - _B1 * _B2
+_CHSH_CELLS.setflags(write=False)
 
 
-def _chsh_target_entry(theta: float, m: tuple[int, int], b: tuple[int, int]) -> float:
-    """Closed-form real part of the joint table entry for the tilted pair state."""
-    m1, m2 = m
-    b1, b2 = b
-    if m1 * m2 == -1 and b1 * b2 == +1:
-        return (1.0 - math.sin(theta)) / 8.0
-    if m1 * m2 == +1 and b1 * b2 == -1:
-        return (1.0 + math.sin(theta)) / 8.0
-    return (m1 * b2) * math.cos(theta) / 8.0
+def _chsh_target(theta: float) -> np.ndarray:
+    """Closed-form real parts of the joint table for the tilted pair state.
 
-
-def chsh_cell_value(m: tuple[int, int], b: tuple[int, int]) -> int:
-    """Correlation sum K attributed to one (m, b) cell.
-
-    X1 X2 comes from m, Y1 Y2 from b, and the cross terms X1 Y2 and Y1 X2
-    from the pairing of the two; the result is always +2 or -2.
+    ``(1 + m1 m2 sin theta) / 8`` where m and b differ in parity (``m1 m2 != b1 b2``),
+    and ``m1 b2 cos theta / 8`` elsewhere.
     """
-    m1, m2 = m
-    b1, b2 = b
-    return m1 * m2 + m1 * b2 + b1 * m2 - b1 * b2
+    m_parity = _M1 * _M2
+    return np.where(m_parity != _B1 * _B2, (1.0 + m_parity * math.sin(theta)) / 8.0, _M1 * _B2 * math.cos(theta) / 8.0)
 
 
 def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
@@ -472,10 +467,8 @@ def bell_scenario(theta: float) -> ScenarioReport:
     dist = kd_joint(a, _product_basis("X", "X", _CHSH_ORDER), _product_basis("Y", "Y", _CHSH_ORDER))
 
     real = dist.table.real
-    target = np.array([[_chsh_target_entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
-    cells = np.array([[chsh_cell_value(m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
-    k_expectation = float(np.sum(cells * real))
-    p_k_minus2 = float(np.sum(real[cells == -2]))
+    k_expectation = float(np.sum(_CHSH_CELLS * real))
+    p_k_minus2 = float(np.sum(real[_CHSH_CELLS == -2]))
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
     bound_violated = k_expectation > 2.0 + TOL
@@ -485,7 +478,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     flip = Transformation(dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus)
 
     checks = [
-        Check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - target)))),
+        Check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - _chsh_target(theta))))),
         Check("joint table entries are real", 0.0, float(np.max(np.abs(dist.table.imag)))),
         Check("<K> = 2 (sin + cos)", k_target, k_expectation),
         Check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),

@@ -48,7 +48,7 @@ from .qcore import TOL, Operator, OrthonormalBasis, StateVector, _spectral_sum, 
 
 CHUNK = 8192  # fixed sampling chunk; chunk k draws from generator (seed, k)
 REACH = 12.0  # quadrature range past each center, in widths; the Gaussian tail beyond is below 1e-32
-QUAD_ORDERS = (20, 40)  # Gauss-Legendre orders per piece: the mean and its error estimate
+QUAD_ORDERS = (24, 40)  # Gauss-Legendre orders per piece: the error estimate's and the mean's
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,9 @@ def conditional_pointer_mean_quadrature(
     the centers. The density is evaluated once on the nodes of both orders in
     ``QUAD_ORDERS``; the higher order gives the mean. Its error estimate is the
     difference of the two means plus the rounding of the summed moment, and a
-    ``RuntimeWarning`` reports an estimate above ``1e-8 * max(1, |mean|)``.
+    ``RuntimeWarning`` reports an estimate above ``1e-8 * max(1, |mean|)``. That happens
+    where ``E|x|`` passes about ``1e7 * max(1, |mean|)``, since the first moment cancels in
+    floating point, and where P(b) nears ``TOL``, since the two orders part there.
     """
     c = _row(_coefficients(a, basis_m, basis_b, cfg), b_index)
     rank = np.argsort(cfg.eigenvalue, kind="stable")

@@ -84,3 +84,14 @@ def pointer_joint_density(
         amps = prefactor * np.exp(-(ratio**2))
     density = np.abs(amps @ c) ** 2
     return float(density) if np.isscalar(x) or np.ndim(x) == 0 else density
+
+
+def chsh_cell_value(m: tuple[int, int], b: tuple[int, int]) -> int:
+    """Correlation sum K attributed to one (m, b) cell: the per-cell oracle of ``_CHSH_CELLS``.
+
+    X1 X2 comes from m, Y1 Y2 from b, and the cross terms X1 Y2 and Y1 X2
+    from the pairing of the two; the result is always +2 or -2.
+    """
+    m1, m2 = m
+    b1, b2 = b
+    return m1 * m2 + m1 * b2 + b1 * m2 - b1 * b2

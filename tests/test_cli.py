@@ -629,6 +629,13 @@ class TestWeakCommand:
         assert float(row[1]) == pytest.approx(1.0004e-10, rel=1e-4)
         assert abs(closed - quad) <= 1e-8 * abs(closed)
 
+    def test_correct_quadrature_means_do_not_warn(self, capsys, tmp_path):
+        # the null outcome has P(b) = 4.2e-4 and a quadrature mean 1.2e-14 off mpmath's, so its error
+        # estimate must stay below 1e-8 and print no warning
+        path = three_box_file(tmp_path)
+        code, _, err = run_cli(capsys, "weak", str(path), "--kappa", "0,1,2", "--coupling", "1", "--width", "10")
+        assert code == EXIT_OK and err == ""
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
     def test_weak_folds_its_draw_in_bounded_memory(self, tmp_path):
         # A batch of 2e7 shots alone would take 180 MB at 9 bytes per shot. The peak is read
@@ -674,8 +681,7 @@ class TestExitCodeContract:
     def test_failed_bell_correlation_check_exits_three(self, capsys, monkeypatch):
         import kdqlab.scenarios as scenarios_module
 
-        cell_value = scenarios_module.chsh_cell_value
-        monkeypatch.setattr(scenarios_module, "chsh_cell_value", lambda m, b: 2 * cell_value(m, b))
+        monkeypatch.setattr(scenarios_module, "_CHSH_CELLS", 2 * scenarios_module._CHSH_CELLS)
         code, out, err = run_cli(capsys, "scenario", "bell")
         assert code == EXIT_CHECK_FAILED and err == ""
         assert any(line.startswith("  FAIL  <K> = 2 (sin + cos):") for line in out.splitlines())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kdqlab
+from helpers import chsh_cell_value
 from kdqlab import (
     Check,
     Operator,
@@ -28,12 +29,13 @@ from kdqlab import (
     three_box,
 )
 from kdqlab.scenarios import (
+    _CHSH_CELLS,
     _CHSH_ORDER,
     _bell_state,
+    _chsh_target,
     _eigenvalues_of,
     _pauli_pair,
     _product_basis,
-    chsh_cell_value,
 )
 
 TOL = 1e-10
@@ -358,11 +360,25 @@ class TestBell:
             assert (got["P(K=-2) = (1 - sin - cos) / 2"] < -TOL) == violated
 
     def test_cell_values_are_plus_minus_two(self):
-        for m1 in (-1, 1):
-            for m2 in (-1, 1):
-                for b1 in (-1, 1):
-                    for b2 in (-1, 1):
-                        assert chsh_cell_value((m1, m2), (b1, b2)) in (-2, 2)
+        # _CHSH_ORDER lists all four sign pairs, so the table covers every (m, b) combination
+        expected = [[chsh_cell_value(m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER]
+        assert _CHSH_CELLS.tolist() == expected
+        assert set(_CHSH_CELLS.ravel().tolist()) == {-2, 2}
+
+    def test_target_table_matches_the_per_cell_closed_form_bit_for_bit(self):
+        def entry(theta, m, b):
+            # the parity rule one cell at a time, in the arithmetic order of the table's closed form
+            (m1, m2), (b1, b2) = m, b
+            if m1 * m2 == -1 and b1 * b2 == +1:
+                return (1.0 - math.sin(theta)) / 8.0
+            if m1 * m2 == +1 and b1 * b2 == -1:
+                return (1.0 + math.sin(theta)) / 8.0
+            return (m1 * b2) * math.cos(theta) / 8.0
+
+        for theta in np.linspace(0.0, math.pi / 2, 1001).tolist():
+            expected = np.array([[entry(theta, m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER])
+            got = _chsh_target(theta)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), theta
 
     @pytest.mark.parametrize("theta", [-0.1, math.pi / 2 + 0.1])
     def test_rejects_out_of_range(self, theta):
