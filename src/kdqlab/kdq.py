@@ -151,9 +151,6 @@ class KDDistribution:
     def dim(self) -> int:
         return self.state_a.dim
 
-    def entry(self, m_label: str, b_label: str) -> complex:
-        return complex(self.table[self.basis_m.index_of(m_label), self.basis_b.index_of(b_label)])
-
 
 @dataclass(frozen=True)
 class NegativityReport:

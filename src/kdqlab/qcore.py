@@ -209,16 +209,8 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.vectors[0].dim
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no basis vector labeled {label!r}; have {self.labels}") from None
-
     @classmethod
-    def standard(cls, dim: int, labels: Sequence[str] | None = None) -> "OrthonormalBasis":
-        if labels is None:
-            labels = tuple(str(k) for k in range(dim))
+    def standard(cls, dim: int, labels: Sequence[str]) -> "OrthonormalBasis":
         eye = np.eye(dim, dtype=complex)
         return cls(tuple(labels), tuple(StateVector(row) for row in eye))
 

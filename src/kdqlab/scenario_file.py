@@ -69,28 +69,32 @@ def _complex_vector(value: object, dim: int, where: str) -> np.ndarray:
     return np.array([_complex_pair(entry, f"{where}[{k}]") for k, entry in enumerate(value)])
 
 
-def _real_list(value: object, dim: int, where: str) -> tuple[float, ...]:
+def _optional_reals(raw: dict[str, object], key: str, dim: int) -> tuple[float, ...] | None:
+    # an absent or null key reads as None
+    value = raw.get(key)
+    if value is None:
+        return None
     if (
         not isinstance(value, list)
         or len(value) != dim
         or not all(isinstance(entry, (int, float)) and not isinstance(entry, bool) for entry in value)
     ):
-        raise ScenarioFileError(f"{where}: expected a list of {dim} numbers")
-    values = tuple(_float(entry, where) for entry in value)
+        raise ScenarioFileError(f"{key}: expected a list of {dim} numbers")
+    values = tuple(_float(entry, key) for entry in value)
     if not all(math.isfinite(v) for v in values):
-        raise ScenarioFileError(f"{where}: entries must be finite numbers, got {list(values)}")
+        raise ScenarioFileError(f"{key}: entries must be finite numbers, got {list(values)}")
     return values
 
 
-def _labels(value: object, dim: int, prefix: str, where: str) -> tuple[str, ...]:
-    if value is None:
-        return tuple(f"{prefix}{k}" for k in range(dim))
-    if not isinstance(value, list) or len(value) != dim or not all(isinstance(lab, str) for lab in value):
-        raise ScenarioFileError(f"{where}: expected a list of {dim} strings")
-    return tuple(value)
-
-
-def _basis(rows: object, labels: tuple[str, ...], dim: int, where: str) -> OrthonormalBasis:
+def _basis(raw: dict[str, object], axis: str, dim: int) -> OrthonormalBasis:
+    # basis_<axis>, labeled by labels_<axis>, or by <axis>0, <axis>1, ... where that key is absent or null;
+    # the labels are checked first
+    labels = raw.get(f"labels_{axis}")
+    if labels is None:
+        labels = [f"{axis}{k}" for k in range(dim)]
+    elif not isinstance(labels, list) or len(labels) != dim or not all(isinstance(lab, str) for lab in labels):
+        raise ScenarioFileError(f"labels_{axis}: expected a list of {dim} strings")
+    where, rows = f"basis_{axis}", raw[f"basis_{axis}"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise ScenarioFileError(f"{where}: expected {dim} basis vectors (rows)")
     vectors = []
@@ -101,7 +105,7 @@ def _basis(rows: object, labels: tuple[str, ...], dim: int, where: str) -> Ortho
         except ValueError as exc:
             raise ScenarioFileError(f"{where}[{k}]: {exc}") from exc
     try:
-        return OrthonormalBasis(labels, tuple(vectors))
+        return OrthonormalBasis(tuple(labels), tuple(vectors))
     except ValueError as exc:
         raise ScenarioFileError(f"{where}: {exc}") from exc
 
@@ -133,22 +137,12 @@ def parse_scenario_text(text: str) -> ScenarioFile:
     if abs(norm - 1.0) > _NORM_WARN:
         warnings.warn(f"state_a renormalized (norm was {norm:.12g})", stacklevel=2)
 
-    basis_m = _basis(raw["basis_m"], _labels(raw.get("labels_m"), dim, "m", "labels_m"), dim, "basis_m")
-    basis_b = _basis(raw["basis_b"], _labels(raw.get("labels_b"), dim, "b", "labels_b"), dim, "basis_b")
-
-    action_phase = None
-    if raw.get("action_phase") is not None:
-        action_phase = _real_list(raw["action_phase"], dim, "action_phase")
-    kappa = None
-    if raw.get("kappa") is not None:
-        kappa = _real_list(raw["kappa"], dim, "kappa")
-
     return ScenarioFile(
         state_a=state_a,
-        basis_m=basis_m,
-        basis_b=basis_b,
-        action_phase=action_phase,
-        kappa=kappa,
+        basis_m=_basis(raw, "m", dim),
+        basis_b=_basis(raw, "b", dim),
+        action_phase=_optional_reals(raw, "action_phase", dim),
+        kappa=_optional_reals(raw, "kappa", dim),
     )
 
 

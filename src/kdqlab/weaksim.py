@@ -89,8 +89,8 @@ class PointerConfig:
 class SampleBatch:
     """Drawn (pointer reading, final outcome) pairs, one entry per shot.
 
-    Readings and outcome indices are parallel 1-D arrays of equal length, and
-    ``len()`` is the shot count. ``b_index`` indexes the final basis the batch
+    Readings and outcome indices are parallel 1-D arrays whose common length
+    is the shot count. ``b_index`` indexes the final basis the batch
     was drawn for; the batch keeps no labels. ``b_index`` must hold
     non-negative integers, and is kept in its own integer dtype: ``uint8``
     from ``sample``. Readings are converted to float64. A batch holds
@@ -116,9 +116,6 @@ class SampleBatch:
         b_index.setflags(write=False)
         object.__setattr__(self, "readings", readings)
         object.__setattr__(self, "b_index", b_index)
-
-    def __len__(self) -> int:
-        return self.readings.size
 
 
 def observable_from_eigenvalues(basis_m: OrthonormalBasis, eigenvalue: tuple[float, ...]) -> Operator:

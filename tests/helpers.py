@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kdqlab import Operator, OrthonormalBasis, PointerConfig, StateVector
+from kdqlab import KDDistribution, Operator, OrthonormalBasis, PointerConfig, StateVector
 from kdqlab.qcore import _finite, same_dim
 
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # as _fmt and json.dumps print them
@@ -39,6 +39,11 @@ def real_haar_basis(rng: np.random.Generator, dim: int, prefix: str = "v") -> Or
         tuple(f"{prefix}{k}" for k in range(dim)),
         tuple(StateVector(q[:, k]) for k in range(dim)),
     )
+
+
+def entry(dist: KDDistribution, m_label: str, b_label: str) -> complex:
+    """The table cell ``<b|m><m|a><a|b>`` named by its two basis labels."""
+    return complex(dist.table[dist.basis_m.labels.index(m_label), dist.basis_b.labels.index(b_label)])
 
 
 def product_trace(ops: Sequence[Operator]) -> complex:

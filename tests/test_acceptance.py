@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import haar_basis, pointer_joint_density, random_state
+from helpers import entry, haar_basis, pointer_joint_density, random_state
 from kdqlab import (
     ActionSpectrum,
     OrthonormalBasis,
@@ -57,7 +57,7 @@ def criterion(name: str, budget_seconds: float):
 def test_criterion_1_leggett_garg():
     with criterion("1. Leggett-Garg: -1/8 at cos=1/2, route agreement, negativity range", 1.0):
         report = leggett_garg(math.pi / 3)
-        assert abs(report.kd.entry("-1", "+1").real - (-0.125)) <= TOL
+        assert abs(entry(report.kd, "-1", "+1").real - (-0.125)) <= TOL
 
         route_names = (
             "joint probability via expectation values",
@@ -70,16 +70,16 @@ def test_criterion_1_leggett_garg():
             routes = [complex(c.got).real for c in rep.checks if c.name in route_names]
             routes.append(0.5 * math.cos(theta) * (math.cos(theta) - 1.0))
             assert max(routes) - min(routes) <= TOL, f"routes disagree at theta={theta}"
-            negative = rep.kd.entry("-1", "+1").real < -TOL
+            negative = entry(rep.kd, "-1", "+1").real < -TOL
             assert negative == (theta < math.pi / 2), f"negativity mismatch at theta={theta}"
 
 
 def test_criterion_2_three_box():
     with criterion("2. Three-box: column (1/9, 1/9, -1/9), P(b|a)=1/9, overlap 1", 1.0):
         report = three_box()
-        assert abs(report.kd.entry("1", "b") - 1.0 / 9.0) <= TOL
-        assert abs(report.kd.entry("2", "b") - 1.0 / 9.0) <= TOL
-        assert abs(report.kd.entry("3", "b") - (-1.0 / 9.0)) <= TOL
+        assert abs(entry(report.kd, "1", "b") - 1.0 / 9.0) <= TOL
+        assert abs(entry(report.kd, "2", "b") - 1.0 / 9.0) <= TOL
+        assert abs(entry(report.kd, "3", "b") - (-1.0 / 9.0)) <= TOL
         _, prob_b = marginals(report.kd)
         assert abs(prob_b[0] - 1.0 / 9.0) <= TOL
         spectrum = ActionSpectrum(report.kd.basis_m, (0.0, 0.0, math.pi))
@@ -91,8 +91,7 @@ def test_criterion_3_cheshire_cat():
     with criterion("3. Cheshire cat: eighths, path weight 0, smile weight 1", 1.0):
         report = cheshire_cat()
         for label, value in (("p1H", 0.125), ("p1V", 0.125), ("p2H", 0.125), ("p2V", -0.125)):
-            entry = report.kd.entry(label, "b")
-            assert abs(entry - value) <= TOL
+            assert abs(entry(report.kd, label, "b") - value) <= TOL
         _, prob_b = marginals(report.kd)
         column = report.kd.table[:, 0]
         path2 = float((column[2] + column[3]).real) / float(prob_b[0])
@@ -106,14 +105,14 @@ def test_criterion_4_hardy():
     with criterion("4. Hardy: 1/12, twelfths, zero sums, 3/4 overlap, -1/4 relation", 1.0):
         report = hardy()
         dist = report.kd
-        j = dist.basis_b.index_of("b1b2")
+        j = dist.basis_b.labels.index("b1b2")
         _, prob_b = marginals(dist)
         assert abs(prob_b[j] - 1.0 / 12.0) <= TOL
         expected = {"O1O2": -1.0 / 12.0, "O1I2": 1.0 / 12.0, "I1O2": 1.0 / 12.0, "I1I2": 0.0}
         for label, value in expected.items():
-            assert abs(dist.entry(label, "b1b2") - value) <= TOL
-        assert abs(dist.entry("O1O2", "b1b2") + dist.entry("O1I2", "b1b2")) <= TOL
-        assert abs(dist.entry("O1O2", "b1b2") + dist.entry("I1O2", "b1b2")) <= TOL
+            assert abs(entry(dist, label, "b1b2") - value) <= TOL
+        assert abs(entry(dist, "O1O2", "b1b2") + entry(dist, "O1I2", "b1b2")) <= TOL
+        assert abs(entry(dist, "O1O2", "b1b2") + entry(dist, "I1O2", "b1b2")) <= TOL
         spectrum = ActionSpectrum(dist.basis_m, (0.0, math.pi, math.pi, 0.0))
         unitary = unitary_from_actions(spectrum)
         p_after = overlap_direct(dist.state_a, dist.basis_b.vectors[j], unitary)
@@ -127,9 +126,9 @@ def test_criterion_4_hardy():
 def test_criterion_5_contextuality():
     with criterion("5. Contextuality: (-1/8, 1/8, 1/8, 1/8) and both product relations", 1.0):
         report = peres_mermin_swap()
-        assert abs(report.kd.entry("S", "(+1,+1)") - (-0.125)) <= TOL
+        assert abs(entry(report.kd, "S", "(+1,+1)") - (-0.125)) <= TOL
         for label in ("Tx", "Ty", "Tz"):
-            assert abs(report.kd.entry(label, "(+1,+1)") - 0.125) <= TOL
+            assert abs(entry(report.kd, label, "(+1,+1)") - 0.125) <= TOL
         by_name = {c.name: c for c in report.checks}
         assert complex(by_name["(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors"].got).real <= TOL
         assert complex(by_name["(X1Y2)(Y1X2) = Z1Z2 on all eight product-context states"].got).real <= TOL

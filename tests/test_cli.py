@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -124,6 +126,15 @@ class TestScenarioCommand:
         assert lines[0] == "m_label,b_label,re,im,modulus,phase"
         assert len(lines) == 1 + 9
         assert any(line.startswith("3,b,-0.111111111111") for line in lines)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: labels such as (-1,-1) are written unquoted")
+    @pytest.mark.parametrize("name", ["bell", "peres-mermin"])
+    def test_csv_rows_have_the_header_fields(self, capsys, name):
+        code, out, _ = run_cli(capsys, "scenario", name, "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["m_label", "b_label", "re", "im", "modulus", "phase"] and rows
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_unknown_scenario_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scenario", "ghz")
@@ -424,6 +435,22 @@ class TestKdCommand:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert_one_error_line(path, command)
 
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            (["kd"], "state_a", [[10**400, 0], [0, 0]], "state_a[0]"),
+            (["weak", "--coupling", "1", "--width", "1"], "kappa", [10**400, 0], "kappa"),
+        ],
+    )
+    def test_huge_integer_literals_name_their_field(self, capsys, tmp_path, command, field, value, message):
+        # in process, so that the loader's own overflow branch is the one that answers
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        payload = {"dim": 2, "state_a": [[1, 0], [0, 0]], "basis_m": identity, "basis_b": identity, field: value}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}: int too large to convert to float\n")
+
     @pytest.mark.parametrize("command", [["kd"], ["weak", "--coupling", "1", "--width", "1", "--kappa", "0,1"]])
     @pytest.mark.parametrize(
         "text",
@@ -717,6 +744,18 @@ class TestProcess:
             os.close(write_end)
         assert proc.returncode == EXIT_OK
         assert "Traceback" not in proc.stderr
+
+    def test_closed_pipe_returns_zero_in_process(self, capsys, monkeypatch):
+        # main's own broken-pipe branch: the flush meets a pipe whose reader has gone, and main
+        # points stdout at devnull and returns 0 without a word on stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["scenario", "bell", "--format", "csv"])
+            monkeypatch.undo()
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     IMPORT_CHECK = (
         "import json, sys\n"

@@ -152,7 +152,7 @@ def outcome(build):
 
 class TestKDJoint:
     def test_joint_eigenstate(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         dist = kd_joint(StateVector([1.0, 0.0]), basis, basis)
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
@@ -242,6 +242,16 @@ class TestKDJoint:
         with pytest.raises(ValueError, match="column defect 1.000e-06"):
             KDDistribution(a, basis_m, basis_b, bad)
 
+    def test_marginal_above_one_rejected(self):
+        # |a|^2 = 1 + 0.99e-10 passes the state's check, and the sums (1 + 1.5e-10, -0.6e-10) pass the
+        # total and the Born defects, but one marginal exceeds 1 + TOL
+        a = StateVector([math.sqrt(1 + 0.99e-10), 0.0])
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
+        table = np.diag([1 + 1.5e-10, -0.6e-10])
+        with pytest.raises(ValueError, match=r"^marginal outside \[0, 1\]: "):
+            KDDistribution(a, basis, basis, table)
+        assert outcome(lambda: KDDistribution(a, basis, basis, table)) == reference_outcome(a, basis, basis, table)
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=seeds,
@@ -283,7 +293,7 @@ class TestKDJoint:
         from kdqlab import DimensionMismatchError
 
         a2 = StateVector([1.0, 0.0])
-        basis3 = OrthonormalBasis.standard(3)
+        basis3 = OrthonormalBasis.standard(3, ("0", "1", "2"))
         with pytest.raises(DimensionMismatchError):
             kd_joint(a2, basis3, basis3)
         with pytest.raises(DimensionMismatchError):
@@ -294,7 +304,7 @@ class TestKDJoint:
 
 class TestMarginals:
     def test_trivial(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         prob_m, prob_b = marginals(kd_joint(StateVector([1.0, 0.0]), basis, basis))
         np.testing.assert_allclose(prob_m, [1.0, 0.0], atol=TOL)
         np.testing.assert_allclose(prob_b, [1.0, 0.0], atol=TOL)
@@ -369,12 +379,12 @@ def pauli_z():
 
 class TestUnitaryFromActions:
     def test_zero_phases_identity(self):
-        basis = OrthonormalBasis.standard(3)
+        basis = OrthonormalBasis.standard(3, ("0", "1", "2"))
         got = unitary_from_actions(ActionSpectrum(basis, (0.0, 0.0, 0.0)))
         np.testing.assert_allclose(got.mat, np.eye(3), atol=TOL)
 
     def test_half_phase_is_z(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         got = unitary_from_actions(ActionSpectrum(basis, (0.0, math.pi)))
         np.testing.assert_allclose(got.mat, np.diag([1.0, -1.0]), atol=TOL)
 
@@ -448,7 +458,7 @@ class TestOverlaps:
         assert overlap_from_kd(dist, spectrum, j) == pytest.approx(direct, abs=1e-9)
 
     def test_from_kd_undefined_column(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         dist = kd_joint(StateVector([1.0, 0.0]), basis, basis)
         with pytest.raises(PostSelectionError):
             overlap_from_kd(dist, ActionSpectrum(basis, (0.0, 0.0)), 1)
@@ -647,7 +657,7 @@ class TestOptimalAction:
     """The action phase that best maps ``a`` to b along m is the argument of the table entry."""
 
     def test_positive_entry(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         dist = kd_joint(StateVector([1.0, 0.0]), basis, basis)
         assert float(np.angle(dist.table[0, 0])) == pytest.approx(0.0, abs=TOL)
 
@@ -701,8 +711,8 @@ INSIDE, OUTSIDE = 0.5 * TOL * (1.0 - 1e-3), 0.5 * TOL * (1.0 + 1e-3)
 
 class TestHalfPeriodic:
     def test_examples(self):
-        basis2 = OrthonormalBasis.standard(2)
-        basis3 = OrthonormalBasis.standard(3)
+        basis2 = OrthonormalBasis.standard(2, ("0", "1"))
+        basis3 = OrthonormalBasis.standard(3, ("0", "1", "2"))
         assert is_half_periodic(ActionSpectrum(basis2, (0.0, math.pi)))
         assert is_half_periodic(ActionSpectrum(basis3, (0.0, 0.0, math.pi)))
         assert not is_half_periodic(ActionSpectrum(basis2, (0.0, math.pi / 2)))
@@ -726,7 +736,7 @@ class TestHalfPeriodic:
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_verdict_equals_the_recomputed_factor_oracle(self, dim):
         rng = np.random.default_rng(dim)
-        basis = OrthonormalBasis.standard(dim)
+        basis = OrthonormalBasis.standard(dim, tuple(map(str, range(dim))))
         special = [0.0, math.pi, math.pi + 1e-9, math.pi - 1e-9]
 
         def flips(offset, steps):
@@ -756,7 +766,7 @@ class TestHalfPeriodic:
         assert verdicts == ({True} if dim == 1 else {True, False})
 
     def test_phase_reduction(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         spectrum = ActionSpectrum(basis, (3 * math.pi, -math.pi))
         assert spectrum.phase[0] == pytest.approx(math.pi, abs=TOL)
         assert spectrum.phase[1] == pytest.approx(math.pi, abs=TOL)
@@ -764,12 +774,13 @@ class TestHalfPeriodic:
         # one ulp above pi folds to exactly -pi, which the reduction pushes back to +pi
         above_pi = float(np.nextafter(math.pi, 4.0))
         assert reduce_phase(above_pi) == math.pi
-        assert ActionSpectrum(OrthonormalBasis.standard(3), (above_pi, 0.0, 0.0)).phase[0] == math.pi
+        assert ActionSpectrum(OrthonormalBasis.standard(3, ("0", "1", "2")), (above_pi, 0.0, 0.0)).phase[0] == math.pi
 
     @settings(max_examples=300, deadline=None)
     @given(phases=PHASE_LISTS)
     def test_spectrum_phases_equal_reduce_phase_bit_for_bit(self, phases):
-        spectrum = ActionSpectrum(OrthonormalBasis.standard(len(phases)), tuple(phases))
+        basis = OrthonormalBasis.standard(len(phases), tuple(map(str, range(len(phases)))))
+        spectrum = ActionSpectrum(basis, tuple(phases))
         assert all(type(p) is float for p in spectrum.phase)
         assert np.array(spectrum.phase).tobytes() == np.array([reduce_phase(p) for p in phases]).tobytes()
 
@@ -779,7 +790,8 @@ class TestHalfPeriodic:
         # the unitary, the overlap identity, is_half_periodic and the scenario reports read these bits. The
         # half-periodic law reads the conjugate as e^{i phase}: it equals np.exp's value, and its bits differ
         # only in the sign of a zero imaginary part (phase -0.0), which the law's residual cannot see
-        spectrum = ActionSpectrum(OrthonormalBasis.standard(len(phases)), tuple(phases))
+        basis = OrthonormalBasis.standard(len(phases), tuple(map(str, range(len(phases)))))
+        spectrum = ActionSpectrum(basis, tuple(phases))
         reduced = np.array(spectrum.phase)
         assert spectrum.factor.tobytes() == np.exp(-1j * reduced).tobytes()
         conj, plus = spectrum.factor.conj(), np.exp(1j * reduced)
@@ -790,7 +802,7 @@ class TestHalfPeriodic:
 
     def test_phase_count_mismatch(self):
         with pytest.raises(ValueError):
-            ActionSpectrum(OrthonormalBasis.standard(2), (0.0,))
+            ActionSpectrum(OrthonormalBasis.standard(2, ("0", "1")), (0.0,))
 
 
 # slack for rounding: the sums below run over at most 16 entries of modulus <= 1, and the largest excess
@@ -858,7 +870,7 @@ class TestColumnBound:
 
 class TestNegativity:
     def test_commuting_case_no_negativity(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         report = negativity(kd_joint(StateVector([1.0, 0.0]), basis, basis))
         assert report.total_negativity == 0.0
         assert report.min_real >= -TOL

@@ -76,6 +76,7 @@ mpmath = pytest.importorskip("mpmath")
 
 U = 2.0**-53
 DIGITS = 50
+STANDARD_3 = OrthonormalBasis.standard(3, ("0", "1", "2"))  # the m basis of the dim-3 pointer cases
 
 
 def entry_bound(dim):
@@ -241,14 +242,14 @@ def test_pointer_statistics_of_three_box_against_the_oracle(width):
     a, b = StateVector.normalize([1.0, 1.0, 1.0]), StateVector.normalize([1.0, 1.0, -1.0])
     basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
     cfg = PointerConfig(coupling=1.0, width=width, eigenvalue=(0.0, 0.0, 1.0))
-    assert_pointer_statistics_match_the_oracle(a, OrthonormalBasis.standard(3), basis_b, cfg, 0)
+    assert_pointer_statistics_match_the_oracle(a, STANDARD_3, basis_b, cfg, 0)
 
 
 def pinned_near_orthogonal_input():
     """ROADMAP item 8's input: ``P(b0) = 1.0004e-10`` at width 1e6, just above TOL."""
     a = StateVector.normalize(np.ones(3))
     b0 = StateVector.normalize(np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0) + 1e-5 * a.amp)
-    return a, OrthonormalBasis.standard(3), complete_basis([b0], ("b0", "b1", "b2"))
+    return a, STANDARD_3, complete_basis([b0], ("b0", "b1", "b2"))
 
 
 def test_pointer_statistics_near_orthogonal_post_selection():
@@ -353,10 +354,10 @@ def test_pointer_statistics_of_overflow_pointers_against_the_oracle(coupling, ei
     # coupling**2 underflows and the spread overflows when squared alone; k_n + k_m overflows in the second
     cfg = PointerConfig(coupling=coupling, width=1.0, eigenvalue=eigenvalue)
     a, b = StateVector.normalize([1.0, 1.0, 1.0]), StateVector.normalize([1.0, 1.0, -1.0])
-    assert_pointer_statistics_within_bound(a, OrthonormalBasis.standard(3), post_selection_basis(a, b, ("b", "r", "n")), cfg)
+    assert_pointer_statistics_within_bound(a, STANDARD_3, post_selection_basis(a, b, ("b", "r", "n")), cfg)
     rng = np.random.default_rng(17)
     for level in (1e-4, 1e-8, 2 * TOL):
-        assert_pointer_statistics_within_bound(a, OrthonormalBasis.standard(3), near_orthogonal_basis(rng, a, level), cfg)
+        assert_pointer_statistics_within_bound(a, STANDARD_3, near_orthogonal_basis(rng, a, level), cfg)
 
 
 @pytest.mark.parametrize("width", [1.0, 1e3, 1e6])

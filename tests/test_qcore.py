@@ -295,9 +295,9 @@ class TestProductTrace:
 
 class TestOrthonormalBasis:
     def test_standard(self):
-        basis = OrthonormalBasis.standard(3)
+        basis = OrthonormalBasis.standard(3, ["x", "y", "z"])
         np.testing.assert_allclose(basis.matrix, np.eye(3), atol=TOL)
-        assert basis.index_of("2") == 2
+        assert basis.labels == ("x", "y", "z")
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -310,10 +310,6 @@ class TestOrthonormalBasis:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
             OrthonormalBasis(("a",), (StateVector([1.0, 0.0]),))
-
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            OrthonormalBasis.standard(2).index_of("nope")
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, dim=dims)

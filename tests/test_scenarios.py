@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kdqlab
-from helpers import chsh_cell_value
+from helpers import chsh_cell_value, entry
 from kdqlab import (
     Check,
     Operator,
@@ -129,17 +129,17 @@ class TestReportContract:
 class TestLeggettGarg:
     def test_maximal_violation_value(self):
         report = leggett_garg(math.pi / 3)
-        assert report.kd.entry("-1", "+1").real == pytest.approx(-0.125, abs=TOL)
+        assert entry(report.kd, "-1", "+1").real == pytest.approx(-0.125, abs=TOL)
 
     def test_optimal_action_at_negative_entry(self):
         report = leggett_garg(math.pi / 3)
-        i = report.kd.basis_m.index_of("-1")
-        j = report.kd.basis_b.index_of("+1")
+        i = report.kd.basis_m.labels.index("-1")
+        j = report.kd.basis_b.labels.index("+1")
         assert float(np.angle(report.kd.table[i, j])) == pytest.approx(math.pi, abs=TOL)
 
     def test_zero_at_right_angle(self):
         report = leggett_garg(math.pi / 2)
-        assert report.kd.entry("-1", "+1").real == pytest.approx(0.0, abs=TOL)
+        assert entry(report.kd, "-1", "+1").real == pytest.approx(0.0, abs=TOL)
         assert report.violated_inequality is None
 
     def test_quarter_angle_value(self):
@@ -148,7 +148,7 @@ class TestLeggettGarg:
         expected = 0.5 * c * (c - 1.0)
         assert expected == pytest.approx(-0.103553390593, abs=1e-12)
         report = leggett_garg(math.pi / 4)
-        assert report.kd.entry("-1", "+1").real == pytest.approx(expected, abs=TOL)
+        assert entry(report.kd, "-1", "+1").real == pytest.approx(expected, abs=TOL)
 
     def test_routes_agree_for_random_angles(self):
         rng = np.random.default_rng(20240817)
@@ -164,7 +164,7 @@ class TestLeggettGarg:
             values["closed form"] = 0.5 * math.cos(theta) * (math.cos(theta) - 1.0)
             got = list(values.values())
             assert max(got) - min(got) <= TOL
-            negative = report.kd.entry("-1", "+1").real < -TOL
+            negative = entry(report.kd, "-1", "+1").real < -TOL
             assert negative == (theta < math.pi / 2)
             assert [c.passed for c in report.checks if c.name == LAW] == [True]
 
@@ -192,9 +192,9 @@ class TestLeggettGarg:
 class TestThreeBox:
     def test_column_and_marginal(self):
         report = three_box()
-        assert report.kd.entry("1", "b") == pytest.approx(1.0 / 9.0, abs=TOL)
-        assert report.kd.entry("2", "b") == pytest.approx(1.0 / 9.0, abs=TOL)
-        assert report.kd.entry("3", "b") == pytest.approx(-1.0 / 9.0, abs=TOL)
+        assert entry(report.kd, "1", "b") == pytest.approx(1.0 / 9.0, abs=TOL)
+        assert entry(report.kd, "2", "b") == pytest.approx(1.0 / 9.0, abs=TOL)
+        assert entry(report.kd, "3", "b") == pytest.approx(-1.0 / 9.0, abs=TOL)
         assert complex(report.kd.table[:, 0].sum()) == pytest.approx(1.0 / 9.0, abs=TOL)
 
     def test_negativity_summary(self):
@@ -208,7 +208,7 @@ class TestCheshireCat:
     def test_published_values(self):
         report = cheshire_cat()
         for label, value in (("p1H", 0.125), ("p1V", 0.125), ("p2H", 0.125), ("p2V", -0.125)):
-            assert report.kd.entry(label, "b") == pytest.approx(value, abs=TOL)
+            assert entry(report.kd, label, "b") == pytest.approx(value, abs=TOL)
 
     def test_conditional_weights(self):
         report = cheshire_cat()
@@ -225,14 +225,14 @@ class TestCheshireCat:
 class TestHardy:
     def test_published_values(self):
         report = hardy()
-        assert report.kd.entry("O1O2", "b1b2") == pytest.approx(-1.0 / 12.0, abs=TOL)
-        assert report.kd.entry("O1I2", "b1b2") == pytest.approx(1.0 / 12.0, abs=TOL)
-        assert report.kd.entry("I1O2", "b1b2") == pytest.approx(1.0 / 12.0, abs=TOL)
-        assert report.kd.entry("I1I2", "b1b2") == pytest.approx(0.0, abs=TOL)
+        assert entry(report.kd, "O1O2", "b1b2") == pytest.approx(-1.0 / 12.0, abs=TOL)
+        assert entry(report.kd, "O1I2", "b1b2") == pytest.approx(1.0 / 12.0, abs=TOL)
+        assert entry(report.kd, "I1O2", "b1b2") == pytest.approx(1.0 / 12.0, abs=TOL)
+        assert entry(report.kd, "I1I2", "b1b2") == pytest.approx(0.0, abs=TOL)
 
     def test_post_selection_probability(self):
         report = hardy()
-        j = report.kd.basis_b.index_of("b1b2")
+        j = report.kd.basis_b.labels.index("b1b2")
         assert float(report.kd.table[:, j].sum().real) == pytest.approx(1.0 / 12.0, abs=TOL)
 
     def test_overlap_and_product_relation(self):
@@ -248,9 +248,9 @@ class TestHardy:
 class TestPeresMermin:
     def test_published_values(self):
         report = peres_mermin_swap()
-        assert report.kd.entry("S", "(+1,+1)") == pytest.approx(-0.125, abs=TOL)
+        assert entry(report.kd, "S", "(+1,+1)") == pytest.approx(-0.125, abs=TOL)
         for label in ("Tx", "Ty", "Tz"):
-            assert report.kd.entry(label, "(+1,+1)") == pytest.approx(0.125, abs=TOL)
+            assert entry(report.kd, label, "(+1,+1)") == pytest.approx(0.125, abs=TOL)
 
     def test_product_relations_by_application(self):
         report = peres_mermin_swap()
@@ -347,10 +347,10 @@ class TestBell:
 
     def test_theta_zero_column(self):
         report = bell_scenario(0.0)
-        column = report.kd.table[:, report.kd.basis_b.index_of("(+1,+1)")]
+        column = report.kd.table[:, report.kd.basis_b.labels.index("(+1,+1)")]
         expected = {"(-1,-1)": -0.125, "(+1,-1)": 0.125, "(-1,+1)": 0.125, "(+1,+1)": 0.125}
         for label, value in expected.items():
-            i = report.kd.basis_m.index_of(label)
+            i = report.kd.basis_m.labels.index(label)
             assert complex(column[i]) == pytest.approx(value, abs=TOL)
 
     def test_negative_mass_exactly_when_bound_violated(self):
@@ -465,7 +465,7 @@ class TestSharedConstants:
 
 class TestRegistry:
     def test_defaults(self):
-        assert build("leggett-garg").kd.entry("-1", "+1").real == pytest.approx(-0.125, abs=TOL)
+        assert entry(build("leggett-garg").kd, "-1", "+1").real == pytest.approx(-0.125, abs=TOL)
         assert build("bell").passed
 
     def test_unknown_name(self):

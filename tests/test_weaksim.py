@@ -41,18 +41,16 @@ def three_box_setup():
 
 
 def quad_mass(a, basis_m, basis_b, cfg, b_index):
-    integrate = pytest.importorskip("scipy.integrate")
+    """The mass of ``pointer_joint_density`` out to 12 widths past the farthest center, cut at each center."""
+    mpmath = pytest.importorskip("mpmath")
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
     span = float(np.max(np.abs(centers))) + 12.0 * cfg.width
-    value, _ = integrate.quad(
-        lambda x: pointer_joint_density(a, basis_m, basis_b, cfg, x, b_index),
-        -span,
-        span,
-        points=sorted(set(float(c) for c in centers)),
-        limit=400,
-        epsabs=1e-12,
+    cuts = [-span, *sorted(set(float(c) for c in centers)), span]
+    value, error = mpmath.quad(
+        lambda x: pointer_joint_density(a, basis_m, basis_b, cfg, float(x), b_index), cuts, error=True
     )
-    return value
+    assert error <= 1e-12
+    return float(value)
 
 
 def reference_sample(a, basis_m, basis_b, cfg, shots, seed):
@@ -102,7 +100,7 @@ class TestPointerConfig:
 
 class TestDensity:
     def test_single_term_is_a_gaussian(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         a = StateVector([1.0, 0.0])
         b_state = StateVector.normalize([1.0, 1.0])
         basis_b = post_selection_basis(a, b_state, ("b", "rest"))
@@ -137,7 +135,7 @@ class TestDensity:
 
     def test_huge_width_far_reading_is_not_flushed_to_zero(self):
         # at width 4e153 the reading 2e154 squares past the float range, its offset in widths does not
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         a = StateVector([1.0, 0.0])
         b_state = StateVector.normalize([1.0, 1.0])
         basis_b = post_selection_basis(a, b_state, ("b", "rest"))
@@ -154,15 +152,15 @@ class TestDensity:
 
     def test_narrow_pointer_window_masses(self):
         # quadrature over +/- 4 sigma windows around each separated peak
-        integrate = pytest.importorskip("scipy.integrate")
+        mpmath = pytest.importorskip("mpmath")
         a, basis_m, basis_b = three_box_setup()
         cfg = PointerConfig(coupling=1.0, width=0.01, eigenvalue=(-1.0, 0.0, 1.0))
         for m, center in enumerate((-1.0, 0.0, 1.0)):
-            mass, _ = integrate.quad(
-                lambda x: pointer_joint_density(a, basis_m, basis_b, cfg, x, 0),
-                center - 4.0 * cfg.width,
-                center + 4.0 * cfg.width,
-                limit=200,
+            mass = float(
+                mpmath.quad(
+                    lambda x: pointer_joint_density(a, basis_m, basis_b, cfg, float(x), 0),
+                    [center - 4.0 * cfg.width, center + 4.0 * cfg.width],
+                )
             )
             target = (
                 abs(inner(basis_b.vectors[0], basis_m.vectors[m]) * inner(basis_m.vectors[m], a)) ** 2
@@ -192,7 +190,7 @@ class TestConditionalMean:
         assert abs(got - target) <= 1e-4
 
     def test_symmetric_two_term_case_is_zero(self):
-        basis_m = OrthonormalBasis.standard(2)
+        basis_m = OrthonormalBasis.standard(2, ("0", "1"))
         a = StateVector.normalize([1.0, 1.0])
         basis_b = post_selection_basis(a, a, ("a", "n"))
         cfg = PointerConfig(coupling=1.0, width=2.0, eigenvalue=(1.0, -1.0))
@@ -395,13 +393,13 @@ class TestPointerStatistics:
 
 class TestObservable:
     def test_matrix(self):
-        basis = OrthonormalBasis.standard(2)
+        basis = OrthonormalBasis.standard(2, ("0", "1"))
         op = observable_from_eigenvalues(basis, (1.0, -1.0))
         np.testing.assert_allclose(op.mat, np.diag([1.0, -1.0]), atol=TOL)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            observable_from_eigenvalues(OrthonormalBasis.standard(2), (1.0,))
+            observable_from_eigenvalues(OrthonormalBasis.standard(2, ("0", "1")), (1.0,))
 
 
 class TestSampling:
@@ -412,11 +410,7 @@ class TestSampling:
             with pytest.raises(ValueError, match="^shots must be a positive integer"):
                 sample(a, basis_m, basis_b, cfg, shots, 1)
         batch = sample(a, basis_m, basis_b, cfg, 1, 1)
-        assert len(batch) == 1
-
-    def test_batch_derives_its_length(self):
-        batch = SampleBatch(np.array([0.5, -1.0, 2.0]), np.array([0, 2, 1]))
-        assert len(batch) == 3
+        assert batch.readings.size == 1
 
     def test_batch_freezes_views_not_the_callers_arrays(self):
         readings, b_index = np.zeros(3), np.zeros(3, dtype=np.int64)
@@ -461,7 +455,7 @@ class TestSampling:
     def stream_case(name):
         """(a, basis_m, basis_b, eigenvalues, widths) of one dimension or pointer regime."""
         if name == "dim1":
-            basis = OrthonormalBasis.standard(1)
+            basis = OrthonormalBasis.standard(1, ("0",))
             return StateVector([1.0]), basis, basis, (0.5,), (1e-3, 1.0, 50.0)
         if name == "three-box":
             return (*three_box_setup(), (0.0, 0.0, 1.0), (1e-3, 1.0, 50.0))
