@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Byte-identity snapshot of the kdqlab command line.
 
-Writes seeded scenario files into OUTDIR, runs a fixed table of 98
+Writes seeded scenario files into OUTDIR, runs a fixed table of
 ``python -m kdqlab`` commands in fresh processes from that directory (file
 arguments are relative paths), and writes one file per command under
 ``OUTDIR/runs`` holding its argv, exit code, stdout and stderr. The inputs
-are built with numpy alone, so two source trees get the same files.
+are built with numpy alone, so two source trees get the same files. New rows
+go at the end of the table, so every earlier record keeps its number.
 
 The CLI prints 12 significant digits, so a change in the last bits of a
 result can hide behind the rounding. ``OUTDIR/reports.txt`` shows it: for
@@ -102,6 +103,8 @@ def input_files() -> dict[str, dict]:
     files["three-box.json"] = _three_box_file([s, s, s], [0.0, 0.0, 1.0])
     files["three-box-unnormalized.json"] = _three_box_file([1.0, 1.0, 1.0], [0.0, 0.0, 1.0])
     files["kappa-huge.json"] = _three_box_file([s, s, s], [0.0, 1.5e308, 1.5e308])
+    d4 = files["haar-d4.json"]  # the same file with action phases of magnitude up to pi 1e8
+    files["haar-d4-phases-1e8.json"] = {**d4, "action_phase": [1e8 * phase for phase in d4["action_phase"]]}
     files["d1-unnormalized.json"] = {
         "dim": 1,
         "state_a": [[3.0, 4.0]],
@@ -146,6 +149,9 @@ def commands() -> list[tuple[int, list[str]]]:
         (2, ["weak", "three-box.json", *pointer, "--width", "2", "--seed", "-1"]),
         (2, ["weak", "three-box.json", *pointer, "--width", "2", "--shots", "0"]),
     ]
+    # Bell where <K> - 2 crosses TOL, near theta = 5e-11 and pi/2 - 5e-11, and kd on phases far outside (-pi, pi]
+    table += [(0, ["scenario", "bell", "--theta", theta]) for theta in ("5.00005e-11", "1.5707963267448957")]
+    table.append((0, ["kd", "haar-d4-phases-1e8.json"]))
     return table
 
 

@@ -8,10 +8,10 @@ and direct state reconstruction from the table. The action phase that best
 maps ``a`` to b along m is ``arg table[m, b]``. Pure functions over immutable
 values throughout.
 
-Declared phases become numbers in one place: ``ActionSpectrum`` reduces them
-with ``reduce_phase`` and keeps their factors ``e^{-i phase}``, which the
-unitary, the overlap identity, the half-periodicity test (through their
-squares) and the scenario reports all read.
+Declared phases become numbers in one place: ``ActionSpectrum`` keeps them
+as given and computes their factors ``e^{-i phase}`` once, which the unitary,
+the overlap identity, the half-periodicity test (through their squares) and
+the scenario reports all read.
 ``Transformation`` bundles one transformation of ``a``: the spectrum, its
 unitary, its image ``U a`` and both overlaps onto one column b, set once at
 construction; ``column(b)`` reads the overlaps of any other column from the
@@ -48,22 +48,14 @@ class ReconstructionError(ValueError):
     """The two bases overlap too weakly for direct reconstruction."""
 
 
-def reduce_phase(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    reduced = -((-float(phi) + np.pi) % (2.0 * np.pi) - np.pi)
-    # the fold above maps the branch point to -pi; push it back to +pi
-    if reduced <= -np.pi:
-        reduced = np.pi
-    return float(reduced)
-
-
 @dataclass(frozen=True)
 class ActionSpectrum:
     """Per-outcome action phases attached to a generator eigenbasis.
 
-    ``phase[m]`` is dimensionless (action over hbar), stored reduced to
-    (-pi, pi] by ``reduce_phase``. ``factor`` is the read-only array of the
-    phase factors ``e^{-i phase(m)}``, computed once: every use of the
+    ``phase[m]`` is dimensionless (action over hbar), stored as the float it
+    was given. ``factor`` is the read-only array of the phase factors
+    ``e^{-i phase(m)}``, computed once from those floats, so it is exact up
+    to the rounding of ``np.exp`` for any finite phase: every use of the
     spectrum's numbers reads it.
     """
 
@@ -72,14 +64,14 @@ class ActionSpectrum:
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        reduced = tuple(map(reduce_phase, self.phase))  # an infinite or NaN phase reduces to NaN
-        if len(reduced) != self.basis.dim:
-            raise ValueError(f"need {self.basis.dim} phases, got {len(reduced)}")
-        if not all(map(math.isfinite, reduced)):
+        phase = tuple(map(float, self.phase))
+        if len(phase) != self.basis.dim:
+            raise ValueError(f"need {self.basis.dim} phases, got {len(phase)}")
+        if not all(map(math.isfinite, phase)):
             raise ValueError("action phases must be finite")
-        factor = np.exp(-1j * np.asarray(reduced))
+        factor = np.exp(-1j * np.asarray(phase))
         factor.setflags(write=False)
-        object.__setattr__(self, "phase", reduced)
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "factor", factor)
 
 

@@ -462,6 +462,21 @@ def bell_scenario(theta: float) -> ScenarioReport:
     ``P(K=-2)`` are computed once, as the values of the checks named for them.
     A conditional flip, with a pi phase on (X1, X2) = (-1, -1), onto column
     (+1, +1) is the half-periodic transformation behind the negative cells.
+
+    "P(K=-2) < 0 exactly when <K> > 2" compares two flags, ``k > 2 + TOL``
+    and ``p < -TOL / 4``, on sums rounded apart. On the float real parts
+    ``r`` of the table, with ``S = sum r`` and ``A = sum |r|``, ``k = 2 S - 4 p``
+    holds exactly, so the flags can differ only where the rounded ``k`` lies
+    within ``2 |S - 1| + |e_k| + 4 |e_p| + 2 u`` of the rounded threshold
+    ``2 + TOL`` (u = 2**-53; the threshold rounds by at most 2 u). A sum of n
+    terms, in any order, is off by at most ``gamma_(n-1) < 1.01 (n - 1) u``
+    times the sum of their moduli (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 4.2): ``|e_k| <= 2 gamma_15 A``
+    over the 16 cells of +-2 r, ``|e_p| <= gamma_7 A`` over the 8 cells of
+    K = -2, and the measured sum ``S'`` of the 16 r is off from S by at most
+    ``gamma_15 A``. As ``A >= S >= 1 - TOL``, the band
+    ``2 |S' - 1| + 92 u A`` holds all of these, and the check also passes
+    where ``<K>`` lies in it: there the sums cannot decide the verdict.
     """
     a, a1, a2 = _bell_state(theta)
     dist = kd_joint(a, _product_basis("X", "X", _CHSH_ORDER), _product_basis("Y", "Y", _CHSH_ORDER))
@@ -472,7 +487,9 @@ def bell_scenario(theta: float) -> ScenarioReport:
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
     bound_violated = k_expectation > 2.0 + TOL
-    negative_mass = p_k_minus2 < -TOL / 4  # <K> - 2 = -4 P(K=-2): both flags switch at the same angle
+    negative_mass = p_k_minus2 < -TOL / 4  # <K> - 2 = 2 (S - 1) - 4 P(K=-2): the flags switch together but for rounding
+    band = 2.0 * abs(float(np.sum(real)) - 1.0) + 92 * 2.0**-53 * float(np.sum(abs(real)))
+    flags_agree = bound_violated == negative_mass or abs(k_expectation - (2.0 + TOL)) <= band
 
     b_plus = 3  # b = (+1, +1)
     flip = Transformation(dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus)
@@ -484,7 +501,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
         Check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
         Check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
         Check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
-        Check("P(K=-2) < 0 exactly when <K> > 2", 1.0, float(bound_violated == negative_mass), 0.0),
+        Check("P(K=-2) < 0 exactly when <K> > 2", 1.0, float(flags_agree), 0.0),
     ]
     if flip.from_kd is not None:
         # entries of that column are real, so compensating the single pi phase

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import kdqlab
-from helpers import NON_FINITE
-from kdqlab import bell_scenario, three_box
+from helpers import NON_FINITE, declared_transformation
+from kdqlab import SCENARIO_NAMES, bell_scenario, kd_joint, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
 from kdqlab.qcore import TOL
+from kdqlab.scenario_file import load_scenario_file
 
 NINES = int("9" * 400)  # an integer literal beyond the float range
 
@@ -163,6 +164,41 @@ class TestKdCommand:
         table_section = builtin.split("checks:")[0]
         for value in ("0.111111111111", "-0.111111111111", "0.444444444444"):
             assert value in table_section and value in out
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_builtin_round_trips_through_a_scenario_file(self, name, capsys, tmp_path):
+        # one pipeline: the builder's state, bases, labels and declared phases, written as a file, give
+        # the table the builder reports. The loader renormalizes state_a, which moves the bits of
+        # peres-mermin's table only, by less than the mpmath oracle's entry bound (3d + 16) u; its
+        # imaginary parts, about 1e-18, then print differently in 12 digits, within that bound too
+        dist, transform = declared_transformation(name)
+        bound = (3 * dist.dim + 16) * 2.0**-53 if name == "peres-mermin" else 0.0
+        path = tmp_path / f"{name}.json"
+        content = {"dim": dist.dim, "state_a": state_pairs(dist.state_a.amp)}
+        for axis, basis in (("m", dist.basis_m), ("b", dist.basis_b)):
+            content[f"basis_{axis}"] = [state_pairs(v.amp) for v in basis.vectors]
+            content[f"labels_{axis}"] = list(basis.labels)
+        content["action_phase"] = list(transform.spectrum.phase)
+        path.write_text(json.dumps(content), encoding="utf-8")
+
+        code, out, err = run_cli(capsys, "kd", str(path), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        _, builtin, _ = run_cli(capsys, "scenario", name, "--format", "json")
+        loaded, reported = json.loads(out), json.loads(builtin)
+        assert loaded["kd"]["labels"] == reported["kd"]["labels"]
+        for key, part in (("kd", "re"), ("kd", "im"), ("marginals", "m"), ("marginals", "b")):
+            assert np.max(np.abs(np.subtract(loaded[key][part], reported[key][part]))) <= bound
+
+        config = load_scenario_file(path)
+        table = kd_joint(config.state_a, config.basis_m, config.basis_b).table
+        if bound:
+            assert float(np.max(np.abs(table - dist.table))) <= bound
+        else:
+            assert table.tobytes() == dist.table.tobytes()
+        row = loaded["overlaps"][transform.b]
+        assert row["b"] == dist.basis_b.labels[transform.b]
+        assert abs(row["overlap_direct"] - transform.direct) <= TOL
+        assert abs(row["overlap_from_kd"] - transform.from_kd) <= TOL
 
     def test_json_round_trip_within_tolerance(self, capsys, tmp_path):
         path = three_box_file(tmp_path)

@@ -35,7 +35,6 @@ from kdqlab import (
     unitary_from_actions,
     weak_value,
 )
-from kdqlab.kdq import reduce_phase
 
 TOL = 1e-10
 
@@ -723,9 +722,7 @@ class TestHalfPeriodic:
         rng = np.random.default_rng(seed)
         basis = haar_basis(rng, dim)
         offset = rng.uniform(-math.pi, math.pi)
-        phases = tuple(
-            reduce_phase(offset + (math.pi if rng.integers(2) else 0.0)) for _ in range(dim)
-        )
+        phases = tuple(offset + (math.pi if rng.integers(2) else 0.0) for _ in range(dim))
         spectrum = ActionSpectrum(basis, phases)
         assert is_half_periodic(spectrum)
         u = unitary_from_actions(spectrum)
@@ -765,25 +762,6 @@ class TestHalfPeriodic:
             verdicts.add(oracle)
         assert verdicts == ({True} if dim == 1 else {True, False})
 
-    def test_phase_reduction(self):
-        basis = OrthonormalBasis.standard(2, ("0", "1"))
-        spectrum = ActionSpectrum(basis, (3 * math.pi, -math.pi))
-        assert spectrum.phase[0] == pytest.approx(math.pi, abs=TOL)
-        assert spectrum.phase[1] == pytest.approx(math.pi, abs=TOL)
-        assert all(-math.pi < p <= math.pi for p in spectrum.phase)
-        # one ulp above pi folds to exactly -pi, which the reduction pushes back to +pi
-        above_pi = float(np.nextafter(math.pi, 4.0))
-        assert reduce_phase(above_pi) == math.pi
-        assert ActionSpectrum(OrthonormalBasis.standard(3, ("0", "1", "2")), (above_pi, 0.0, 0.0)).phase[0] == math.pi
-
-    @settings(max_examples=300, deadline=None)
-    @given(phases=PHASE_LISTS)
-    def test_spectrum_phases_equal_reduce_phase_bit_for_bit(self, phases):
-        basis = OrthonormalBasis.standard(len(phases), tuple(map(str, range(len(phases)))))
-        spectrum = ActionSpectrum(basis, tuple(phases))
-        assert all(type(p) is float for p in spectrum.phase)
-        assert np.array(spectrum.phase).tobytes() == np.array([reduce_phase(p) for p in phases]).tobytes()
-
     @settings(max_examples=300, deadline=None)
     @given(phases=PHASE_LISTS)
     def test_factor_is_the_read_only_phase_factor(self, phases):
@@ -792,9 +770,11 @@ class TestHalfPeriodic:
         # only in the sign of a zero imaginary part (phase -0.0), which the law's residual cannot see
         basis = OrthonormalBasis.standard(len(phases), tuple(map(str, range(len(phases)))))
         spectrum = ActionSpectrum(basis, tuple(phases))
-        reduced = np.array(spectrum.phase)
-        assert spectrum.factor.tobytes() == np.exp(-1j * reduced).tobytes()
-        conj, plus = spectrum.factor.conj(), np.exp(1j * reduced)
+        declared = np.array(phases, float)
+        assert all(type(p) is float for p in spectrum.phase)
+        assert np.array(spectrum.phase).tobytes() == declared.tobytes()  # stored as given
+        assert spectrum.factor.tobytes() == np.exp(-1j * declared).tobytes()
+        conj, plus = spectrum.factor.conj(), np.exp(1j * declared)
         assert np.array_equal(conj, plus) and conj.real.tobytes() == plus.real.tobytes()
         assert np.all((conj.imag.view(np.int64) == plus.imag.view(np.int64)) | (plus.imag == 0.0))
         with pytest.raises(ValueError, match="read-only"):

@@ -15,9 +15,10 @@ bound, with ``u = 2**-53`` the unit roundoff:
 - A marginal sums d entries whose moduli add up to at most 1, so it is off by at most d times the
   entry bound plus ``d u`` of summation error. The clip to [0, 1] moves no value farther from the
   equally clipped oracle value.
-- ``overlap_from_kd`` reads the same float column ``T[:, b]``, the spectrum's reduced phases and
-  the float ``P(b)``; the oracle forms ``|sum_m T[m,b] e^{-i phase(m)}|^2 / P(b)`` from them. Each
-  factor is off by at most 2 u (one ulp in each of cos and sin), each complex product adds at most
+- ``overlap_from_kd`` reads the same float column ``T[:, b]``, the declared float phases and the
+  float ``P(b)``; the oracle forms ``|sum_m T[m,b] e^{-i phase(m)}|^2 / P(b)`` from them. Each
+  factor is off by at most 2 u (one ulp in each of cos and sin, at any magnitude of the phase:
+  the spectrum keeps the float it was given and folds nothing), each complex product adds at most
   3 u of ``|T[m,b]|``, and the sum adds ``(d - 1) u`` of ``S = sum_m |T[m,b]|``: the amplitude is
   off by ``(d + 4) u S``, and ``abs`` by 2 u more. Squaring doubles that against ``|A| S <= S^2``,
   and the square and the division add 3 u. So the overlap is off by at most ``(2d + 15) u O*_b``,
@@ -53,8 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import kdqlab.scenarios
-from helpers import haar_basis, random_state
+from helpers import declared_transformation, haar_basis, random_state
 from kdqlab import (
     SCENARIO_NAMES,
     TOL,
@@ -143,41 +143,32 @@ def test_the_oracle_sees_a_moved_entry():
     assert abs(entries - 1e-14) <= entry_bound(dist.dim)
 
 
-def overlap_error(dist, spectrum, b):
-    """``overlap_from_kd``'s error at column b against the 50-digit value, and its bound ``(2d + 20) u O*_b``."""
+def overlap_error(dist, spectrum, b, declared=None):
+    """``overlap_from_kd``'s error at column b against the 50-digit value, and its bound ``(2d + 20) u O*_b``.
+
+    The oracle reads ``declared``, the phases as the caller gave them, or else ``spectrum.phase``.
+    """
     column, p_b = dist.table[:, b].tolist(), float(dist.prob_b[b])
+    phases = spectrum.phase if declared is None else declared
     with mpmath.workdps(DIGITS):
-        terms = [mpmath.mpc(t) * mpmath.expj(-mpmath.mpf(phi)) for t, phi in zip(column, spectrum.phase)]
+        terms = [mpmath.mpc(t) * mpmath.expj(-mpmath.mpf(phi)) for t, phi in zip(column, phases)]
         exact = abs(mpmath.fsum(terms)) ** 2 / mpmath.mpf(p_b)
         error = float(abs(mpmath.mpf(overlap_from_kd(dist, spectrum, b)) - exact))
     o_star = sum(map(abs, column)) ** 2 / p_b
     return error, (2 * dist.dim + 20) * U * o_star
 
 
-def assert_overlaps_within_bound(dist, spectrum):
+def assert_overlaps_within_bound(dist, spectrum, declared=None):
     """Every column with ``P(b|a) > TOL``, where the overlap identity is defined."""
     for b in np.flatnonzero(dist.prob_b > TOL).tolist():
-        error, bound = overlap_error(dist, spectrum, b)
+        error, bound = overlap_error(dist, spectrum, b, declared)
         assert error <= bound, (b, error, bound)
 
 
-def declared_transformation(name, monkeypatch):
-    """The scenario's joint table and the one ``Transformation`` its builder declares."""
-    made, original = [], kdqlab.scenarios.Transformation
-
-    def record(*args):
-        made.append(original(*args))
-        return made[-1]
-
-    monkeypatch.setattr(kdqlab.scenarios, "Transformation", record)
-    report = build(name)
-    (transform,) = made
-    return report.kd, transform.spectrum
-
-
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_scenario_overlaps_against_the_oracle(name, monkeypatch):
-    assert_overlaps_within_bound(*declared_transformation(name, monkeypatch))
+def test_scenario_overlaps_against_the_oracle(name):
+    dist, transform = declared_transformation(name)
+    assert_overlaps_within_bound(dist, transform.spectrum)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16])
@@ -188,11 +179,25 @@ def test_haar_overlaps_against_the_oracle(dim, seed):
     assert_overlaps_within_bound(dist, ActionSpectrum(dist.basis_m, tuple(rng.uniform(-np.pi, np.pi, dim))))
 
 
-def test_the_overlap_oracle_sees_a_moved_factor(monkeypatch):
+@pytest.mark.parametrize("scale", [1e4, 1e8, 1e12, 1e15])
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_haar_overlaps_at_large_phases_against_the_oracle(dim, seed, scale):
+    # the phases of test_haar_overlaps_against_the_oracle (scale 1) times scale. The oracle reads the
+    # declared floats: a factor taken from a phase folded modulo the float 2 pi is off by about
+    # u |phase|, past the bound from scale 1e4 on
+    rng = np.random.default_rng(2000 * dim + seed)
+    dist = kd_joint(random_state(rng, dim), haar_basis(rng, dim, "m"), haar_basis(rng, dim, "b"))
+    phases = tuple((scale * rng.uniform(-np.pi, np.pi, dim)).tolist())
+    assert_overlaps_within_bound(dist, ActionSpectrum(dist.basis_m, phases), phases)
+
+
+def test_the_overlap_oracle_sees_a_moved_factor():
     # three-box, column b: T = (1, 1, -1) / 9, factors (1, 1, -1), P(b) = 1/9 and O*_b = 1. Moving
     # the first factor by 1e-14 moves the overlap by 2 (1/3) (1/9) 1e-14 / (1/9) = 6.7e-15, above
     # the bound of 26 u = 2.9e-15
-    dist, spectrum = declared_transformation("three-box", monkeypatch)
+    dist, transform = declared_transformation("three-box")
+    spectrum = transform.spectrum
     factor = spectrum.factor.copy()
     factor[0] += 1e-14
     error, bound = overlap_error(dist, SimpleNamespace(basis=spectrum.basis, phase=spectrum.phase, factor=factor), 0)

@@ -359,6 +359,21 @@ class TestBell:
             violated = math.sin(theta) + math.cos(theta) > 1.0 + 1e-12
             assert (got["P(K=-2) = (1 - sin - cos) / 2"] < -TOL) == violated
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [
+            np.linspace(4.99e-11, 5.01e-11, 20001),  # <K> - 2 crosses TOL near theta = 5e-11
+            math.pi / 2 - 5e-11 + np.linspace(-2e-15, 2e-15, 4001),  # and near pi/2 - 5e-11
+        ],
+        ids=["near-5e-11", "near-pi/2-5e-11"],
+    )
+    def test_flag_check_holds_across_the_switching_angle(self, thetas):
+        # the two flags read sums rounded apart; across each switch the check passes, inside its derived
+        # band or outside it. Without the band, the flags split at 89 and 1,111 of these angles
+        name = "P(K=-2) < 0 exactly when <K> > 2"
+        failed = [t for t in thetas.tolist() if not next(c for c in bell_scenario(t).checks if c.name == name).passed]
+        assert failed == []
+
     def test_cell_values_are_plus_minus_two(self):
         # _CHSH_ORDER lists all four sign pairs, so the table covers every (m, b) combination
         expected = [[chsh_cell_value(m, b) for b in _CHSH_ORDER] for m in _CHSH_ORDER]
