@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Benchmark trajectory: the committed harness over several seeds, summarized into one JSON file.
+
+For every workload of ``BENCHMARK.json`` and every seed, runs the unchanged
+
+    python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0
+
+from the root of a checkout, parses the last JSON line of its stdout, and
+writes one file with the ``env`` line, whether every run was ``correct``, the
+total ``failed``, and per workload the median and quartiles of every
+end-to-end metric. Each run's own values stay in ``runs``, so pairs can be
+compared later. A ``layers`` block, which no bound gates, holds each
+scenario builder's in-process build time in microseconds, the best of
+``REPEAT`` timings of ``NUMBER`` builds each, all in one fresh process.
+
+With ``--parent DIR`` (another checkout, such as the commit before a change),
+both trees run every (workload, seed) pair, and which one runs first
+alternates from seed to seed, so drift of the host does not favour either.
+The parent's summary goes to ``--parent-out``, and a comparison is printed:
+per metric, the parent's median and quartiles, this tree's median and the
+pairs this tree won. A metric whose parent quartile spread, relative to its
+median, exceeds its bound is marked unresolved: its runs spread too widely
+to tell a change.
+
+    python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
+        --parent /path/to/parent --parent-out BENCH_<n-1>.json
+    python3 scripts/bench_trajectory.py --out /tmp/bench.json --seeds 1 --seconds 0 --requests 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+NUMBER, REPEAT = 50, 20
+# in one fresh process on the tree's src/: best-of-repeat time of one build of each scenario, in microseconds
+LAYERS = """
+import json, sys, timeit
+from kdqlab import scenarios
+number, repeat = map(int, sys.argv[1:])
+print(json.dumps({
+    f"scenarios.build_us.{name}": min(timeit.repeat(lambda: scenarios.build(name), number=number, repeat=repeat)) / number * 1e6
+    for name in scenarios.SCENARIO_NAMES
+}))
+"""
+
+
+def _seeds(text: str) -> list[int]:
+    """``"1-10"`` or ``"1,3,5"`` (or both mixed) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds += range(int(low), int(high or low) + 1)
+    return seeds
+
+
+def _run(tree: Path, workload: str, seed: int, args: argparse.Namespace) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    argv += ["--seconds", str(args.seconds), "--trace", "0"]
+    if args.requests is not None:
+        argv += ["--requests", str(args.requests)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    counts = {key: result[key] for key in ("correct", "attempted", "failed")}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {"workload": workload, "seed": seed, "env": env, **counts, "metrics": metrics}
+
+
+def _layers(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT)]
+    return json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def _summary(runs: list[dict], layers: dict, args: argparse.Namespace) -> dict:
+    workloads = {}
+    for run in runs:
+        workloads.setdefault(run["workload"], []).append(run)
+    return {
+        "command": f"perfbench/run.py --seconds {args.seconds} --trace 0"
+        + ("" if args.requests is None else f" --requests {args.requests}"),
+        "env": runs[0]["env"],
+        "correct": all(run["correct"] for run in runs),
+        "failed": sum(run["failed"] for run in runs),
+        "end_to_end": {
+            workload: {
+                name: _quartiles([run["metrics"][name] for run in group]) for name in group[0]["metrics"]
+            }
+            for workload, group in workloads.items()
+        },
+        "layers": {"unit": "us", "number": NUMBER, "repeat": REPEAT, "best": layers},
+        "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
+    }
+
+
+def _compare(parent: dict, change: dict, bounds: dict) -> None:
+    print("workload metric: parent median [q1, q3] -> change median, pairs won; unresolved if parent spread > bound")
+    for workload, metrics in parent["end_to_end"].items():
+        for name, base in metrics.items():
+            bound, better = bounds[name]
+            pairs = [
+                (p["metrics"][name], c["metrics"][name])
+                for p, c in zip(parent["runs"], change["runs"])
+                if p["workload"] == workload
+            ]
+            won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+            spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
+            note = "  unresolved" if spread > bound else ""
+            new = change["end_to_end"][workload][name]["median"]
+            print(
+                f"{workload} {name}: {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> {new:.4g},"
+                f" {won}/{len(pairs)}{note}"
+            )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="summary of this tree")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"), help="such as 1-10 or 1,3,5")
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--requests", type=int, default=None, help="exactly this many requests per run")
+    parser.add_argument("--parent", type=Path, default=None, help="a second checkout to run alongside")
+    parser.add_argument("--parent-out", type=Path, default=None, help="summary of the parent")
+    args = parser.parse_args()
+    if (args.parent is None) != (args.parent_out is None):
+        parser.error("--parent and --parent-out go together")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    trees = {"change": ROOT} if args.parent is None else {"change": ROOT, "parent": args.parent.resolve()}
+    runs = {label: [] for label in trees}
+    for index, seed in enumerate(args.seeds):
+        order = list(trees) if index % 2 else list(trees)[::-1]  # the parent first at the first seed
+        for workload in workloads:
+            for label in order:
+                runs[label].append(_run(trees[label], workload, seed, args))
+                print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
+    summaries = {label: _summary(runs[label], _layers(tree), args) for label, tree in trees.items()}
+
+    args.out.write_text(json.dumps(summaries["change"], indent=1) + "\n", encoding="utf-8")
+    if args.parent is not None:
+        args.parent_out.write_text(json.dumps(summaries["parent"], indent=1) + "\n", encoding="utf-8")
+        bounds = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+        _compare(summaries["parent"], summaries["change"], bounds)
+    return 0 if all(s["correct"] for s in summaries.values()) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -22,6 +22,8 @@ strings and None alone; the text views print floats through ``_fmt``.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -115,22 +117,14 @@ def _entries(kd: dict) -> list[tuple[str, list[complex]]]:
 
 
 def _csv_view(payload: dict) -> str:
-    lines = ["m_label,b_label,re,im,modulus,phase"]
+    """One row per table cell, written by the ``csv`` module: a label that holds a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["m_label", "b_label", "re", "im", "modulus", "phase"])
     for m_label, row in _entries(payload["kd"]):
         for b_label, z in zip(payload["kd"]["labels"]["b"], row):
-            lines.append(
-                ",".join(
-                    [
-                        m_label,
-                        b_label,
-                        _fmt(z.real),
-                        _fmt(z.imag),
-                        _fmt(abs(z)),
-                        _phase_text(z),
-                    ]
-                )
-            )
-    return "\n".join(lines)
+            writer.writerow([m_label, b_label, _fmt(z.real), _fmt(z.imag), _fmt(abs(z)), _phase_text(z)])
+    return out.getvalue().removesuffix("\n")
 
 
 def _table_view(payload: dict) -> str:

@@ -129,8 +129,11 @@ def parse_scenario_text(text: str) -> ScenarioFile:
         raise ScenarioFileError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
 
     amp = _complex_vector(raw["state_a"], dim, "state_a")
-    try:  # normalize's one range test on the norm also rejects NaN, infinite and overflowing amplitudes
-        state_a = StateVector.normalize(amp)
+    try:
+        try:  # a state that passes the unit-norm test is kept as given, bit for bit
+            state_a = StateVector(amp)
+        except ValueError:  # normalize's one range test on the norm also rejects NaN, infinite and overflowing amplitudes
+            state_a = StateVector.normalize(amp)
     except ValueError as exc:
         raise ScenarioFileError("state_a does not normalize to a valid state") from exc
     norm = float(np.linalg.norm(amp))  # finite now: normalize accepted it

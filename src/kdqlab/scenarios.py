@@ -9,10 +9,12 @@ machine-checked ``Check`` records, and adds the checks every transformation
 gets: half-periodicity, the overlap identity against the direct overlap and,
 where the transformation maps a onto b, the half-periodic law for column b.
 Builders contain no arithmetic shortcuts: every number in a report comes from
-the engine. The two-qubit constants that no angle changes, the Pauli product
-bases and the Pauli products, are built once, on first use, and shared
-read-only by every build; the CHSH sign vectors and cell values are built at
-import. Tables, transformations and checks are computed anew on every call.
+the engine. Every input that no angle changes (the fixed scenarios' states,
+bases and check operators, Leggett-Garg's preparation, the Pauli product bases
+and the Pauli products) is built once, on first use, by a cached helper and
+shared read-only by every build; the CHSH sign vectors, cell values and flip
+phases are built at import. Tables, transformations and checks are computed
+anew on every call.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .qcore import (
     Operator,
     OrthonormalBasis,
     StateVector,
+    _identity,
     bloch_state,
     complete_basis,
     expectation,
@@ -132,6 +135,14 @@ def _report(
     return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
 
 
+# Each cached helper below builds the inputs of a scenario that no angle changes on its first use; every
+# build then shares them. Their values are immutable and their arrays read-only, so no caller can change them.
+@cache
+def _leggett_garg_preparation() -> StateVector:
+    """Leggett-Garg's preparation: the spin up along 0."""
+    return bloch_state(0.0, 0.0)
+
+
 def _spin_basis(theta: float) -> OrthonormalBasis:
     """Qubit basis of the +/-1 eigenstates of the spin along (theta, 0)."""
     return complete_basis([bloch_state(theta, 0.0)], ("+1", "-1"))
@@ -149,7 +160,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    dist = kd_joint(bloch_state(0.0, 0.0), _spin_basis(theta), _spin_basis(2.0 * theta))
+    dist = kd_joint(_leggett_garg_preparation(), _spin_basis(theta), _spin_basis(2.0 * theta))
     a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
@@ -186,16 +197,24 @@ def leggett_garg(theta: float) -> ScenarioReport:
     return _report("leggett-garg", dist, flip, "flip spectrum", checks, violated=violated)
 
 
+@cache
+def _three_box_inputs() -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis, Operator, Operator]:
+    """Three-box's a, b, box basis and post-selection basis, and the projectors on boxes 1 and 3."""
+    a = StateVector.normalize([1.0, 1.0, 1.0])
+    b = StateVector.normalize([1.0, 1.0, -1.0])
+    basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
+    basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
+    return a, b, basis_m, basis_b, projector(basis_m.vectors[0]), projector(basis_m.vectors[2])
+
+
 def three_box() -> ScenarioReport:
     """Three paths, pre- and post-selected on symmetric superpositions.
 
     Both the "only box 1" and the "only box 2" inferences hold marginally,
     yet the joint table resolves them with a negative weight on box 3.
     """
-    basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
-    a = StateVector.normalize([1.0, 1.0, 1.0])
-    b = StateVector.normalize([1.0, 1.0, -1.0])
-    dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null")))
+    a, b, basis_m, basis_b, box1, box3 = _three_box_inputs()
+    dist = kd_joint(a, basis_m, basis_b)
     flip = Transformation(dist, (0.0, 0.0, math.pi), 0)
     col = dist.table[:, 0]
 
@@ -204,11 +223,22 @@ def three_box() -> ScenarioReport:
         Check("phase pattern (0, 0, pi) transforms a onto b (overlap identity)", 1.0, flip.from_kd),
         Check("direct overlap after the phase flip", 1.0, flip.direct),
         Check("boxes 2 and 3 cancel", complex(0.0, 0.0), complex(col[1] + col[2])),
-        Check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[0]))),
-        Check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, projector(basis_m.vectors[2]))),
+        Check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, box1)),
+        Check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, box3)),
     )
     column = {**{f"P(box {k}, b | a) = 1/9": 1.0 / 9.0 for k in (1, 2)}, "P(box 3, b | a) = -1/9": -1.0 / 9.0}
     return _report("three-box", dist, flip, "phase pattern", checks, column, "positivity of P(box 3, b | a)")
+
+
+@cache
+def _cheshire_cat_inputs() -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis, Operator]:
+    """Cheshire cat's a, b, box basis and post-selection basis, and the projector on path p1."""
+    a = StateVector.normalize([1.0, 1.0, 1.0, 1.0])
+    b = StateVector.normalize([1.0, 1.0, 1.0, -1.0])
+    basis_m = OrthonormalBasis.standard(4, ("p1H", "p1V", "p2H", "p2V"))
+    basis_b = post_selection_basis(a, b, ("b", "rest", "null1", "null2"))
+    path1 = Operator(projector(basis_m.vectors[0]).mat + projector(basis_m.vectors[1]).mat)
+    return a, b, basis_m, basis_b, path1
 
 
 def cheshire_cat() -> ScenarioReport:
@@ -218,11 +248,8 @@ def cheshire_cat() -> ScenarioReport:
     by a pi phase on (p2, V); conditional weights then place the particle
     entirely in path p1 while the full polarization difference sits in p2.
     """
-    labels = ("p1H", "p1V", "p2H", "p2V")
-    basis_m = OrthonormalBasis.standard(4, labels)
-    a = StateVector.normalize([1.0, 1.0, 1.0, 1.0])
-    b = StateVector.normalize([1.0, 1.0, 1.0, -1.0])
-    dist = kd_joint(a, basis_m, post_selection_basis(a, b, ("b", "rest", "null1", "null2")))
+    a, b, basis_m, basis_b, path1_projector = _cheshire_cat_inputs()
+    dist = kd_joint(a, basis_m, basis_b)
     flip = Transformation(dist, (0.0, 0.0, 0.0, math.pi), 0)
 
     p_b = float(dist.prob_b[0])
@@ -243,7 +270,7 @@ def cheshire_cat() -> ScenarioReport:
         Check(
             "path-p1 weight equals the weak value of the p1 projector",
             complex(path1, 0.0),
-            weak_value(a, b, Operator(projector(basis_m.vectors[0]).mat + projector(basis_m.vectors[1]).mat)),
+            weak_value(a, b, path1_projector),
         ),
         Check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
     )
@@ -256,6 +283,20 @@ def cheshire_cat() -> ScenarioReport:
     return _report("cheshire-cat", dist, flip, "phase pattern", checks, column, "positivity of P(p2, V; b | a)")
 
 
+@cache
+def _hardy_inputs() -> tuple[StateVector, OrthonormalBasis, OrthonormalBasis, StateVector, StateVector]:
+    """Hardy's a, path basis and port basis, and the two mixed path/port states (b1, O2) and (O1, b2)."""
+    ports = (_EIGEN["X"][+1], _EIGEN["X"][-1])  # c and b
+    outer = StateVector([1.0, 0.0])
+    return (
+        StateVector.normalize([1.0, 1.0, 1.0, 0.0]),
+        OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2")),  # products of the paths O, I
+        OrthonormalBasis(("c1c2", "c1b2", "b1c2", "b1b2"), tuple(tensor_state(u, v) for u in ports for v in ports)),
+        tensor_state(ports[1], outer),
+        tensor_state(outer, ports[1]),
+    )
+
+
 def hardy() -> ScenarioReport:
     """Two crossed interferometers with the double-inner-path amplitude removed.
 
@@ -264,22 +305,15 @@ def hardy() -> ScenarioReport:
     probability 1/12 even though each opposite port alone, paired with the
     other particle's outer path, has probability zero.
     """
-    basis_m = OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2"))  # products of the paths O, I
-    ports = (_EIGEN["X"][+1], _EIGEN["X"][-1])  # c and b
-    basis_b = OrthonormalBasis(
-        ("c1c2", "c1b2", "b1c2", "b1b2"),
-        tuple(tensor_state(u, v) for u in ports for v in ports),
-    )
-    a = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
+    a, basis_m, basis_b, b1_outer2, outer1_b2 = _hardy_inputs()
     dist = kd_joint(a, basis_m, basis_b)
     b_idx = 3  # both particles in the opposite ports
     flip = Transformation(dist, (0.0, math.pi, math.pi, 0.0), b_idx)
     col = dist.table[:, b_idx]
 
     # mixed path/port events that are directly observable and vanish
-    outer = StateVector([1.0, 0.0])
-    p_b1_outer2 = float(abs(inner(tensor_state(ports[1], outer), a)) ** 2)
-    p_outer1_b2 = float(abs(inner(tensor_state(outer, ports[1]), a)) ** 2)
+    p_b1_outer2 = float(abs(inner(b1_outer2, a)) ** 2)
+    p_outer1_b2 = float(abs(inner(outer1_b2, a)) ** 2)
 
     checks = (
         Check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
@@ -310,16 +344,15 @@ _EIGEN = {
 }
 
 
-# The two-qubit constants below do not depend on any angle. Each is built on its first use and then
-# shared by every build: its values are immutable and read-only, so no caller can change them.
 @cache
 def _product_basis(first: str, second: str, order: tuple[tuple[int, int], ...]) -> OrthonormalBasis:
     """Two-qubit product basis ``first[s1] (x) second[s2]`` of Pauli eigenstates over the sign pairs in ``order``.
 
-    ``first`` and ``second`` name the axes, "X" or "Y"; each vector is labeled "(s1,s2)".
+    ``first`` and ``second`` name the axes, "X" or "Y"; each vector is labeled "(s1 s2)", such as "(+1 -1)",
+    without a comma, so a CSV row needs no quoting.
     """
     return OrthonormalBasis(
-        tuple(f"({s1:+d},{s2:+d})" for s1, s2 in order),
+        tuple(f"({s1:+d} {s2:+d})" for s1, s2 in order),
         tuple(tensor_state(_EIGEN[first][s1], _EIGEN[second][s2]) for s1, s2 in order),
     )
 
@@ -343,6 +376,21 @@ def _eigenvalues_of(op: Operator, vectors: np.ndarray) -> np.ndarray:
     return values.real
 
 
+@cache
+def _swap_basis() -> OrthonormalBasis:
+    """The eigenbasis of the two-qubit swap: the antisymmetric state S and the three triplet states."""
+    s = math.sqrt(0.5)
+    return OrthonormalBasis(
+        ("S", "Tx", "Ty", "Tz"),
+        (
+            StateVector([0.0, s, -s, 0.0]),
+            StateVector([s, 0.0, 0.0, -s]),
+            StateVector([s, 0.0, 0.0, s]),
+            StateVector([0.0, s, s, 0.0]),
+        ),
+    )
+
+
 def peres_mermin_swap() -> ScenarioReport:
     """Contextual product correlations of two spins, resolved by the swap.
 
@@ -354,16 +402,7 @@ def peres_mermin_swap() -> ScenarioReport:
     basis_a = _product_basis("X", "Y", order)  # the (X1, Y2) context that a belongs to
     basis_b = _product_basis("Y", "X", order)
     a, b = basis_a.vectors[0], basis_b.vectors[0]
-    s = math.sqrt(0.5)
-    basis_m = OrthonormalBasis(
-        ("S", "Tx", "Ty", "Tz"),
-        (
-            StateVector([0.0, s, -s, 0.0]),
-            StateVector([s, 0.0, 0.0, -s]),
-            StateVector([s, 0.0, 0.0, s]),
-            StateVector([0.0, s, s, 0.0]),
-        ),
-    )
+    basis_m = _swap_basis()
     dist = kd_joint(a, basis_m, basis_b)
     swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
     col = dist.table[:, 0]
@@ -414,6 +453,7 @@ _B1, _B2 = _CHSH_SIGNS[:, None, :]  # the Y outcome signs of the columns (b), as
 # K per (m, b) cell: X1 X2 from m, Y1 Y2 from b and the cross terms X1 Y2 and Y1 X2 from their pairing; always +-2
 _CHSH_CELLS = _M1 * _M2 + _M1 * _B2 + _B1 * _M2 - _B1 * _B2
 _CHSH_CELLS.setflags(write=False)
+_CHSH_FLIP = tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER)  # pi on (X1, X2) = (-1, -1)
 
 
 def _chsh_target(theta: float) -> np.ndarray:
@@ -440,7 +480,7 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
     a1 = Operator(c * _pauli_pair("X", "Y").mat + s * _pauli_pair("X", "X").mat)
     a2 = Operator(c * _pauli_pair("Y", "X").mat - s * _pauli_pair("Y", "Y").mat)
-    ident = np.eye(4, dtype=complex)
+    ident = _identity(4)
     proj = Operator(0.25 * ((ident + a1.mat) @ (ident + a2.mat)))
     trace = complex(np.trace(proj.mat))
     if abs(trace - 1.0) > TOL:
@@ -492,7 +532,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     flags_agree = bound_violated == negative_mass or abs(k_expectation - (2.0 + TOL)) <= band
 
     b_plus = 3  # b = (+1, +1)
-    flip = Transformation(dist, tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER), b_plus)
+    flip = Transformation(dist, _CHSH_FLIP, b_plus)
 
     checks = [
         Check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - _chsh_target(theta))))),

@@ -21,10 +21,11 @@ count.
 ``PointerStatistics`` holds the closed forms of one configuration for every
 outcome: the post-selection probability and the conditional mean, computed
 from one coefficient matrix and one overlap kernel. Centers whose kernel
-with their sorted neighbour is at least 1/2 form a cluster, and each
-cluster's sum of coefficients is squared on its own, so near orthogonal
-post-selection does not cancel large kernel terms. It is the one place
-where an outcome of probability ``<= TOL`` gets no mean (None).
+with their sorted neighbour is at least 1/2 form a cluster, and inside each
+cluster the kernel is written as a sum of squares, so neither near
+orthogonal post-selection nor a null direction of the kernel cancels large
+terms. It is the one place where an outcome of probability ``<= TOL`` gets
+no mean (None).
 ``post_selection_probability`` and ``conditional_pointer_mean`` build that
 record and read one outcome from it, so they return the same numbers.
 
@@ -156,21 +157,28 @@ class PointerStatistics:
     as one ratio, which ``PointerConfig`` keeps finite; ``g**2`` alone may
     underflow while ``(k_n - k_m)**2`` overflows.
 
-    Near orthogonal post-selection ``c† K c`` cancels terms of order
-    ``(sum |c|)**2`` down to a small P(b). So the centers are split into
-    clusters: sorted by eigenvalue, a new cluster starts wherever the kernel
-    between neighbours drops below 1/2. Inside a cluster C, with
-    ``s_C = sum_{m in C} c_m`` and ``D = -expm1(-x)`` (``K = 1 - D``, each
-    entry exact to an ulp), ``c_C† K c_C = |s_C|**2 - c_C† D c_C`` and the
-    moment is ``Re(conj(s_C) sum_{m in C} k_m c_m) - c_C† (D∘H) c_C``; pairs
-    across clusters keep their kernel entries. Where b is nearly orthogonal
-    to a, P(b) is then off by at most ``F = 2 d (2d + 8) u / sqrt(P(b))``
-    relative, ``u = 2**-53``: the bound on what rounding the coefficients
-    themselves does to it (9e-10 at d = 3 and ``P(b) = TOL``). The mean is off
-    by at most ``F (|mean| + g max|k| (1 + sum |c| / sqrt(P(b))))``.
-    ``tests/test_oracle.py`` derives both and checks them against mpmath. Not
-    covered: a b near a null direction of K itself, with several centers a
-    few widths apart, where the kernel terms still cancel (ROADMAP item 8).
+    Near orthogonal post-selection, and near a null direction of K, ``c† K c``
+    cancels terms of order ``(sum |c|)**2`` down to a small P(b). So the
+    centers are split into clusters: sorted by eigenvalue, a new cluster
+    starts wherever the kernel between neighbours drops below 1/2. Inside a
+    cluster C the kernel is a sum of squares. With ``mu_n = g (k_n - k_mid) / width``,
+    the offset from the middle of C, ``K_nm = sum_k v_kn v_km`` for
+    ``v_kn = exp(-mu_n**2 / 8) (mu_n / 2)**k / sqrt(k!)``: the Taylor series of
+    ``exp(mu_n mu_m / 4)``, as in the Hermite expansion of the fast Gauss
+    transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 79 (1991)).
+    So ``c_C† K c_C = sum_k |v_k . c_C|**2``, a sum of non-negative terms, and
+    the moment is ``2 Re sum_k conj(v_k . c_C) (v_k . (c_C∘k / 2))``; pairs
+    across clusters keep their kernel entries. ``v_kn**2`` is the Poisson
+    weight of k at mean ``mu_n**2 / 4``, so each column of v has unit norm and
+    no term overflows. The series stops at order ``lam + 12 sqrt(lam) + 40``,
+    ``lam = max mu**2 / 4``, where Bernstein's bound puts each column's tail
+    below ``e**-72``; as a cluster spans at most ``(d - 1) sqrt(8 ln 2)``
+    widths, lam stays below 78 and the order below 230. P(b) is then off by
+    at most ``F = 2 d (2d + 8) u / sqrt(P(b))`` relative, ``u = 2**-53``: the
+    bound on what rounding the coefficients themselves does to it (9e-10 at
+    d = 3 and ``P(b) = TOL``). The mean is off by at most
+    ``F (|mean| + g max|k| (1 + sum |c| / sqrt(P(b))))``.
+    ``tests/test_oracle.py`` derives both and checks them against mpmath.
     ``post_selection_probability`` and ``conditional_pointer_mean`` read their
     outcome from this record.
     """
@@ -183,18 +191,29 @@ class PointerStatistics:
     ) -> None:
         rows = _coefficients(a, basis_m, basis_b, cfg)
         kappa = np.asarray(cfg.eigenvalue)
-        x = (cfg.coupling * (kappa[:, None] - kappa) / cfg.width) ** 2 * 0.125
-        kernel = np.exp(-x)
+        kernel = np.exp(-((cfg.coupling * (kappa[:, None] - kappa) / cfg.width) ** 2) * 0.125)
         rank = np.argsort(kappa, kind="stable")
-        cluster = np.zeros(kappa.size, dtype=np.intp)
-        cluster[rank[1:]] = np.cumsum(kernel[rank[:-1], rank[1:]] < 0.5)  # a new cluster past each kernel < 1/2
-        member = np.eye(cluster[rank[-1]] + 1)[cluster]  # (m, cluster), one-hot
-        split = np.where(cluster[:, None] == cluster, np.expm1(-x), kernel)  # -D inside a cluster, K across
+        new = np.concatenate(([True], kernel[rank[:-1], rank[1:]] < 0.5))  # a cluster starts past each kernel < 1/2
+        cluster = np.empty(kappa.size, dtype=np.intp)
+        cluster[rank] = np.cumsum(new) - 1
+        ordered, bounds = kappa[rank], np.flatnonzero(new)  # bounds: the sorted index of each cluster's lowest
+        low = ordered[bounds]
+        mid = low + 0.5 * (np.maximum.reduceat(ordered, bounds) - low)
+        mu = cfg.coupling * (kappa - mid[cluster]) / cfg.width  # offset from the middle of its cluster, in widths
+        lam = float(np.max(mu**2)) / 4.0
+        order = math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0)
+        steps = np.empty((order, kappa.size))
+        steps[0] = np.exp(-(mu**2) / 8.0)
+        steps[1:] = (0.5 * mu) / np.sqrt(np.arange(1.0, order))[:, None]
+        v = np.cumprod(steps, axis=0)  # v[k, n] = exp(-mu_n**2 / 8) (mu_n / 2)**k / sqrt(k!)
+        member = np.eye(cluster.max() + 1)[cluster]  # (m, cluster), one-hot
+        weights = (v.T[:, :, None] * member[:, None, :]).reshape(kappa.size, -1)  # [n, (k, C)] = v_kn [n in C]
         half = 0.5 * kappa
-        s, t = rows @ member, (rows * half) @ member  # per cluster: sum c and sum c k / 2
-        probability = np.sum(s.real**2 + s.imag**2, axis=1) + np.sum((rows.conj() @ split) * rows, axis=1).real
+        s, t = rows @ weights, (rows * half) @ weights  # v_k . c_C and v_k . (c_C k / 2), per (k, C)
+        cross = np.where(cluster[:, None] == cluster, 0.0, kernel)  # pairs across clusters keep K
+        probability = np.sum(s.real**2 + s.imag**2, axis=1) + np.sum((rows.conj() @ cross) * rows, axis=1).real
         moment = 2.0 * np.sum(s.real * t.real + s.imag * t.imag, axis=1)
-        moment += np.sum((rows.conj() @ (split * (half[:, None] + half))) * rows, axis=1).real
+        moment += np.sum((rows.conj() @ (cross * (half[:, None] + half))) * rows, axis=1).real
         object.__setattr__(self, "probability", tuple(probability.tolist()))
         means = [None if p <= TOL else cfg.coupling * m / p for m, p in zip(moment.tolist(), self.probability)]
         object.__setattr__(self, "mean", tuple(means))

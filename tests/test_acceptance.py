@@ -126,9 +126,9 @@ def test_criterion_4_hardy():
 def test_criterion_5_contextuality():
     with criterion("5. Contextuality: (-1/8, 1/8, 1/8, 1/8) and both product relations", 1.0):
         report = peres_mermin_swap()
-        assert abs(entry(report.kd, "S", "(+1,+1)") - (-0.125)) <= TOL
+        assert abs(entry(report.kd, "S", "(+1 +1)") - (-0.125)) <= TOL
         for label in ("Tx", "Ty", "Tz"):
-            assert abs(entry(report.kd, label, "(+1,+1)") - 0.125) <= TOL
+            assert abs(entry(report.kd, label, "(+1 +1)") - 0.125) <= TOL
         by_name = {c.name: c for c in report.checks}
         assert complex(by_name["(X1X2)(Y1Y2) = -(Z1Z2) on all four swap eigenvectors"].got).real <= TOL
         assert complex(by_name["(X1Y2)(Y1X2) = Z1Z2 on all eight product-context states"].got).real <= TOL

@@ -128,7 +128,6 @@ class TestScenarioCommand:
         assert len(lines) == 1 + 9
         assert any(line.startswith("3,b,-0.111111111111") for line in lines)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: labels such as (-1,-1) are written unquoted")
     @pytest.mark.parametrize("name", ["bell", "peres-mermin"])
     def test_csv_rows_have_the_header_fields(self, capsys, name):
         code, out, _ = run_cli(capsys, "scenario", name, "--format", "csv")
@@ -168,11 +167,8 @@ class TestKdCommand:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_builtin_round_trips_through_a_scenario_file(self, name, capsys, tmp_path):
         # one pipeline: the builder's state, bases, labels and declared phases, written as a file, give
-        # the table the builder reports. The loader renormalizes state_a, which moves the bits of
-        # peres-mermin's table only, by less than the mpmath oracle's entry bound (3d + 16) u; its
-        # imaginary parts, about 1e-18, then print differently in 12 digits, within that bound too
+        # the table the builder reports, bit for bit: the loader keeps a unit-norm state_a as given
         dist, transform = declared_transformation(name)
-        bound = (3 * dist.dim + 16) * 2.0**-53 if name == "peres-mermin" else 0.0
         path = tmp_path / f"{name}.json"
         content = {"dim": dist.dim, "state_a": state_pairs(dist.state_a.amp)}
         for axis, basis in (("m", dist.basis_m), ("b", dist.basis_b)):
@@ -187,14 +183,11 @@ class TestKdCommand:
         loaded, reported = json.loads(out), json.loads(builtin)
         assert loaded["kd"]["labels"] == reported["kd"]["labels"]
         for key, part in (("kd", "re"), ("kd", "im"), ("marginals", "m"), ("marginals", "b")):
-            assert np.max(np.abs(np.subtract(loaded[key][part], reported[key][part]))) <= bound
+            assert loaded[key][part] == reported[key][part]
 
         config = load_scenario_file(path)
         table = kd_joint(config.state_a, config.basis_m, config.basis_b).table
-        if bound:
-            assert float(np.max(np.abs(table - dist.table))) <= bound
-        else:
-            assert table.tobytes() == dist.table.tobytes()
+        assert table.tobytes() == dist.table.tobytes()
         row = loaded["overlaps"][transform.b]
         assert row["b"] == dist.basis_b.labels[transform.b]
         assert abs(row["overlap_direct"] - transform.direct) <= TOL
@@ -218,6 +211,16 @@ class TestKdCommand:
         assert len(lines) == 10
         undefined_rows = [line for line in lines if line.endswith(",undefined")]
         assert undefined_rows  # zero-modulus entries have no phase
+
+    def test_csv_quotes_file_labels_with_commas_and_quotes(self, capsys, tmp_path):
+        labels_m, labels_b = ["box 1,2", 'say "3"', "3"], ["b", "r,e,st", "null"]
+        path = three_box_file(tmp_path, labels_m=labels_m, labels_b=labels_b)
+        code, out, _ = run_cli(capsys, "kd", str(path), "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["m_label", "b_label", "re", "im", "modulus", "phase"]
+        assert [row[:2] for row in rows] == [[m, b] for m in labels_m for b in labels_b]
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_action_phase_overlap_columns(self, capsys, tmp_path):
         path = three_box_file(tmp_path, action_phase=[0.0, 0.0, math.pi])
@@ -355,7 +358,7 @@ class TestKdCommand:
             csv_lines = views["csv"][1].strip().splitlines()[1:]
             assert len(csv_lines) == len(entries)
             for line, (m, b, z) in zip(csv_lines, entries):
-                assert line.startswith(f"{m},{b},")  # labels such as (+1,-1) hold commas
+                assert line.startswith(f"{m},{b},")
                 re_text, im_text, modulus, phase = line[len(f"{m},{b},"):].split(",")
                 assert shows(re_text, z.real) and shows(im_text, z.imag)
                 # modulus and phase are recomputed here from the rounded re and im

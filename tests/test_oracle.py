@@ -32,12 +32,12 @@ bound, with ``u = 2**-53`` the unit roundoff:
   ``||(K∘H) c|| <= max|k| sqrt(d) (sqrt(P(b)) + S) / 2`` with ``S = sum_m |c_m|``. So the mean
   ``g num / P(b)`` moves by at most ``F (|mean| + g max|k| (1 + S / sqrt(P(b))))``. Both are
   first-order bounds on the rounding of the inputs, the floor for any formula on the float
-  coefficients; at dimension 8 and ``P(b) = 2 TOL``, F is 3e-9. The cluster split's own rounding
-  comes on top. It is measured, not proved, to stay inside them where b is nearly orthogonal to
-  a: over this module's cases the largest errors read 0.05 (P) and 0.01 (mean) of the bounds.
-  Where b lies near a null direction of K itself, with several centers a few widths apart, it
-  does not (ROADMAP item 8); a strict xfail pins one such input. The three-box and pinned
-  near-orthogonal cases are also held to 1e-10 relative, as before.
+  coefficients; at dimension 8 and ``P(b) = 2 TOL``, F is 3e-9. The rounding of the clusters' sums
+  of squares comes on top. It is measured, not proved, to stay inside them where b is nearly
+  orthogonal to a, and where b lies near a null direction of K itself, with several centers a few
+  widths apart: over this module's cases, one such input among them, the largest errors read 0.05
+  (P) and 0.01 (mean) of the bounds. The three-box and pinned near-orthogonal cases are also held
+  to 1e-10 relative, as before.
 - ``conditional_pointer_mean_quadrature`` on the pinned near-orthogonal input is held to 1e-9
   relative of the 50-digit mean: its error estimate stays below 1e-8 there.
 - ``reconstruct_state`` reads the float table and bases. ``<b|m>`` is a complex dot product of unit
@@ -340,9 +340,9 @@ def null_direction_input(seed, eps):
     return a, basis_m, complete_basis([b0], tuple(f"b{k}" for k in range(8))), cfg
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: c† K c still cancels near a null direction of K")
 def test_pointer_statistics_near_a_null_direction_of_the_kernel():
-    # seed 11 and eps 2e-5 give P(b0) = 2.3e-10, which PointerStatistics reads 5.8 F off the 50-digit value
+    # seed 11 and eps 2e-5 give P(b0) = 2.3e-10; squaring each cluster's coefficient sum read it 5.8 F off
+    # the 50-digit value, since K's own terms cancel there, and the sum of squares reads it inside F
     a, basis_m, basis_b, cfg = null_direction_input(seed=11, eps=2e-5)
     p, _ = pointer_oracle(a, basis_m, basis_b, cfg, 0)
     got = PointerStatistics(a, basis_m, basis_b, cfg).probability[0]

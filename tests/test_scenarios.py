@@ -32,10 +32,15 @@ from kdqlab.scenarios import (
     _CHSH_CELLS,
     _CHSH_ORDER,
     _bell_state,
+    _cheshire_cat_inputs,
     _chsh_target,
     _eigenvalues_of,
+    _hardy_inputs,
+    _leggett_garg_preparation,
     _pauli_pair,
     _product_basis,
+    _swap_basis,
+    _three_box_inputs,
 )
 
 TOL = 1e-10
@@ -248,9 +253,9 @@ class TestHardy:
 class TestPeresMermin:
     def test_published_values(self):
         report = peres_mermin_swap()
-        assert entry(report.kd, "S", "(+1,+1)") == pytest.approx(-0.125, abs=TOL)
+        assert entry(report.kd, "S", "(+1 +1)") == pytest.approx(-0.125, abs=TOL)
         for label in ("Tx", "Ty", "Tz"):
-            assert entry(report.kd, label, "(+1,+1)") == pytest.approx(0.125, abs=TOL)
+            assert entry(report.kd, label, "(+1 +1)") == pytest.approx(0.125, abs=TOL)
 
     def test_product_relations_by_application(self):
         report = peres_mermin_swap()
@@ -347,8 +352,8 @@ class TestBell:
 
     def test_theta_zero_column(self):
         report = bell_scenario(0.0)
-        column = report.kd.table[:, report.kd.basis_b.labels.index("(+1,+1)")]
-        expected = {"(-1,-1)": -0.125, "(+1,-1)": 0.125, "(-1,+1)": 0.125, "(+1,+1)": 0.125}
+        column = report.kd.table[:, report.kd.basis_b.labels.index("(+1 +1)")]
+        expected = {"(-1 -1)": -0.125, "(+1 -1)": 0.125, "(-1 +1)": 0.125, "(+1 +1)": 0.125}
         for label, value in expected.items():
             i = report.kd.basis_m.labels.index(label)
             assert complex(column[i]) == pytest.approx(value, abs=TOL)
@@ -414,6 +419,34 @@ PAULI = {
 }
 PRODUCT_BASES = [("X", "X", _CHSH_ORDER), ("Y", "Y", _CHSH_ORDER), ("X", "Y", PM_ORDER), ("Y", "X", PM_ORDER)]
 PAULI_PAIRS = [("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Y"), ("Y", "X")]
+# every cached helper of the scenarios module, and those of them that take no argument
+CACHED_HELPERS = (
+    _leggett_garg_preparation,
+    _three_box_inputs,
+    _cheshire_cat_inputs,
+    _hardy_inputs,
+    _swap_basis,
+    _product_basis,
+    _pauli_pair,
+)
+FIXED_INPUTS = CACHED_HELPERS[:5]
+
+
+def arrays_of(value):
+    """Every array a cached value holds: the amplitudes of its states, the matrices of its operators and bases."""
+    if isinstance(value, tuple):
+        return [array for item in value for array in arrays_of(item)]
+    if isinstance(value, StateVector):
+        return [value.amp]
+    if isinstance(value, Operator):
+        return [value.mat]
+    return [value.matrix, *arrays_of(value.vectors)]  # an OrthonormalBasis
+
+
+def report_bits(report):
+    """Each check's name, ``got`` as exact bits and ``passed``, and the table's bytes."""
+    checks = [(c.name, complex(c.got).real.hex(), complex(c.got).imag.hex(), c.passed) for c in report.checks]
+    return checks, report.kd.table.tobytes()
 
 
 def chained_bell_state(theta):
@@ -440,7 +473,7 @@ class TestSharedConstants:
         first, second, order = key
         basis = _product_basis(first, second, order)
         assert basis is _product_basis(first, second, order)
-        assert basis.labels == tuple(f"({s1:+d},{s2:+d})" for s1, s2 in order)
+        assert basis.labels == tuple(f"({s1:+d} {s2:+d})" for s1, s2 in order)
         for (s1, s2), v in zip(order, basis.vectors):
             u1, u2 = StateVector.normalize(EIGEN[first][s1]), StateVector.normalize(EIGEN[second][s2])
             assert np.array_equal(v.amp, np.kron(u1.amp, u2.amp))
@@ -457,6 +490,29 @@ class TestSharedConstants:
         with pytest.raises(ValueError, match="read-only"):
             op.mat[0, 0] = 1.0
 
+    @pytest.mark.parametrize("name", ["three-box", "cheshire-cat", "hardy", "peres-mermin"])
+    def test_builds_of_a_fixed_scenario_share_their_inputs(self, name):
+        first, second = build(name).kd, build(name).kd
+        assert first.state_a is second.state_a
+        assert first.basis_m is second.basis_m and first.basis_b is second.basis_b
+
+    @pytest.mark.parametrize("helper", FIXED_INPUTS, ids=lambda f: f.__name__)
+    def test_every_cached_array_is_read_only(self, helper):
+        value = helper()
+        assert helper() is value
+        for array in arrays_of(value):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_a_cold_build_gives_the_bits_of_a_warm_one(self):
+        warm = {name: report_bits(build(name)) for name in kdqlab.SCENARIO_NAMES}
+        for name in kdqlab.SCENARIO_NAMES:
+            for helper in CACHED_HELPERS:
+                helper.cache_clear()
+            assert report_bits(build(name)) == warm[name], name
+            assert report_bits(build(name)) == warm[name], name
+
     def test_bell_state_equals_the_operator_chain_bit_for_bit(self):
         rng = np.random.default_rng(18)
         for theta in [0.0, math.pi / 2, 1e-10, *rng.uniform(0.0, math.pi / 2, 20)]:
@@ -467,15 +523,13 @@ class TestSharedConstants:
             assert np.array_equal(a2.mat, want_a2.mat), theta
 
     def test_import_builds_no_constant(self):
-        code = (
-            "import kdqlab.scenarios as s; "
-            "print(s._product_basis.cache_info().currsize, s._pauli_pair.cache_info().currsize)"
-        )
+        names = [helper.__name__ for helper in CACHED_HELPERS]
+        code = f"import kdqlab.scenarios as s; print(*(getattr(s, n).cache_info().currsize for n in {names}))"
         src = str(Path(kdqlab.__file__).resolve().parents[1])  # this checkout's package, or the installed one
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "0"]
+        assert done.stdout.split() == ["0"] * len(CACHED_HELPERS)
 
 
 class TestRegistry:
