@@ -9,9 +9,11 @@ from the root of a checkout, parses the last JSON line of its stdout, and
 writes one file with the ``env`` line, whether every run was ``correct``, the
 total ``failed``, and per workload the median and quartiles of every
 end-to-end metric. Each run's own values stay in ``runs``, so pairs can be
-compared later. A ``layers`` block, which no bound gates, holds each
-scenario builder's in-process build time in microseconds, the best of
-``REPEAT`` timings of ``NUMBER`` builds each, all in one fresh process.
+compared later. A ``layers`` block, which no bound gates, holds in-process
+times in microseconds, the best of ``REPEAT`` timings of ``NUMBER`` calls
+each, all in one fresh process: each scenario builder at its default angle,
+Leggett-Garg and Bell at one other angle each, and at dimensions 2, 4 and 16
+``kd_joint`` beside its bare kernel, the three products without validation.
 
 With ``--parent DIR`` (another checkout, such as the commit before a change),
 both trees run every (workload, seed) pair, and which one runs first
@@ -39,15 +41,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER, REPEAT = 50, 20
-# in one fresh process on the tree's src/: best-of-repeat time of one build of each scenario, in microseconds
+# in one fresh process on the tree's src/: best-of-repeat time of one call, in microseconds
 LAYERS = """
 import json, sys, timeit
-from kdqlab import scenarios
+import numpy as np
+from kdqlab import OrthonormalBasis, StateVector, kd_joint, scenarios
 number, repeat = map(int, sys.argv[1:])
-print(json.dumps({
-    f"scenarios.build_us.{name}": min(timeit.repeat(lambda: scenarios.build(name), number=number, repeat=repeat)) / number * 1e6
-    for name in scenarios.SCENARIO_NAMES
-}))
+
+def best(call):
+    return min(timeit.repeat(call, number=number, repeat=repeat)) / number * 1e6
+
+def kernel(a, m, b):  # kd_joint's three products on the stacked vectors, without its validation
+    return (b.conj() @ m.T).T * (m.conj() @ a)[:, None] * (a.conj() @ b.T)[None, :]
+
+def unitary(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+layers = {f"scenarios.build_us.{name}": best(lambda: scenarios.build(name)) for name in scenarios.SCENARIO_NAMES}
+for name, theta in (("leggett-garg", 1.1), ("bell", 0.6)):
+    layers[f"scenarios.build_us.{name}(theta={theta})"] = best(lambda: scenarios.build(name, theta))
+rng = np.random.default_rng(0)
+for dim in (2, 4, 16):
+    a = StateVector(unitary(rng, dim)[0])
+    m, b = (OrthonormalBasis(tuple(map(str, range(dim))), tuple(map(StateVector, unitary(rng, dim)))) for _ in "mb")
+    layers[f"kdq.kd_joint_us.d{dim}"] = best(lambda: kd_joint(a, m, b))
+    layers[f"kdq.kernel_us.d{dim}"] = best(lambda: kernel(a.amp, m.matrix, b.matrix))
+print(json.dumps(layers))
 """
 
 

@@ -220,7 +220,7 @@ def overlap_from_kd(dist: KDDistribution, spectrum: ActionSpectrum, b_index: int
     p_b = float(dist.prob_b[check_index("b_index", b_index, dist.dim)])
     if p_b <= TOL:
         raise PostSelectionError(f"P(b|a) ~ 0 for b index {b_index}; the overlap identity is undefined")
-    amplitude = complex(np.sum(dist.table[:, b_index] * spectrum.factor))
+    amplitude = complex(dist.table[:, b_index] @ spectrum.factor)
     return float(abs(amplitude) ** 2 / p_b)
 
 
@@ -244,7 +244,8 @@ class Transformation:
         self.image.setflags(write=False)
         self.direct, self.from_kd = self.column(b)  # checks b
         self.b, target = b, dist.basis_b.matrix[b]
-        self.distance = float(np.linalg.norm(target - np.vdot(self.image, target) * self.image))
+        rest = target - np.vdot(self.image, target) * self.image  # its norm by np.linalg.norm's formula
+        self.distance = math.sqrt(float(rest.real @ rest.real) + float(rest.imag @ rest.imag))
 
     def column(self, b: int) -> tuple[float, float | None]:
         """``(direct, from_kd)`` at column b, read from the shared spectrum and image."""
@@ -264,7 +265,7 @@ def is_half_periodic(spectrum: ActionSpectrum) -> bool:
     factors ``e^{-2i phase(m)}`` all agree.
     """
     doubled = spectrum.factor * spectrum.factor
-    return bool(np.max(np.abs(doubled - doubled[0])) <= TOL)
+    return bool(abs(doubled - doubled[0]).max() <= TOL)
 
 
 def negativity(dist: KDDistribution) -> NegativityReport:

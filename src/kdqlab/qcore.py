@@ -273,9 +273,7 @@ def bloch_state(theta: float, phi: float = 0.0) -> StateVector:
     Returns ``(cos(theta/2), e^{i phi} sin(theta/2))``, the +1 eigenstate of
     ``cos(theta) Z + sin(theta) cos(phi) X + sin(theta) sin(phi) Y``.
     """
-    return StateVector(
-        np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
-    )
+    return StateVector([math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)])
 
 
 def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -> OrthonormalBasis:
@@ -315,11 +313,17 @@ def post_selection_basis(a: StateVector, b: StateVector, labels: Sequence[str]) 
     The first vector is ``b`` itself, the second (when the two states are not
     parallel) carries the remainder of the preparation's support, and any
     further vectors are orthogonal to both, so they receive exactly zero
-    joint weight.
+    joint weight. Where projecting ``a`` off ``b`` cancels more than half the
+    norm (``|rest| < 1/sqrt 2``), the remainder is projected off ``b`` a
+    second time, so its rounding leaves no ``b`` component that normalizing
+    would blow up (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772
+    (1976)).
     """
     same_dim(a.dim, b.dim)
     seeds = [b]
     rest = a.amp - b.amp * complex(np.vdot(b.amp, a.amp))
+    if float(np.linalg.norm(rest)) < math.sqrt(0.5):
+        rest = rest - b.amp * complex(np.vdot(b.amp, rest))
     if float(np.linalg.norm(rest)) > 1e-6:
         seeds.append(StateVector.normalize(rest))
     return complete_basis(seeds, labels)

@@ -12,9 +12,14 @@ Builders contain no arithmetic shortcuts: every number in a report comes from
 the engine. Every input that no angle changes (the fixed scenarios' states,
 bases and check operators, Leggett-Garg's preparation, the Pauli product bases
 and the Pauli products) is built once, on first use, by a cached helper and
-shared read-only by every build; the CHSH sign vectors, cell values and flip
-phases are built at import. Tables, transformations and checks are computed
-anew on every call.
+shared read-only by every build; the CHSH sign vectors, cell values, flip
+phases, the closed-form table's parity and sign tables, the K = -2 mask and
+the Bell seed ``|++>`` are built at import. Tables, transformations and checks
+are computed anew on every call, from per-angle inputs formed directly:
+Leggett-Garg's two spin bases are the Bloch states along theta and theta + pi,
+with no Gram-Schmidt pass, and its two spin observables are spectral sums
+over them; Bell's state is the stabilizers' joint projector applied to the
+seed, checked against both stabilizers in one stacked product.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     _identity,
+    _spectral_sum,
     bloch_state,
-    complete_basis,
     expectation,
     inner,
     pauli,
@@ -130,7 +135,7 @@ def _report(
         generic.append(Check(name, transform.direct, transform.from_kd))
     if half and transform.distance <= TOL / 4:
         phase = transform.spectrum.factor.conj()  # e^{i phase(m)}
-        residual = float(np.max(np.abs(col - phase * dist.prob_m * np.sum(dist.prob_m / phase))))
+        residual = float(abs(col - phase * dist.prob_m * (dist.prob_m / phase).sum()).max())
         generic.append(Check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
     return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
 
@@ -144,8 +149,8 @@ def _leggett_garg_preparation() -> StateVector:
 
 
 def _spin_basis(theta: float) -> OrthonormalBasis:
-    """Qubit basis of the +/-1 eigenstates of the spin along (theta, 0)."""
-    return complete_basis([bloch_state(theta, 0.0)], ("+1", "-1"))
+    """Qubit basis of the +/-1 eigenstates of the spin along (theta, 0): the Bloch states along theta and theta + pi."""
+    return OrthonormalBasis(("+1", "-1"), (bloch_state(theta), bloch_state(theta + math.pi)))
 
 
 def leggett_garg(theta: float) -> ScenarioReport:
@@ -165,8 +170,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
     # route 1: separate expectation values of the three spin observables
-    sigma_m = Operator(projector(basis_m.vectors[0]).mat - projector(basis_m.vectors[1]).mat)
-    sigma_b = Operator(projector(basis_b.vectors[0]).mat - projector(basis_b.vectors[1]).mat)
+    sigma_m, sigma_b = (_spectral_sum(basis, (1.0, -1.0)) for basis in (basis_m, basis_b))
     p_expectation = 0.25 * (
         1.0
         + expectation(sigma_b, a).real
@@ -452,8 +456,14 @@ _M1, _M2 = _CHSH_SIGNS[:, :, None]  # the X outcome signs of the rows (m), as co
 _B1, _B2 = _CHSH_SIGNS[:, None, :]  # the Y outcome signs of the columns (b), as rows
 # K per (m, b) cell: X1 X2 from m, Y1 Y2 from b and the cross terms X1 Y2 and Y1 X2 from their pairing; always +-2
 _CHSH_CELLS = _M1 * _M2 + _M1 * _B2 + _B1 * _M2 - _B1 * _B2
-_CHSH_CELLS.setflags(write=False)
 _CHSH_FLIP = tuple(math.pi if m == (-1, -1) else 0.0 for m in _CHSH_ORDER)  # pi on (X1, X2) = (-1, -1)
+# the closed-form table's parity of each row m, the cells where m and b differ in parity, the sign m1 b2 of each
+# cell, the cells of K = -2, and the seed |++> of the Bell state
+_CHSH_PARITY, _CHSH_SPLIT, _CHSH_CROSS = _M1 * _M2, _M1 * _M2 != _B1 * _B2, _M1 * _B2
+_CHSH_MINUS2 = _CHSH_CELLS == -2
+_PLUS_PLUS = np.full(4, 0.5, dtype=complex)
+for _array in (_CHSH_CELLS, _CHSH_PARITY, _CHSH_SPLIT, _CHSH_CROSS, _CHSH_MINUS2, _PLUS_PLUS):
+    _array.setflags(write=False)
 
 
 def _chsh_target(theta: float) -> np.ndarray:
@@ -462,8 +472,7 @@ def _chsh_target(theta: float) -> np.ndarray:
     ``(1 + m1 m2 sin theta) / 8`` where m and b differ in parity (``m1 m2 != b1 b2``),
     and ``m1 b2 cos theta / 8`` elsewhere.
     """
-    m_parity = _M1 * _M2
-    return np.where(m_parity != _B1 * _B2, (1.0 + m_parity * math.sin(theta)) / 8.0, _M1 * _B2 * math.cos(theta) / 8.0)
+    return np.where(_CHSH_SPLIT, (1.0 + _CHSH_PARITY * math.sin(theta)) / 8.0, _CHSH_CROSS * math.cos(theta) / 8.0)
 
 
 def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
@@ -487,9 +496,10 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
         raise ValueError(f"joint eigenspace is not one-dimensional (trace {trace})")
     # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
     # projection of |++> has norm^2 (1 + sin(theta)) / 4 >= 1/4 on [0, pi/2]: it never vanishes
-    state = StateVector.normalize(proj.mat @ np.full(4, 0.5, dtype=complex))
-    # each stabilizer has entries of modulus <= 1, so its image of a unit vector needs no overflow guard
-    if max(float(np.max(np.abs(op.mat @ state.amp - state.amp))) for op in (a1, a2)) > TOL:
+    state = StateVector.normalize(proj.mat @ _PLUS_PLUS)
+    # both stabilizers in one stacked product; each has entries of modulus <= 1, so its image of a unit
+    # vector needs no overflow guard
+    if float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max()) > TOL:
         raise ValueError("the projected seed is not a joint +1 eigenstate")
     return state, a1, a2
 
@@ -522,21 +532,21 @@ def bell_scenario(theta: float) -> ScenarioReport:
     dist = kd_joint(a, _product_basis("X", "X", _CHSH_ORDER), _product_basis("Y", "Y", _CHSH_ORDER))
 
     real = dist.table.real
-    k_expectation = float(np.sum(_CHSH_CELLS * real))
-    p_k_minus2 = float(np.sum(real[_CHSH_CELLS == -2]))
+    k_expectation = float((_CHSH_CELLS * real).sum())
+    p_k_minus2 = float(real[_CHSH_MINUS2].sum())
     p_minus2_target = 0.5 * (1.0 - math.sin(theta) - math.cos(theta))
     k_target = 2.0 * (math.sin(theta) + math.cos(theta))
     bound_violated = k_expectation > 2.0 + TOL
     negative_mass = p_k_minus2 < -TOL / 4  # <K> - 2 = 2 (S - 1) - 4 P(K=-2): the flags switch together but for rounding
-    band = 2.0 * abs(float(np.sum(real)) - 1.0) + 92 * 2.0**-53 * float(np.sum(abs(real)))
+    band = 2.0 * abs(float(real.sum()) - 1.0) + 92 * 2.0**-53 * float(abs(real).sum())
     flags_agree = bound_violated == negative_mass or abs(k_expectation - (2.0 + TOL)) <= band
 
     b_plus = 3  # b = (+1, +1)
     flip = Transformation(dist, _CHSH_FLIP, b_plus)
 
     checks = [
-        Check("joint table matches the closed-form table", 0.0, float(np.max(np.abs(real - _chsh_target(theta))))),
-        Check("joint table entries are real", 0.0, float(np.max(np.abs(dist.table.imag)))),
+        Check("joint table matches the closed-form table", 0.0, float(abs(real - _chsh_target(theta)).max())),
+        Check("joint table entries are real", 0.0, float(abs(dist.table.imag).max())),
         Check("<K> = 2 (sin + cos)", k_target, k_expectation),
         Check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
         Check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
@@ -546,7 +556,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     if flip.from_kd is not None:
         # entries of that column are real, so compensating the single pi phase
         # saturates the triangle bound on the transformed overlap
-        optimum = float(np.sum(np.abs(dist.table[:, b_plus]))) ** 2 / float(dist.prob_b[b_plus])
+        optimum = float(abs(dist.table[:, b_plus]).sum()) ** 2 / float(dist.prob_b[b_plus])
         checks.append(Check("conditional flip achieves the optimal overlap onto b=(+1,+1)", optimum, flip.from_kd))
     column = None
     if abs(theta) <= 1e-12:

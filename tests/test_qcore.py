@@ -351,6 +351,26 @@ class TestBasisCompletion:
         for vec in basis.vectors[2:]:
             assert abs(inner(vec, a)) <= 1e-9
 
+    @pytest.mark.parametrize("rest", [1.01e-6, 1.5e-6, 3e-6])
+    def test_post_selection_basis_nearly_parallel_states(self, rest):
+        # a = sqrt(1 - r^2) e^{i phi} b + r w with w orthogonal to b: the remainder a - b<b|a> has norm r just
+        # above the 1e-6 cut. Projected off b once, its rounding left a b component of about u / r after
+        # normalizing, above TOL, and 76 to 202 of 300 such cases per level failed as "not orthonormal"
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            dim = int(rng.integers(2, 17))
+            b = random_state(rng, dim)
+            w = random_state(rng, dim).amp
+            w = w - b.amp * np.vdot(b.amp, w)
+            w = w / np.linalg.norm(w)
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            a = StateVector.normalize(math.sqrt(1.0 - rest**2) * phase * b.amp + rest * w)
+            basis = post_selection_basis(a, b, tuple(f"k{j}" for j in range(dim)))
+            assert basis.vectors[0] is b
+            assert abs(inner(basis.vectors[1], b)) <= 1e-15
+            # the second vector is the normalized remainder, up to its canonical global phase
+            assert abs(inner(basis.vectors[1], StateVector.normalize(w))) == pytest.approx(1.0, abs=1e-9)
+
     def test_post_selection_basis_parallel_states(self):
         basis = post_selection_basis(E0, E0, ("b", "n"))
         np.testing.assert_allclose(basis.vectors[0].amp, E0.amp, atol=TOL)

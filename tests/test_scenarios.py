@@ -20,6 +20,7 @@ from kdqlab import (
     complete_basis,
     expectation,
     hardy,
+    inner,
     kd_joint,
     leggett_garg,
     negativity,
@@ -39,11 +40,13 @@ from kdqlab.scenarios import (
     _leggett_garg_preparation,
     _pauli_pair,
     _product_basis,
+    _spin_basis,
     _swap_basis,
     _three_box_inputs,
 )
 
 TOL = 1e-10
+U = 2.0**-53  # the unit roundoff
 LAW = "column b follows the half-periodic law e^(i phase) P(m|a) S"
 
 
@@ -192,6 +195,41 @@ class TestLeggettGarg:
     def test_rejects_out_of_range(self, theta):
         with pytest.raises(ValueError):
             leggett_garg(theta)
+
+    def test_spin_basis_matches_the_gram_schmidt_completion_up_to_a_global_phase(self):
+        # the -1 vector is the Bloch state along theta + pi, not the completion of the +1 vector; the two
+        # differ by a global phase only. The builder reads the basis at theta and at 2 theta, in (0, 2 pi)
+        edges = [5e-324, 1e-16, math.pi - 4.4e-16, 2.0 * (math.pi - 4.4e-16), 2.0 * math.pi - 8.9e-16]
+        for theta in [*edges, *np.linspace(0.0, 2.0 * math.pi, 2001)[1:-1].tolist()]:
+            basis = _spin_basis(theta)
+            completed = complete_basis([bloch_state(theta)], ("+1", "-1"))
+            assert basis.labels == completed.labels
+            for v, w in zip(basis.vectors, completed.vectors):
+                assert abs(abs(inner(v, w)) - 1.0) <= 4 * U, theta
+
+    def test_tables_lie_within_the_entry_bound_of_the_completion_route(self):
+        # the table does not see the global phase of a basis vector, so the two routes differ by rounding,
+        # bounded by test_oracle's entry bound (3d + 16) u at d = 2
+        prep = bloch_state(0.0)
+        for theta in np.linspace(0.0, math.pi, 2003)[1:-1].tolist():
+            completed = kd_joint(prep, *(complete_basis([bloch_state(t)], ("+1", "-1")) for t in (theta, 2.0 * theta)))
+            assert float(abs(leggett_garg(theta).kd.table - completed.table).max()) <= 22 * U, theta
+
+    def test_every_report_passes_on_the_edge_grid(self):
+        # a uniform grid, and angles crowding the three places where a check meets a rounding edge: theta -> 0,
+        # where the three spins align and the negative entry vanishes as -theta^2 / 4; pi / 2, where
+        # P(b|a) = cos^2(theta) vanishes; and theta -> pi, down to the largest float below pi
+        grid = [
+            *np.linspace(0.0, math.pi, 4001)[1:-1].tolist(),
+            5e-324,
+            *np.logspace(-320, -1, 320).tolist(),
+            *(math.pi / 2 + np.linspace(-1e-8, 1e-8, 281)).tolist(),
+            math.pi - 4.4e-16,
+            *(math.pi - np.logspace(-15.3, -1, 200)).tolist(),
+        ]
+        assert len(grid) >= 4800
+        failed = [theta for theta in grid if not leggett_garg(theta).passed]
+        assert failed == []
 
 
 class TestThreeBox:
@@ -404,6 +442,15 @@ class TestBell:
     def test_rejects_out_of_range(self, theta):
         with pytest.raises(ValueError):
             _bell_state(theta)
+
+    def test_stacked_stabilizer_residual_equals_the_per_operator_maximum_bit_for_bit(self):
+        # _bell_state checks both stabilizers in one stacked product; each slice is the product one
+        # operator alone gives, so the residual compared with TOL keeps its bits
+        for theta in [0.0, 1e-10, 5e-11, math.pi / 2, *np.linspace(0.0, math.pi / 2, 1001).tolist()]:
+            state, a1, a2 = _bell_state(theta)
+            stacked = float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max())
+            per_operator = max(float(np.max(np.abs(op.mat @ state.amp - state.amp))) for op in (a1, a2))
+            assert stacked.hex() == per_operator.hex(), theta
 
 
 PM_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
