@@ -9,11 +9,16 @@ from the root of a checkout, parses the last JSON line of its stdout, and
 writes one file with the ``env`` line, whether every run was ``correct``, the
 total ``failed``, and per workload the median and quartiles of every
 end-to-end metric. Each run's own values stay in ``runs``, so pairs can be
-compared later. A ``layers`` block, which no bound gates, holds in-process
-times in microseconds, the best of ``REPEAT`` timings of ``NUMBER`` calls
-each, all in one fresh process: each scenario builder at its default angle,
+compared later. A ``layers`` block, which no bound gates, holds times in
+microseconds. Its in-process rows are the best of ``REPEAT`` timings of
+``NUMBER`` calls each: each scenario builder at its default angle,
 Leggett-Garg and Bell at one other angle each, and at dimensions 2, 4 and 16
 ``kd_joint`` beside its bare kernel, the three products without validation.
+Its ``import.<module>_us`` rows are the cumulative times that
+``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Each
+seed runs one fresh process of each kind per tree, after that seed's
+workloads and in its order of trees, and each row keeps its best over the
+seeds, so one slow process on a loaded host does not set a row.
 
 With ``--parent DIR`` (another checkout, such as the commit before a change),
 both trees run every (workload, seed) pair, and which one runs first
@@ -41,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER, REPEAT = 50, 20
+IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 # in one fresh process on the tree's src/: best-of-repeat time of one call, in microseconds
 LAYERS = """
 import json, sys, timeit
@@ -94,9 +100,17 @@ def _run(tree: Path, workload: str, seed: int, args: argparse.Namespace) -> dict
 
 
 def _layers(tree: Path) -> dict:
+    """The rows of one fresh ``LAYERS`` process and one ``-X importtime`` process on the tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT)]
-    return json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
+    layers = json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
+    argv = [sys.executable, "-X", "importtime", "-c", "import kdqlab"]
+    report = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stderr
+    for line in report.splitlines():  # "import time: <self us> | <cumulative us> | <indented module name>"
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip() in IMPORTS:
+            layers[f"import.{fields[2].strip()}_us"] = float(fields[1])
+    return layers
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -104,7 +118,7 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def _summary(runs: list[dict], layers: dict, args: argparse.Namespace) -> dict:
+def _summary(runs: list[dict], layers: list[dict], args: argparse.Namespace) -> dict:
     workloads = {}
     for run in runs:
         workloads.setdefault(run["workload"], []).append(run)
@@ -120,7 +134,13 @@ def _summary(runs: list[dict], layers: dict, args: argparse.Namespace) -> dict:
             }
             for workload, group in workloads.items()
         },
-        "layers": {"unit": "us", "number": NUMBER, "repeat": REPEAT, "best": layers},
+        "layers": {
+            "unit": "us",
+            "number": NUMBER,
+            "repeat": REPEAT,
+            "processes": len(layers),
+            "best": {row: min(rows[row] for rows in layers) for row in layers[0]},
+        },
         "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
     }
 
@@ -160,14 +180,16 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     trees = {"change": ROOT} if args.parent is None else {"change": ROOT, "parent": args.parent.resolve()}
-    runs = {label: [] for label in trees}
+    runs, layers = {label: [] for label in trees}, {label: [] for label in trees}
     for index, seed in enumerate(args.seeds):
         order = list(trees) if index % 2 else list(trees)[::-1]  # the parent first at the first seed
         for workload in workloads:
             for label in order:
                 runs[label].append(_run(trees[label], workload, seed, args))
                 print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
-    summaries = {label: _summary(runs[label], _layers(tree), args) for label, tree in trees.items()}
+        for label in order:
+            layers[label].append(_layers(trees[label]))
+    summaries = {label: _summary(runs[label], layers[label], args) for label in trees}
 
     args.out.write_text(json.dumps(summaries["change"], indent=1) + "\n", encoding="utf-8")
     if args.parent is not None:

@@ -18,7 +18,8 @@ construction; ``column(b)`` reads the overlaps of any other column from the
 same spectrum and image. The built-in scenario reports and ``kdqlab kd`` read
 their overlaps from it, so the rule for when the table's overlap is undefined
 lives only in ``overlap_from_kd``. Every index into the table goes through
-``qcore.check_index``: a negative index is rejected, not wrapped.
+``qcore.check_index``: a negative index is rejected, not wrapped, and so is a
+``bool`` or a float.
 """
 
 from __future__ import annotations

@@ -36,7 +36,10 @@ def same_dim(*dims: int) -> int:
 
 
 def check_index(name: str, index: int, dim: int) -> int:
-    """``index`` if it lies in ``0..dim-1``; a negative index is rejected, not wrapped."""
+    """``index`` if it is an integer in ``0..dim-1``; a negative index is rejected, not wrapped."""
+    # bool is an int subclass, but True as an index is a caller's mistake, and a float is never an index
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {index!r}")
     if not 0 <= index < dim:
         raise ValueError(f"{name} {index} out of range for dimension {dim}")
     return index
@@ -310,14 +313,17 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
 def post_selection_basis(a: StateVector, b: StateVector, labels: Sequence[str]) -> OrthonormalBasis:
     """Final basis adapted to a preparation-plus-post-selection pair.
 
-    The first vector is ``b`` itself, the second (when the two states are not
-    parallel) carries the remainder of the preparation's support, and any
-    further vectors are orthogonal to both, so they receive exactly zero
-    joint weight. Where projecting ``a`` off ``b`` cancels more than half the
-    norm (``|rest| < 1/sqrt 2``), the remainder is projected off ``b`` a
-    second time, so its rounding leaves no ``b`` component that normalizing
-    would blow up (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772
-    (1976)).
+    The first vector is ``b`` itself, the second carries the normalized
+    remainder ``rest = a - b<b|a>`` where ``|rest| > 1e-6``, and any further
+    vectors complete the basis. Where ``|rest| > 1e-6`` they are orthogonal
+    to ``a``'s span with ``b``, and their joint weight is rounding alone
+    (about ``u**2``). Where ``|rest| <= 1e-6`` the remainder is dropped as
+    parallel, so the completion vectors share its weight, ``|rest|**2`` of
+    ``a``'s, between them: at most 1e-12, below ``TOL``. Where projecting
+    ``a`` off ``b`` cancels more than half the norm (``|rest| < 1/sqrt 2``),
+    the remainder is projected off ``b`` a second time, so its rounding
+    leaves no ``b`` component that normalizing would blow up (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
     """
     same_dim(a.dim, b.dim)
     seeds = [b]

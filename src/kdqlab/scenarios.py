@@ -9,24 +9,24 @@ machine-checked ``Check`` records, and adds the checks every transformation
 gets: half-periodicity, the overlap identity against the direct overlap and,
 where the transformation maps a onto b, the half-periodic law for column b.
 Builders contain no arithmetic shortcuts: every number in a report comes from
-the engine. Every input that no angle changes (the fixed scenarios' states,
-bases and check operators, Leggett-Garg's preparation, the Pauli product bases
-and the Pauli products) is built once, on first use, by a cached helper and
-shared read-only by every build; the CHSH sign vectors, cell values, flip
-phases, the closed-form table's parity and sign tables, the K = -2 mask and
-the Bell seed ``|++>`` are built at import. Tables, transformations and checks
-are computed anew on every call, from per-angle inputs formed directly:
-Leggett-Garg's two spin bases are the Bloch states along theta and theta + pi,
-with no Gram-Schmidt pass, and its two spin observables are spectral sums
-over them; Bell's state is the stabilizers' joint projector applied to the
-seed, checked against both stabilizers in one stacked product.
+the engine. Every input that no angle changes is a read-only module constant,
+built once at import and shared by every build: the fixed scenarios' states,
+bases and check operators (three-box and Cheshire cat from one recipe, equal
+weight on d boxes post-selected with a pi phase on the last), Leggett-Garg's
+preparation, the Pauli product bases and the Pauli products, and Bell's CHSH
+sign vectors, cell values, flip phases, the closed-form table's parity and
+sign tables, the K = -2 mask and the seed ``|++>``. Tables, transformations
+and checks are computed anew on every call, from per-angle inputs formed
+directly: Leggett-Garg's two spin bases are the Bloch states along theta and
+theta + pi, with no Gram-Schmidt pass, and its two spin observables are
+spectral sums over them; Bell's state is the stabilizers' joint projector
+applied to the seed, checked against both stabilizers in one stacked product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -140,12 +140,9 @@ def _report(
     return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
 
 
-# Each cached helper below builds the inputs of a scenario that no angle changes on its first use; every
-# build then shares them. Their values are immutable and their arrays read-only, so no caller can change them.
-@cache
-def _leggett_garg_preparation() -> StateVector:
-    """Leggett-Garg's preparation: the spin up along 0."""
-    return bloch_state(0.0, 0.0)
+# Each scenario's inputs that no angle changes are module constants below, built once at import and shared by
+# every build. Their values are immutable and their arrays read-only, so no caller can change them.
+_LG_PREPARATION = bloch_state(0.0, 0.0)  # the spin up along 0
 
 
 def _spin_basis(theta: float) -> OrthonormalBasis:
@@ -165,7 +162,7 @@ def leggett_garg(theta: float) -> ScenarioReport:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    dist = kd_joint(_leggett_garg_preparation(), _spin_basis(theta), _spin_basis(2.0 * theta))
+    dist = kd_joint(_LG_PREPARATION, _spin_basis(theta), _spin_basis(2.0 * theta))
     a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
@@ -201,14 +198,20 @@ def leggett_garg(theta: float) -> ScenarioReport:
     return _report("leggett-garg", dist, flip, "flip spectrum", checks, violated=violated)
 
 
-@cache
-def _three_box_inputs() -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis, Operator, Operator]:
-    """Three-box's a, b, box basis and post-selection basis, and the projectors on boxes 1 and 3."""
-    a = StateVector.normalize([1.0, 1.0, 1.0])
-    b = StateVector.normalize([1.0, 1.0, -1.0])
-    basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
-    basis_b = post_selection_basis(a, b, ("b", "rest", "null"))
-    return a, b, basis_m, basis_b, projector(basis_m.vectors[0]), projector(basis_m.vectors[2])
+def _boxes(
+    labels: tuple[str, ...], final_labels: tuple[str, ...]
+) -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis]:
+    """Equal weight on one box per label, post-selected with a pi phase on the last box.
+
+    Returns a, b, the box basis and the post-selection basis, whose vectors carry ``final_labels``.
+    """
+    d = len(labels)
+    a, b = StateVector.normalize([1.0] * d), StateVector.normalize([1.0] * (d - 1) + [-1.0])
+    return a, b, OrthonormalBasis.standard(d, labels), post_selection_basis(a, b, final_labels)
+
+
+_THREE_BOX = _boxes(("1", "2", "3"), ("b", "rest", "null"))
+_BOX1, _BOX3 = (projector(_THREE_BOX[2].vectors[k]) for k in (0, 2))  # the projectors on boxes 1 and 3
 
 
 def three_box() -> ScenarioReport:
@@ -217,7 +220,7 @@ def three_box() -> ScenarioReport:
     Both the "only box 1" and the "only box 2" inferences hold marginally,
     yet the joint table resolves them with a negative weight on box 3.
     """
-    a, b, basis_m, basis_b, box1, box3 = _three_box_inputs()
+    a, b, basis_m, basis_b = _THREE_BOX
     dist = kd_joint(a, basis_m, basis_b)
     flip = Transformation(dist, (0.0, 0.0, math.pi), 0)
     col = dist.table[:, 0]
@@ -227,22 +230,16 @@ def three_box() -> ScenarioReport:
         Check("phase pattern (0, 0, pi) transforms a onto b (overlap identity)", 1.0, flip.from_kd),
         Check("direct overlap after the phase flip", 1.0, flip.direct),
         Check("boxes 2 and 3 cancel", complex(0.0, 0.0), complex(col[1] + col[2])),
-        Check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, box1)),
-        Check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, box3)),
+        Check("weak value of the box-1 projector", complex(1.0, 0.0), weak_value(a, b, _BOX1)),
+        Check("weak value of the box-3 projector", complex(-1.0, 0.0), weak_value(a, b, _BOX3)),
     )
     column = {**{f"P(box {k}, b | a) = 1/9": 1.0 / 9.0 for k in (1, 2)}, "P(box 3, b | a) = -1/9": -1.0 / 9.0}
     return _report("three-box", dist, flip, "phase pattern", checks, column, "positivity of P(box 3, b | a)")
 
 
-@cache
-def _cheshire_cat_inputs() -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis, Operator]:
-    """Cheshire cat's a, b, box basis and post-selection basis, and the projector on path p1."""
-    a = StateVector.normalize([1.0, 1.0, 1.0, 1.0])
-    b = StateVector.normalize([1.0, 1.0, 1.0, -1.0])
-    basis_m = OrthonormalBasis.standard(4, ("p1H", "p1V", "p2H", "p2V"))
-    basis_b = post_selection_basis(a, b, ("b", "rest", "null1", "null2"))
-    path1 = Operator(projector(basis_m.vectors[0]).mat + projector(basis_m.vectors[1]).mat)
-    return a, b, basis_m, basis_b, path1
+_CHESHIRE_CAT = _boxes(("p1H", "p1V", "p2H", "p2V"), ("b", "rest", "null1", "null2"))
+# the projector on path p1
+_PATH1 = Operator(projector(_CHESHIRE_CAT[2].vectors[0]).mat + projector(_CHESHIRE_CAT[2].vectors[1]).mat)
 
 
 def cheshire_cat() -> ScenarioReport:
@@ -252,7 +249,7 @@ def cheshire_cat() -> ScenarioReport:
     by a pi phase on (p2, V); conditional weights then place the particle
     entirely in path p1 while the full polarization difference sits in p2.
     """
-    a, b, basis_m, basis_b, path1_projector = _cheshire_cat_inputs()
+    a, b, basis_m, basis_b = _CHESHIRE_CAT
     dist = kd_joint(a, basis_m, basis_b)
     flip = Transformation(dist, (0.0, 0.0, 0.0, math.pi), 0)
 
@@ -274,7 +271,7 @@ def cheshire_cat() -> ScenarioReport:
         Check(
             "path-p1 weight equals the weak value of the p1 projector",
             complex(path1, 0.0),
-            weak_value(a, b, path1_projector),
+            weak_value(a, b, _PATH1),
         ),
         Check("pi phase on (p2, V) maps a onto b (overlap identity)", 1.0, flip.from_kd),
     )
@@ -287,18 +284,19 @@ def cheshire_cat() -> ScenarioReport:
     return _report("cheshire-cat", dist, flip, "phase pattern", checks, column, "positivity of P(p2, V; b | a)")
 
 
-@cache
-def _hardy_inputs() -> tuple[StateVector, OrthonormalBasis, OrthonormalBasis, StateVector, StateVector]:
-    """Hardy's a, path basis and port basis, and the two mixed path/port states (b1, O2) and (O1, b2)."""
-    ports = (_EIGEN["X"][+1], _EIGEN["X"][-1])  # c and b
-    outer = StateVector([1.0, 0.0])
-    return (
-        StateVector.normalize([1.0, 1.0, 1.0, 0.0]),
-        OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2")),  # products of the paths O, I
-        OrthonormalBasis(("c1c2", "c1b2", "b1c2", "b1b2"), tuple(tensor_state(u, v) for u in ports for v in ports)),
-        tensor_state(ports[1], outer),
-        tensor_state(outer, ports[1]),
-    )
+# the +/-1 eigenstates of the X and Y Paulis
+_EIGEN = {
+    "X": {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])},
+    "Y": {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])},
+}
+# Hardy's a, its path basis and port basis, and the two mixed path/port states (b1, O2) and (O1, b2)
+_PORTS, _OUTER = (_EIGEN["X"][+1], _EIGEN["X"][-1]), StateVector([1.0, 0.0])  # the ports c and b, the path O
+_HARDY_A = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
+_HARDY_PATHS = OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2"))  # products of the paths O, I
+_HARDY_PORTS = OrthonormalBasis(
+    ("c1c2", "c1b2", "b1c2", "b1b2"), tuple(tensor_state(u, v) for u in _PORTS for v in _PORTS)
+)
+_B1_OUTER2, _OUTER1_B2 = tensor_state(_PORTS[1], _OUTER), tensor_state(_OUTER, _PORTS[1])
 
 
 def hardy() -> ScenarioReport:
@@ -309,15 +307,14 @@ def hardy() -> ScenarioReport:
     probability 1/12 even though each opposite port alone, paired with the
     other particle's outer path, has probability zero.
     """
-    a, basis_m, basis_b, b1_outer2, outer1_b2 = _hardy_inputs()
-    dist = kd_joint(a, basis_m, basis_b)
+    dist = kd_joint(_HARDY_A, _HARDY_PATHS, _HARDY_PORTS)
     b_idx = 3  # both particles in the opposite ports
     flip = Transformation(dist, (0.0, math.pi, math.pi, 0.0), b_idx)
     col = dist.table[:, b_idx]
 
     # mixed path/port events that are directly observable and vanish
-    p_b1_outer2 = float(abs(inner(b1_outer2, a)) ** 2)
-    p_outer1_b2 = float(abs(inner(outer1_b2, a)) ** 2)
+    p_b1_outer2 = float(abs(inner(_B1_OUTER2, _HARDY_A)) ** 2)
+    p_outer1_b2 = float(abs(inner(_OUTER1_B2, _HARDY_A)) ** 2)
 
     checks = (
         Check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
@@ -341,14 +338,6 @@ def hardy() -> ScenarioReport:
     return _report("hardy", dist, flip, "double flip", checks, column, "positivity of P(O1, O2; b1, b2 | a)")
 
 
-# the +/-1 eigenstates of the X and Y Paulis
-_EIGEN = {
-    "X": {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])},
-    "Y": {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])},
-}
-
-
-@cache
 def _product_basis(first: str, second: str, order: tuple[tuple[int, int], ...]) -> OrthonormalBasis:
     """Two-qubit product basis ``first[s1] (x) second[s2]`` of Pauli eigenstates over the sign pairs in ``order``.
 
@@ -361,10 +350,15 @@ def _product_basis(first: str, second: str, order: tuple[tuple[int, int], ...]) 
     )
 
 
-@cache
-def _pauli_pair(first: str, second: str) -> Operator:
-    """The two-qubit Pauli product ``first`` (x) ``second``, such as X1Y2 for ("X", "Y")."""
-    return tensor_op(pauli(first), pauli(second))
+# the two-qubit Pauli products, such as X1Y2 under "XY"; the (X1, Y2) product basis that Peres-Mermin's a belongs
+# to and the (Y1, X2) one of its b; and the eigenbasis of the two-qubit swap: the antisymmetric state S and the
+# three triplet states
+_PAULI_PAIRS = {p + q: tensor_op(pauli(p), pauli(q)) for p, q in ("XX", "YY", "ZZ", "XY", "YX")}
+_XY_BASIS, _YX_BASIS = (_product_basis(p, q, ((+1, +1), (+1, -1), (-1, +1), (-1, -1))) for p, q in ("XY", "YX"))
+_SWAP_BASIS = OrthonormalBasis(
+    ("S", "Tx", "Ty", "Tz"),
+    tuple(map(StateVector, math.sqrt(0.5) * np.array([[0, 1, -1, 0], [1, 0, 0, -1], [1, 0, 0, 1], [0, 1, 1, 0]]))),
+)
 
 
 def _eigenvalues_of(op: Operator, vectors: np.ndarray) -> np.ndarray:
@@ -380,21 +374,6 @@ def _eigenvalues_of(op: Operator, vectors: np.ndarray) -> np.ndarray:
     return values.real
 
 
-@cache
-def _swap_basis() -> OrthonormalBasis:
-    """The eigenbasis of the two-qubit swap: the antisymmetric state S and the three triplet states."""
-    s = math.sqrt(0.5)
-    return OrthonormalBasis(
-        ("S", "Tx", "Ty", "Tz"),
-        (
-            StateVector([0.0, s, -s, 0.0]),
-            StateVector([s, 0.0, 0.0, -s]),
-            StateVector([s, 0.0, 0.0, s]),
-            StateVector([0.0, s, s, 0.0]),
-        ),
-    )
-
-
 def peres_mermin_swap() -> ScenarioReport:
     """Contextual product correlations of two spins, resolved by the swap.
 
@@ -402,17 +381,12 @@ def peres_mermin_swap() -> ScenarioReport:
     swap that maps one onto the other is half-periodic with the antisymmetric
     state as its pi eigenvector, forcing a -1/8 joint weight on it.
     """
-    order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-    basis_a = _product_basis("X", "Y", order)  # the (X1, Y2) context that a belongs to
-    basis_b = _product_basis("Y", "X", order)
-    a, b = basis_a.vectors[0], basis_b.vectors[0]
-    basis_m = _swap_basis()
-    dist = kd_joint(a, basis_m, basis_b)
+    a, b, basis_m = _XY_BASIS.vectors[0], _YX_BASIS.vectors[0], _SWAP_BASIS
+    dist = kd_joint(a, basis_m, _YX_BASIS)
     swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
     col = dist.table[:, 0]
 
-    xx, yy, zz = _pauli_pair("X", "X"), _pauli_pair("Y", "Y"), _pauli_pair("Z", "Z")
-    x1y2, y1x2 = _pauli_pair("X", "Y"), _pauli_pair("Y", "X")
+    xx, yy, zz, x1y2, y1x2 = (_PAULI_PAIRS[key] for key in ("XX", "YY", "ZZ", "XY", "YX"))
 
     # product values on the swap eigenbasis, by direct application: one row per
     # swap eigenvector, columns X1X2, Y1Y2, Z1Z2
@@ -423,7 +397,7 @@ def peres_mermin_swap() -> ScenarioReport:
     corr2 = x1y2.mat @ y1x2.mat
     corr2_residual = float(np.max(np.abs(corr2 - zz.mat)))
     corr1_operator_residual = float(np.max(np.abs(xx.mat @ yy.mat + zz.mat)))
-    contexts = np.concatenate((basis_a.matrix, basis_b.matrix))  # the eight product-context states, one per row
+    contexts = np.concatenate((_XY_BASIS.matrix, _YX_BASIS.matrix))  # the eight product-context states, one per row
     corr2_on_states = float(np.max(np.abs(contexts @ corr2.T - contexts @ zz.mat.T)))
 
     p_b = float(dist.prob_b[0])
@@ -464,6 +438,7 @@ _CHSH_MINUS2 = _CHSH_CELLS == -2
 _PLUS_PLUS = np.full(4, 0.5, dtype=complex)
 for _array in (_CHSH_CELLS, _CHSH_PARITY, _CHSH_SPLIT, _CHSH_CROSS, _CHSH_MINUS2, _PLUS_PLUS):
     _array.setflags(write=False)
+_XX_BASIS, _YY_BASIS = (_product_basis(axis, axis, _CHSH_ORDER) for axis in "XY")  # Bell's rows m and columns b
 
 
 def _chsh_target(theta: float) -> np.ndarray:
@@ -487,8 +462,8 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     # one numpy expression each on the read-only .mat, wrapped once, as every builder combines
     # operators; the operations and their order, c XY + s XX, c YX - s YY and
     # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
-    a1 = Operator(c * _pauli_pair("X", "Y").mat + s * _pauli_pair("X", "X").mat)
-    a2 = Operator(c * _pauli_pair("Y", "X").mat - s * _pauli_pair("Y", "Y").mat)
+    a1 = Operator(c * _PAULI_PAIRS["XY"].mat + s * _PAULI_PAIRS["XX"].mat)
+    a2 = Operator(c * _PAULI_PAIRS["YX"].mat - s * _PAULI_PAIRS["YY"].mat)
     ident = _identity(4)
     proj = Operator(0.25 * ((ident + a1.mat) @ (ident + a2.mat)))
     trace = complex(np.trace(proj.mat))
@@ -529,7 +504,7 @@ def bell_scenario(theta: float) -> ScenarioReport:
     where ``<K>`` lies in it: there the sums cannot decide the verdict.
     """
     a, a1, a2 = _bell_state(theta)
-    dist = kd_joint(a, _product_basis("X", "X", _CHSH_ORDER), _product_basis("Y", "Y", _CHSH_ORDER))
+    dist = kd_joint(a, _XX_BASIS, _YY_BASIS)
 
     real = dist.table.real
     k_expectation = float((_CHSH_CELLS * real).sum())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -550,18 +551,33 @@ class TestTransformation:
 class TestIndexRule:
     CALLS = {
         "overlap_from_kd": lambda dist, spectrum, i: overlap_from_kd(dist, spectrum, i),
-        "Transformation": lambda dist, spectrum, i: Transformation(dist, spectrum.phase, i),
+        "Transformation": lambda dist, spectrum, i: Transformation(dist, spectrum.phase, i).from_kd,
+        "Transformation.column": lambda dist, spectrum, i: Transformation(dist, spectrum.phase, 0).column(i),
     }
+
+    @staticmethod
+    def three_box():
+        a, _, basis_m, basis_b = three_box_setup()
+        return kd_joint(a, basis_m, basis_b), ActionSpectrum(basis_m, (0.0, 0.0, math.pi))
 
     @pytest.mark.parametrize("index", [-1, 3])
     @pytest.mark.parametrize("call", CALLS, ids=str)
     def test_out_of_range_index_is_rejected(self, call, index):
         # a negative index must not wrap around to the last row or column
-        a, _, basis_m, basis_b = three_box_setup()
-        dist = kd_joint(a, basis_m, basis_b)
-        spectrum = ActionSpectrum(basis_m, (0.0, 0.0, math.pi))
         with pytest.raises(ValueError, match=f"{index} out of range for dimension 3"):
-            self.CALLS[call](dist, spectrum, index)
+            self.CALLS[call](*self.three_box(), index)
+
+    @pytest.mark.parametrize("index", [True, 1.0, np.float64(1)], ids=["True", "1.0", "float64"])
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_bool_or_float_index_is_rejected(self, call, index):
+        # True is an int subclass and would read column 1; a float would fail inside numpy indexing
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {index!r}")):
+            self.CALLS[call](*self.three_box(), index)
+
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_numpy_integer_index_reads_the_same_column(self, call):
+        dist, spectrum = self.three_box()
+        assert self.CALLS[call](dist, spectrum, np.int64(1)) == self.CALLS[call](dist, spectrum, 1)
 
 
 class TestValidation:

@@ -371,6 +371,34 @@ class TestBasisCompletion:
             # the second vector is the normalized remainder, up to its canonical global phase
             assert abs(inner(basis.vectors[1], StateVector.normalize(w))) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rest", [5e-7, 9e-7, 1e-6, 1.01e-6, 2e-6, 1e-3, 0.5])
+    def test_further_vectors_carry_the_dropped_remainder_or_rounding(self, rest):
+        # |rest| <= 1e-6: the remainder is dropped as parallel, so every vector after b is a completion vector,
+        # and together they carry its weight |rest|^2 of a's (up to a's rounding, about u / |rest| relative).
+        # Above the cut the vectors after the second are orthogonal to a's span with b: each overlap with a is
+        # rounding, measured at most 2.1u over 300 cases per level, so each weight lies below (4u)^2
+        u = 2.0**-53
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            dim = int(rng.integers(2, 17))
+            b = random_state(rng, dim)
+            w = random_state(rng, dim).amp
+            w = w - b.amp * np.vdot(b.amp, w)
+            w = w / np.linalg.norm(w)
+            a = StateVector.normalize(math.sqrt(1.0 - rest**2) * b.amp + rest * w)
+            weights = abs(post_selection_basis(a, b, tuple(f"k{j}" for j in range(dim))).matrix.conj() @ a.amp) ** 2
+            if rest <= 1e-6:
+                assert float(weights[1:].sum()) == pytest.approx(rest**2, rel=1e-8)
+            else:
+                assert float(weights[2:].max(initial=0.0)) <= (4 * u) ** 2
+
+    def test_null_vectors_of_three_box_and_cheshire_cat_carry_rounding_alone(self):
+        u = 2.0**-53
+        for d in (3, 4):
+            a, b = StateVector.normalize([1.0] * d), StateVector.normalize([1.0] * (d - 1) + [-1.0])
+            basis = post_selection_basis(a, b, tuple(f"k{j}" for j in range(d)))
+            assert float((abs(basis.matrix[2:].conj() @ a.amp) ** 2).max()) <= (4 * u) ** 2
+
     def test_post_selection_basis_parallel_states(self):
         basis = post_selection_basis(E0, E0, ("b", "n"))
         np.testing.assert_allclose(basis.vectors[0].amp, E0.amp, atol=TOL)

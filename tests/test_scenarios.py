@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from helpers import chsh_cell_value, entry
 from kdqlab import (
     Check,
     Operator,
+    OrthonormalBasis,
     StateVector,
     bell_scenario,
     bloch_state,
@@ -32,17 +34,11 @@ from kdqlab import (
 from kdqlab.scenarios import (
     _CHSH_CELLS,
     _CHSH_ORDER,
+    _PAULI_PAIRS,
     _bell_state,
-    _cheshire_cat_inputs,
     _chsh_target,
     _eigenvalues_of,
-    _hardy_inputs,
-    _leggett_garg_preparation,
-    _pauli_pair,
-    _product_basis,
     _spin_basis,
-    _swap_basis,
-    _three_box_inputs,
 )
 
 TOL = 1e-10
@@ -304,8 +300,8 @@ class TestPeresMermin:
     def test_eigenvalues_equal_one_application_per_vector_bit_for_bit(self):
         # the batched products give the bits of applying each operator to each vector on its own
         report = peres_mermin_swap()
-        pairs = [(_pauli_pair(*axes), report.kd.basis_m.matrix) for axes in ("XX", "YY", "ZZ")]
-        pairs += [(_pauli_pair("X", "Y"), report.kd.state_a.amp[None]), (_pauli_pair("Y", "X"), report.kd.basis_b.matrix[:1])]
+        pairs = [(_PAULI_PAIRS[axes], report.kd.basis_m.matrix) for axes in ("XX", "YY", "ZZ")]
+        pairs += [(_PAULI_PAIRS["XY"], report.kd.state_a.amp[None]), (_PAULI_PAIRS["YX"], report.kd.basis_b.matrix[:1])]
         for op, vectors in pairs:
             one_by_one = [complex(np.vdot(v, op.mat @ v)).real for v in vectors]
             assert _eigenvalues_of(op, vectors).tobytes() == np.array(one_by_one).tobytes()
@@ -464,30 +460,42 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-PRODUCT_BASES = [("X", "X", _CHSH_ORDER), ("Y", "Y", _CHSH_ORDER), ("X", "Y", PM_ORDER), ("Y", "X", PM_ORDER)]
-PAULI_PAIRS = [("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Y"), ("Y", "X")]
-# every cached helper of the scenarios module, and those of them that take no argument
-CACHED_HELPERS = (
-    _leggett_garg_preparation,
-    _three_box_inputs,
-    _cheshire_cat_inputs,
-    _hardy_inputs,
-    _swap_basis,
-    _product_basis,
-    _pauli_pair,
-)
-FIXED_INPUTS = CACHED_HELPERS[:5]
+# each product-basis constant of the scenarios module: its axes and its order of sign pairs
+PRODUCT_BASES = {
+    "XX": ("_XX_BASIS", _CHSH_ORDER),
+    "YY": ("_YY_BASIS", _CHSH_ORDER),
+    "XY": ("_XY_BASIS", PM_ORDER),
+    "YX": ("_YX_BASIS", PM_ORDER),
+}
+PAULI_PAIRS = ["XX", "YY", "ZZ", "XY", "YX"]  # the keys of the scenarios module's Pauli products, in order
+# each fixed scenario's inputs, once built by a cached helper of the given name, and the module constants that hold
+# them now
+FIXED_INPUTS = {
+    "_leggett_garg_preparation": ("_LG_PREPARATION",),
+    "_three_box_inputs": ("_THREE_BOX", "_BOX1", "_BOX3"),
+    "_cheshire_cat_inputs": ("_CHESHIRE_CAT", "_PATH1"),
+    "_hardy_inputs": ("_HARDY_A", "_HARDY_PATHS", "_HARDY_PORTS", "_B1_OUTER2", "_OUTER1_B2"),
+    "_swap_basis": ("_SWAP_BASIS",),
+}
 
 
 def arrays_of(value):
-    """Every array a cached value holds: the amplitudes of its states, the matrices of its operators and bases."""
+    """Every array a value holds, and none for a value that holds no array.
+
+    That is the value itself if it is an array, its amplitudes or matrix if it is a state, an operator or a basis,
+    and the arrays of every item of a tuple and every value of a dict.
+    """
+    if isinstance(value, dict):
+        value = tuple(value.values())
     if isinstance(value, tuple):
         return [array for item in value for array in arrays_of(item)]
     if isinstance(value, StateVector):
         return [value.amp]
     if isinstance(value, Operator):
         return [value.mat]
-    return [value.matrix, *arrays_of(value.vectors)]  # an OrthonormalBasis
+    if isinstance(value, OrthonormalBasis):
+        return [value.matrix, *arrays_of(value.vectors)]
+    return [value] if isinstance(value, np.ndarray) else []
 
 
 def report_bits(report):
@@ -512,14 +520,14 @@ def chained_bell_state(theta):
 class TestSharedConstants:
     def test_builds_share_the_product_bases(self):
         first, second = bell_scenario(0.3).kd, bell_scenario(1.1).kd
-        assert first.basis_m is second.basis_m and first.basis_b is second.basis_b
-        assert peres_mermin_swap().kd.basis_b is peres_mermin_swap().kd.basis_b
+        assert first.basis_m is second.basis_m is kdqlab.scenarios._XX_BASIS
+        assert first.basis_b is second.basis_b is kdqlab.scenarios._YY_BASIS
+        assert peres_mermin_swap().kd.basis_b is peres_mermin_swap().kd.basis_b is kdqlab.scenarios._YX_BASIS
 
-    @pytest.mark.parametrize("key", PRODUCT_BASES, ids=lambda k: f"{k[0]}{k[1]}")
-    def test_product_basis_is_read_only_and_equals_np_kron(self, key):
-        first, second, order = key
-        basis = _product_basis(first, second, order)
-        assert basis is _product_basis(first, second, order)
+    @pytest.mark.parametrize("axes", PRODUCT_BASES)
+    def test_product_basis_is_read_only_and_equals_np_kron(self, axes):
+        (first, second), (name, order) = axes, PRODUCT_BASES[axes]
+        basis = getattr(kdqlab.scenarios, name)
         assert basis.labels == tuple(f"({s1:+d} {s2:+d})" for s1, s2 in order)
         for (s1, s2), v in zip(order, basis.vectors):
             u1, u2 = StateVector.normalize(EIGEN[first][s1]), StateVector.normalize(EIGEN[second][s2])
@@ -529,10 +537,10 @@ class TestSharedConstants:
         with pytest.raises(ValueError, match="read-only"):
             basis.matrix[0, 0] = 0.0
 
-    @pytest.mark.parametrize("key", PAULI_PAIRS, ids="".join)
+    @pytest.mark.parametrize("key", PAULI_PAIRS)
     def test_pauli_pair_is_read_only_and_equals_np_kron(self, key):
-        op = _pauli_pair(*key)
-        assert op is _pauli_pair(*key)
+        assert list(_PAULI_PAIRS) == PAULI_PAIRS
+        op = _PAULI_PAIRS[key]
         assert np.array_equal(op.mat, np.kron(PAULI[key[0]], PAULI[key[1]]))
         with pytest.raises(ValueError, match="read-only"):
             op.mat[0, 0] = 1.0
@@ -543,22 +551,41 @@ class TestSharedConstants:
         assert first.state_a is second.state_a
         assert first.basis_m is second.basis_m and first.basis_b is second.basis_b
 
-    @pytest.mark.parametrize("helper", FIXED_INPUTS, ids=lambda f: f.__name__)
-    def test_every_cached_array_is_read_only(self, helper):
-        value = helper()
-        assert helper() is value
-        for array in arrays_of(value):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[(0,) * array.ndim] = 0.0
+    @pytest.mark.parametrize("inputs", list(FIXED_INPUTS))
+    def test_every_cached_array_is_read_only(self, inputs):
+        for name in FIXED_INPUTS[inputs]:
+            arrays = arrays_of(getattr(kdqlab.scenarios, name))
+            assert arrays, name
+            for array in arrays:
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0
+
+    def test_every_module_constant_is_read_only(self):
+        # every module constant is scanned, so a constant added later is checked too
+        held = {name: arrays_of(value) for name, value in vars(kdqlab.scenarios).items()}
+        found = {name for name, arrays in held.items() if arrays}
+        assert {"_LG_PREPARATION", "_THREE_BOX", "_BOX1", "_CHESHIRE_CAT", "_PATH1", "_EIGEN", "_HARDY_PORTS"} <= found
+        assert {"_PAULI_PAIRS", "_XY_BASIS", "_SWAP_BASIS", "_CHSH_CELLS", "_XX_BASIS", "_PLUS_PLUS"} <= found
+        for name, arrays in held.items():
+            for array in arrays:
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0
 
     def test_a_cold_build_gives_the_bits_of_a_warm_one(self):
-        warm = {name: report_bits(build(name)) for name in kdqlab.SCENARIO_NAMES}
+        # each scenario's first build in a fresh process against a build after every scenario has run 100
+        # times here: no build changes a constant that a later build reads
+        for _ in range(100):
+            for name in kdqlab.SCENARIO_NAMES:
+                build(name)
+        code = "import pickle, sys, kdqlab; sys.stdout.buffer.write(pickle.dumps(kdqlab.build(sys.argv[1])))"
+        src = str(Path(kdqlab.__file__).resolve().parents[1])  # this checkout's package, or the installed one
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for name in kdqlab.SCENARIO_NAMES:
-            for helper in CACHED_HELPERS:
-                helper.cache_clear()
-            assert report_bits(build(name)) == warm[name], name
-            assert report_bits(build(name)) == warm[name], name
+            done = subprocess.run([sys.executable, "-c", code, name], env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            assert report_bits(pickle.loads(done.stdout)) == report_bits(build(name)), name
 
     def test_bell_state_equals_the_operator_chain_bit_for_bit(self):
         rng = np.random.default_rng(18)
@@ -568,15 +595,6 @@ class TestSharedConstants:
             assert np.array_equal(state.amp, want_state.amp), theta
             assert np.array_equal(a1.mat, want_a1.mat), theta
             assert np.array_equal(a2.mat, want_a2.mat), theta
-
-    def test_import_builds_no_constant(self):
-        names = [helper.__name__ for helper in CACHED_HELPERS]
-        code = f"import kdqlab.scenarios as s; print(*(getattr(s, n).cache_info().currsize for n in {names}))"
-        src = str(Path(kdqlab.__file__).resolve().parents[1])  # this checkout's package, or the installed one
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"] * len(CACHED_HELPERS)
 
 
 class TestRegistry:

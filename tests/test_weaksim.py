@@ -390,6 +390,19 @@ class TestPointerStatistics:
         with pytest.raises(ValueError, match=f"b_index {b_index} out of range"):
             function(a, basis_m, basis_b, cfg, b_index)
 
+    @pytest.mark.parametrize(
+        "function",
+        [post_selection_probability, conditional_pointer_mean, conditional_pointer_mean_quadrature],
+    )
+    def test_bool_or_float_b_index_is_rejected_and_a_numpy_integer_accepted(self, function):
+        # True is an int subclass: it used to read outcome 1 silently
+        a, basis_m, basis_b = three_box_setup()
+        cfg = PointerConfig(coupling=1.0, width=1.0, eigenvalue=(0.0, 0.0, 1.0))
+        for b_index in (True, 1.0, np.float64(1)):
+            with pytest.raises(ValueError, match=re.escape(f"b_index must be an integer, got {b_index!r}")):
+                function(a, basis_m, basis_b, cfg, b_index)
+        assert function(a, basis_m, basis_b, cfg, np.int64(1)) == function(a, basis_m, basis_b, cfg, 1)
+
 
 class TestObservable:
     def test_matrix(self):
