@@ -10,10 +10,18 @@ writes one file with the ``env`` line, whether every run was ``correct``, the
 total ``failed``, and per workload the median and quartiles of every
 end-to-end metric. Each run's own values stay in ``runs``, so pairs can be
 compared later. A ``layers`` block, which no bound gates, holds times in
-microseconds. Its in-process rows are the best of ``REPEAT`` timings of
-``NUMBER`` calls each: each scenario builder at its default angle,
-Leggett-Garg and Bell at one other angle each, and at dimensions 2, 4 and 16
-``kd_joint`` beside its bare kernel, the three products without validation.
+microseconds, apart from the sampler's rows, in nanoseconds per shot. Its
+in-process rows are the best of ``REPEAT`` timings of ``NUMBER`` calls each:
+each scenario builder at its default angle, Leggett-Garg and Bell at one
+other angle each, and at dimensions 2, 4 and 16 ``kd_joint`` beside its bare
+kernel, the three products without validation; ``StateVector`` and
+``StateVector.normalize`` at dimensions 4 and 16, ``OrthonormalBasis`` at 4
+and 16, ``Transformation`` with a half-periodic spectrum at 2, 4 and 16, and
+``negativity`` at 4 and 16; ``PointerStatistics`` on three-box (pointer on
+box 3) and on Haar inputs at dimensions 8 and 16. The sampler's rows time
+``SHOTS`` shots of ``sample`` once per repeat, on three-box and at dimension
+8. Random inputs come from fixed seeds, and only public names are used, so
+the snippet runs on any tree that has them.
 Its ``import.<module>_us`` rows are the cumulative times that
 ``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Each
 seed runs one fresh process of each kind per tree, after that seed's
@@ -46,16 +54,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER, REPEAT = 50, 20
+SHOTS = 10**5  # per timed call of the sampler
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 # in one fresh process on the tree's src/: best-of-repeat time of one call, in microseconds
 LAYERS = """
 import json, sys, timeit
 import numpy as np
-from kdqlab import OrthonormalBasis, StateVector, kd_joint, scenarios
-number, repeat = map(int, sys.argv[1:])
+from kdqlab import (
+    OrthonormalBasis, PointerConfig, PointerStatistics, StateVector, Transformation, kd_joint, negativity, sample,
+    scenarios,
+)
+number, repeat, shots = map(int, sys.argv[1:])
 
-def best(call):
-    return min(timeit.repeat(call, number=number, repeat=repeat)) / number * 1e6
+def best(call, calls=number):
+    return min(timeit.repeat(call, number=calls, repeat=repeat)) / calls * 1e6
 
 def kernel(a, m, b):  # kd_joint's three products on the stacked vectors, without its validation
     return (b.conj() @ m.T).T * (m.conj() @ a)[:, None] * (a.conj() @ b.T)[None, :]
@@ -72,6 +84,28 @@ for dim in (2, 4, 16):
     m, b = (OrthonormalBasis(tuple(map(str, range(dim))), tuple(map(StateVector, unitary(rng, dim)))) for _ in "mb")
     layers[f"kdq.kd_joint_us.d{dim}"] = best(lambda: kd_joint(a, m, b))
     layers[f"kdq.kernel_us.d{dim}"] = best(lambda: kernel(a.amp, m.matrix, b.matrix))
+rng = np.random.default_rng(1)
+inputs = {"three-box": (scenarios.build("three-box").kd, (0.0, 0.0, 1.0))}
+for dim in (2, 4, 8, 16):
+    rows, labels = unitary(rng, dim), tuple(map(str, range(dim)))
+    vectors, scaled = tuple(map(StateVector, rows)), 3.0 * rows[0]
+    basis_m, basis_b = OrthonormalBasis(labels, vectors), OrthonormalBasis(labels, vectors[::-1])
+    dist = kd_joint(StateVector(unitary(rng, dim)[0]), basis_m, basis_b)
+    inputs[f"d{dim}"] = (dist, tuple(rng.uniform(-1.0, 1.0, dim).tolist()))
+    if dim in (4, 16):
+        layers[f"qcore.state_us.d{dim}"] = best(lambda: StateVector(rows[0]))
+        layers[f"qcore.normalize_us.d{dim}"] = best(lambda: StateVector.normalize(scaled))
+        layers[f"qcore.basis_us.d{dim}"] = best(lambda: OrthonormalBasis(labels, vectors))
+        layers[f"kdq.negativity_us.d{dim}"] = best(lambda: negativity(dist))
+    if dim != 8:
+        phases = tuple(rng.choice((0.0, np.pi), dim).tolist())
+        layers[f"kdq.transformation_us.d{dim}"] = best(lambda: Transformation(dist, phases, 0))
+for name in ("three-box", "d8", "d16"):
+    dist, kappa = inputs[name]
+    pointer = (dist.state_a, dist.basis_m, dist.basis_b, PointerConfig(1.0, 1.0, kappa))
+    layers[f"weaksim.pointer_statistics_us.{name}"] = best(lambda: PointerStatistics(*pointer))
+    if name != "d16":
+        layers[f"weaksim.sample_ns_per_shot.{name}"] = best(lambda: sample(*pointer, shots, 0), 1) * 1e3 / shots
 print(json.dumps(layers))
 """
 
@@ -102,7 +136,7 @@ def _run(tree: Path, workload: str, seed: int, args: argparse.Namespace) -> dict
 def _layers(tree: Path) -> dict:
     """The rows of one fresh ``LAYERS`` process and one ``-X importtime`` process on the tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT)]
+    argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT), str(SHOTS)]
     layers = json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
     argv = [sys.executable, "-X", "importtime", "-c", "import kdqlab"]
     report = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stderr

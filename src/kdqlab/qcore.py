@@ -6,6 +6,19 @@ after construction and every function is pure, so the whole module is safe
 for concurrent use. An ``Operator`` is a validated value, not an algebra: the
 constructors here build it, and a caller that combines operators computes one
 numpy expression on their read-only ``.mat`` and wraps the result once.
+
+A value that no input changes is a read-only module constant, built once at
+import and shared, the rule ``scenarios`` follows too: here the Pauli
+matrices and ``_IDENTITY``, whose entry n is the complex n x n identity for
+n = 0..``MAX_DIM``; the Gram test subtracts it, ``complete_basis`` takes its
+candidates from its rows and the scenarios read ``_IDENTITY[4]``. Three
+arrays stay outside the rule, each for a reason:
+``OrthonormalBasis.standard`` calls ``np.eye(dim)`` because ``dim`` is caller
+input, and indexing the table would raise ``IndexError`` for 17, or return a
+16 x 16 basis for -1, where a ``ValueError`` is due; ``PointerStatistics``'
+one-hot cluster matrix is real and sized by its input; and
+``weaksim._gauss_legendre`` is built on first use, because importing
+``numpy.polynomial`` costs milliseconds that only a quadrature should pay.
 """
 
 from __future__ import annotations
@@ -13,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,17 +166,15 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
-@cache
-def _identity(dim: int) -> np.ndarray:
-    """The read-only complex ``dim`` x ``dim`` identity, built once per dimension and shared."""
-    eye = np.eye(dim, dtype=complex)
-    eye.setflags(write=False)
-    return eye
+# entry n is the read-only complex n x n identity, for n = 0..MAX_DIM
+_IDENTITY = tuple(np.eye(n, dtype=complex) for n in range(MAX_DIM + 1))
+for _eye in _IDENTITY:
+    _eye.setflags(write=False)
 
 
 def _gram_defect(gram: np.ndarray) -> float:
     """``max |G_ij - delta_ij|`` of a Gram matrix; nan fails ``<= TOL`` like any defect above it."""
-    return float(abs(gram - _identity(len(gram))).max())
+    return float(abs(gram - _IDENTITY[len(gram)]).max())
 
 
 def _spectral_sum(basis: OrthonormalBasis, values: np.ndarray) -> Operator:
@@ -294,11 +304,9 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels, got {len(labels)}")
     vecs = [v.amp for v in seed_vectors]
-    for k in range(dim):
+    for cand in _IDENTITY[dim]:
         if len(vecs) == dim:
             break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
         for _ in range(2):  # re-orthogonalize once for numerical hygiene
             for w in vecs:
                 cand = cand - w * np.vdot(w, cand)

@@ -44,7 +44,7 @@ from .qcore import (
     Operator,
     OrthonormalBasis,
     StateVector,
-    _identity,
+    _IDENTITY,
     _spectral_sum,
     bloch_state,
     expectation,
@@ -402,7 +402,7 @@ def peres_mermin_swap() -> ScenarioReport:
 
     p_b = float(dist.prob_b[0])
     cond_xx, cond_yy, cond_zz = (col.real @ eig / p_b).tolist()
-    literal_error = float(np.max(np.abs(swap.unitary.mat - np.eye(4, dtype=complex)[[0, 2, 1, 3]])))
+    literal_error = float(np.max(np.abs(swap.unitary.mat - _IDENTITY[4][[0, 2, 1, 3]])))
 
     checks = (
         Check("post-selection probability P(b|a) = 1/4", 0.25, p_b),
@@ -464,8 +464,7 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
     a1 = Operator(c * _PAULI_PAIRS["XY"].mat + s * _PAULI_PAIRS["XX"].mat)
     a2 = Operator(c * _PAULI_PAIRS["YX"].mat - s * _PAULI_PAIRS["YY"].mat)
-    ident = _identity(4)
-    proj = Operator(0.25 * ((ident + a1.mat) @ (ident + a2.mat)))
+    proj = Operator(0.25 * ((_IDENTITY[4] + a1.mat) @ (_IDENTITY[4] + a2.mat)))
     trace = complex(np.trace(proj.mat))
     if abs(trace - 1.0) > TOL:
         raise ValueError(f"joint eigenspace is not one-dimensional (trace {trace})")

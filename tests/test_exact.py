@@ -23,6 +23,17 @@ Cheshire cat, Hardy and Peres-Mermin and their ``P(b|a)`` are the rationals the 
 Hardy's signed sum is -1/4. The engine's float tables lie within ``(3d + 16) u`` of the exact ones,
 ``u = 2**-53``. That is ``test_oracle``'s bound for the kernel's rounding on float inputs; it holds
 here too, where the inputs' own rounding (cos, sin and the normalization) comes on top.
+
+Bell's closed-form table ``_chsh_target`` is the exact table at pi/4 and pi/6, cell by cell. On each
+published column b, with ``P = P(b|a)``, ``N_b`` the column's negative weight and
+``O*_b = (sum_m |T[m,b]|)**2 / P``, three exact identities hold:
+
+- ``N_b = (sum_m |T[m,b]| - P) / 2 = sqrt P (sqrt O*_b - sqrt P) / 2`` on all six columns;
+- ``N_b = min(P+, P-) |P+ - P-|``, with ``P+`` and ``P-`` the Born weights of the m vectors on which the
+  builder's transformation puts the phase 0 and pi, wherever that transformation maps a onto b: Leggett-Garg,
+  three-box, Cheshire cat and Peres-Mermin. Hardy's and Bell's maps miss b, and there the law fails;
+- ``v_c = min over the negative cells of q / (q - Re T)``, ``q = |<b|m>|**2 / d`` the cell of the maximally
+  mixed state, is ``1 / (1 + d sqrt P)`` for those four; Hardy's is 3/7 and Bell's sqrt 2 - 1.
 """
 import math
 
@@ -30,7 +41,7 @@ import pytest
 
 from helpers import chsh_cell_value
 from kdqlab import bell_scenario, build, leggett_garg
-from kdqlab.scenarios import _CHSH_ORDER
+from kdqlab.scenarios import _CHSH_ORDER, _chsh_target
 
 sp = pytest.importorskip("sympy")
 
@@ -43,6 +54,25 @@ PUBLISHED = {
     "hardy": (3, [sp.Rational(-1, 12), sp.Rational(1, 12), sp.Rational(1, 12), 0], sp.Rational(1, 12)),
     "peres-mermin": (0, [sp.Rational(-1, 8)] + [sp.Rational(1, 8)] * 3, sp.Rational(1, 4)),
 }
+# each builder's transformation: the index of its column b and the m indices that carry the phase pi
+FLIPS = {
+    "leggett-garg": (0, {1}),
+    "three-box": (0, {2}),
+    "cheshire-cat": (0, {3}),
+    "hardy": (3, {1, 2}),
+    "peres-mermin": (0, {0}),
+    "bell": (3, {0}),
+}
+# the published negative weight of each column b
+NEGATIVITY = {
+    "leggett-garg": sp.Rational(1, 8),
+    "three-box": sp.Rational(1, 9),
+    "cheshire-cat": sp.Rational(1, 8),
+    "hardy": sp.Rational(1, 12),
+    "peres-mermin": sp.Rational(1, 8),
+    "bell": sp.sqrt(2) / 16,
+}
+MAPS_ONTO_B = ["leggett-garg", "three-box", "cheshire-cat", "peres-mermin"]
 X = sp.Matrix([[0, 1], [1, 0]])
 Y = sp.Matrix([[0, -sp.I], [sp.I, 0]])
 EIGEN = {
@@ -96,29 +126,55 @@ def boxes(d):
     return a, [sp.eye(d)[:, k] for k in range(d)], gram_schmidt([b, rest / sp.sqrt(braket(rest, rest))], d)
 
 
-def fixed_tables():
-    """The exact tables of the four scenarios without an angle."""
+def leggett_garg_inputs(theta):
+    return bloch(0), [bloch(theta), bloch(theta + sp.pi)], [bloch(2 * theta), bloch(2 * theta + sp.pi)]
+
+
+def fixed_inputs():
+    """The (unnormalized) a, the m basis and the b basis of the four scenarios without an angle."""
     ports = [EIGEN["X"][+1], EIGEN["X"][-1]]
     swap = [sp.Matrix(v) / sp.sqrt(2) for v in ([0, 1, -1, 0], [1, 0, 0, -1], [1, 0, 0, 1], [0, 1, 1, 0])]
     yx_basis = [sp.kronecker_product(EIGEN["Y"][s1], EIGEN["X"][s2]) for s1, s2 in PM_ORDER]
     return {
-        "three-box": exact_table(*boxes(3)),
-        "cheshire-cat": exact_table(*boxes(4)),
-        "hardy": exact_table(
+        "three-box": boxes(3),
+        "cheshire-cat": boxes(4),
+        "hardy": (
             sp.Matrix([1, 1, 1, 0]),
             [sp.eye(4)[:, k] for k in range(4)],
             [sp.kronecker_product(u, v) for u in ports for v in ports],
         ),
-        "peres-mermin": exact_table(sp.kronecker_product(EIGEN["X"][+1], EIGEN["Y"][+1]), swap, yx_basis),
+        "peres-mermin": (sp.kronecker_product(EIGEN["X"][+1], EIGEN["Y"][+1]), swap, yx_basis),
     }
 
 
-def bell_table(theta):
+def bell_inputs(theta):
     c, s = sp.cos(theta), sp.sin(theta)
     a1 = c * sp.kronecker_product(X, Y) + s * sp.kronecker_product(X, X)
     a2 = c * sp.kronecker_product(Y, X) - s * sp.kronecker_product(Y, Y)
     seed = (sp.eye(4) + a1) * (sp.eye(4) + a2) / 4 * sp.Matrix([1, 1, 1, 1]) / 2
-    return exact_table(seed, product_basis("X"), product_basis("Y"))
+    return seed, product_basis("X"), product_basis("Y")
+
+
+def bell_table(theta):
+    return exact_table(*bell_inputs(theta))
+
+
+def column(table, b):
+    """Column b's entries, ``P(b|a)``, its negative weight ``N_b`` and ``sum_m |T[m,b]|``."""
+    entries = [row[b] for row in table]
+    negative = sum(-sp.re(value) for value in entries if sp.re(value) < 0)
+    return entries, canonical(sum(entries)), canonical(negative), canonical(sum(abs(value) for value in entries))
+
+
+def flip_weights(table, name):
+    """``P+`` and ``P-``, the Born weights of the m vectors with the phase 0 and pi, and the overlap
+    ``|<b|U|a>|**2 = |sum_m e^(i phase(m)) T[m,b]|**2 / P(b|a)`` that the transformation reaches."""
+    b, flipped = FLIPS[name]
+    born = [canonical(sum(row)) for row in table]  # P(m|a): a row of the joint table sums to it
+    minus = canonical(sum(born[m] for m in flipped))
+    entries, p_b, _, _ = column(table, b)
+    signed = sum(-value if m in flipped else value for m, value in enumerate(entries))
+    return canonical(1 - minus), minus, canonical(abs(signed) ** 2 / p_b)
 
 
 def max_error(table, exact):
@@ -131,19 +187,29 @@ def max_error(table, exact):
 
 
 @pytest.fixture(scope="module")
-def leggett_garg_exact():
-    theta = sp.pi / 3
-    return exact_table(bloch(0), [bloch(theta), bloch(theta + sp.pi)], [bloch(2 * theta), bloch(2 * theta + sp.pi)])
+def default_inputs():
+    """Each scenario's exact a, m basis and b basis at its default angle."""
+    return {"leggett-garg": leggett_garg_inputs(sp.pi / 3), **fixed_inputs(), "bell": bell_inputs(sp.pi / 4)}
 
 
 @pytest.fixture(scope="module")
-def fixed_exact():
-    return fixed_tables()
+def default_tables(default_inputs):
+    return {name: exact_table(*inputs) for name, inputs in default_inputs.items()}
 
 
 @pytest.fixture(scope="module")
-def bell_exact():
-    return bell_table(sp.pi / 4)
+def leggett_garg_exact(default_tables):
+    return default_tables["leggett-garg"]
+
+
+@pytest.fixture(scope="module")
+def fixed_exact(default_tables):
+    return {name: default_tables[name] for name in PUBLISHED}
+
+
+@pytest.fixture(scope="module")
+def bell_exact(default_tables):
+    return default_tables["bell"]
 
 
 def test_leggett_garg_cell_is_exactly_minus_one_eighth(leggett_garg_exact):
@@ -191,3 +257,68 @@ def test_hardy_signed_sum_is_exactly_minus_one_quarter(fixed_exact):
 def test_fixed_table_within_the_entry_bound(fixed_exact, name):
     table = build(name).kd.table
     assert max_error(table, fixed_exact[name]) <= (3 * len(table) + 16) * U
+
+
+@pytest.mark.parametrize("theta", [sp.pi / 4, sp.pi / 6], ids=["pi/4", "pi/6"])
+def test_chsh_target_is_the_exact_table(bell_exact, theta):
+    exact = bell_exact if theta == sp.pi / 4 else bell_table(theta)
+    for (m1, m2), row in zip(_CHSH_ORDER, exact):
+        for (b1, b2), value in zip(_CHSH_ORDER, row):
+            split = m1 * m2 != b1 * b2
+            target = (1 + m1 * m2 * sp.sin(theta)) / 8 if split else m1 * b2 * sp.cos(theta) / 8
+            assert canonical(value - target) == 0
+    # theta rounds by at most u/2, libm's sin and cos lie within an ulp (u below 1) and 1 + sin rounds by at most
+    # u: at most 2.5 u before the exact division by 8
+    assert max_error(_chsh_target(float(theta)), exact) <= U / 2
+
+
+@pytest.mark.parametrize("name", NEGATIVITY)
+def test_column_negativity_is_half_the_excess_of_its_absolute_sum(default_tables, name):
+    _, p_b, negative, absolute = column(default_tables[name], FLIPS[name][0])
+    best_overlap = absolute**2 / p_b  # O*_b
+    assert negative == NEGATIVITY[name]
+    assert canonical(negative - (absolute - p_b) / 2) == 0
+    assert canonical(negative - sp.sqrt(p_b) * (sp.sqrt(best_overlap) - sp.sqrt(p_b)) / 2) == 0
+
+
+@pytest.mark.parametrize("name", MAPS_ONTO_B)
+def test_half_periodic_column_negativity_is_min_times_difference(default_tables, name):
+    plus, minus, overlap = flip_weights(default_tables[name], name)
+    assert overlap == 1  # the transformation maps a onto b
+    assert canonical(sp.Min(plus, minus) * abs(plus - minus) - NEGATIVITY[name]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, overlap, law",
+    [("hardy", sp.Rational(3, 4), sp.Rational(1, 9)), ("bell", (2 + sp.sqrt(2)) / 4, sp.Rational(1, 16))],
+)
+def test_the_law_fails_where_the_map_misses_b(default_tables, name, overlap, law):
+    plus, minus, reached = flip_weights(default_tables[name], name)
+    assert canonical(reached - overlap) == 0
+    assert canonical(sp.Min(plus, minus) * abs(plus - minus) - law) == 0
+    assert law != NEGATIVITY[name]
+
+
+@pytest.mark.parametrize(
+    "name, threshold",
+    [
+        ("leggett-garg", sp.Rational(1, 2)),
+        ("three-box", sp.Rational(1, 2)),
+        ("cheshire-cat", sp.Rational(1, 3)),
+        ("peres-mermin", sp.Rational(1, 3)),
+        ("hardy", sp.Rational(3, 7)),
+        ("bell", sp.sqrt(2) - 1),
+    ],
+)
+def test_critical_visibility(default_inputs, default_tables, name, threshold):
+    _, basis_m, basis_b = default_inputs[name]
+    table, dim = default_tables[name], len(basis_m)
+    ratios = []
+    for m, row in zip(basis_m, table):
+        for b, value in zip(basis_b, row):
+            if sp.re(value) < 0:
+                mixed = canonical(abs(braket(b, m)) ** 2 / dim)  # the cell of the maximally mixed state
+                ratios.append(canonical(mixed / (mixed - sp.re(value))))
+    assert canonical(min(ratios, key=float) - threshold) == 0
+    formula = 1 / (1 + dim * sp.sqrt(column(table, FLIPS[name][0])[1]))
+    assert (canonical(formula - threshold) == 0) == (name in MAPS_ONTO_B)

@@ -22,7 +22,7 @@ from kdqlab import (
     tensor_op,
     tensor_state,
 )
-from kdqlab.qcore import _identity
+from kdqlab.qcore import _IDENTITY, MAX_DIM
 
 TOL = 1e-10
 
@@ -703,9 +703,11 @@ class TestOnePassVerdicts:
         assert got == (expected if isinstance(expected, str) else expected.tobytes())
 
     def test_identities_are_shared_and_read_only(self):
-        for dim in (1, 2, 16):
-            eye = _identity(dim)
-            assert eye is _identity(dim)
+        # one table built at import: entry n is the complex n x n identity, for every dimension a value may have
+        assert len(_IDENTITY) == MAX_DIM + 1
+        for dim in range(1, MAX_DIM + 1):
+            eye = _IDENTITY[dim]
+            assert eye.dtype == complex and eye.shape == (dim, dim)
             assert np.array_equal(eye, np.eye(dim))
             with pytest.raises(ValueError, match="read-only"):
                 eye[0, 0] = 2.0

@@ -565,8 +565,9 @@ class TestSharedConstants:
         # every module constant is scanned, so a constant added later is checked too
         held = {name: arrays_of(value) for name, value in vars(kdqlab.scenarios).items()}
         found = {name for name, arrays in held.items() if arrays}
-        assert {"_LG_PREPARATION", "_THREE_BOX", "_BOX1", "_CHESHIRE_CAT", "_PATH1", "_EIGEN", "_HARDY_PORTS"} <= found
-        assert {"_PAULI_PAIRS", "_XY_BASIS", "_SWAP_BASIS", "_CHSH_CELLS", "_XX_BASIS", "_PLUS_PLUS"} <= found
+        assert {"_LG_PREPARATION", "_THREE_BOX", "_BOX1", "_BOX3", "_CHESHIRE_CAT", "_PATH1", "_EIGEN"} <= found
+        assert {"_HARDY_A", "_HARDY_PATHS", "_HARDY_PORTS", "_B1_OUTER2", "_OUTER1_B2", "_PAULI_PAIRS"} <= found
+        assert {"_XY_BASIS", "_SWAP_BASIS", "_CHSH_CELLS", "_XX_BASIS", "_PLUS_PLUS"} <= found
         for name, arrays in held.items():
             for array in arrays:
                 assert not array.flags.writeable, name
