@@ -25,8 +25,11 @@ the snippet runs on any tree that has them.
 Its ``import.<module>_us`` rows are the cumulative times that
 ``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Each
 seed runs one fresh process of each kind per tree, after that seed's
-workloads and in its order of trees, and each row keeps its best over the
-seeds, so one slow process on a loaded host does not set a row.
+workloads and in its order of trees. Every process's rows stay in
+``layers.runs``, in seed order, and ``layers.rows`` summarizes each row over
+the processes as the end-to-end metrics are summarized: median, quartiles and
+count, so a reader can tell a row's spread from a change (the least value is
+still in ``runs``).
 
 With ``--parent DIR`` (another checkout, such as the commit before a change),
 both trees run every (workload, seed) pair, and which one runs first
@@ -35,7 +38,8 @@ The parent's summary goes to ``--parent-out``, and a comparison is printed:
 per metric, the parent's median and quartiles, this tree's median and the
 pairs this tree won. A metric whose parent quartile spread, relative to its
 median, exceeds its bound is marked unresolved: its runs spread too widely
-to tell a change.
+to tell a change. Each ``layers`` row follows, compared the same way (lower
+is better for every row; no bound gates them, so none is marked).
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
@@ -173,10 +177,20 @@ def _summary(runs: list[dict], layers: list[dict], args: argparse.Namespace) -> 
             "number": NUMBER,
             "repeat": REPEAT,
             "processes": len(layers),
-            "best": {row: min(rows[row] for rows in layers) for row in layers[0]},
+            "rows": {row: _quartiles([rows[row] for rows in layers]) for row in layers[0]},
+            "runs": layers,
         },
         "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
     }
+
+
+def _line(label: str, base: dict, new: dict, pairs: list[tuple[float, float]], better: str, note: str = "") -> str:
+    """One compared row: the parent's median [q1, q3] -> this tree's median, and the pairs this tree won."""
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+    return (
+        f"{label}: {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> {new['median']:.4g},"
+        f" {won}/{len(pairs)}{note}"
+    )
 
 
 def _compare(parent: dict, change: dict, bounds: dict) -> None:
@@ -189,14 +203,13 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
                 for p, c in zip(parent["runs"], change["runs"])
                 if p["workload"] == workload
             ]
-            won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
             spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
             note = "  unresolved" if spread > bound else ""
-            new = change["end_to_end"][workload][name]["median"]
-            print(
-                f"{workload} {name}: {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> {new:.4g},"
-                f" {won}/{len(pairs)}{note}"
-            )
+            print(_line(f"{workload} {name}", base, change["end_to_end"][workload][name], pairs, better, note))
+    print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better)")
+    for row, base in parent["layers"]["rows"].items():
+        pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
+        print(_line(row, base, change["layers"]["rows"][row], pairs, "lower"))
 
 
 def main() -> int:

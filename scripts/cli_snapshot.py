@@ -12,10 +12,14 @@ The CLI prints 12 significant digits, so a change in the last bits of a
 result can hide behind the rounding. ``OUTDIR/reports.txt`` shows it: for
 each distinct (name, theta) among the ``scenario`` rows that exit 0, with
 ``--deg`` converted, the report is built in process through
-``kdqlab.scenarios.build``, and the file lists every check name with the
-``float.hex`` of the real and imaginary part of its ``got``, and the joint
-table's bytes in hex. To compare two trees, snapshot each and diff the
-directories:
+``kdqlab.scenarios.build``, and the file lists its ``passed`` and
+``violated_inequality``; every check's name, the ``float.hex`` of the real
+and imaginary part of its ``got`` and ``expected``, its tolerance in hex and
+its ``passed``; the negativity record (``total_negativity``, ``min_real`` and
+``max_abs_phase`` in hex, and ``argmin``); and the joint table's bytes in
+hex. It is the one record of a report's bits, so two trees give the same bits
+when their ``reports.txt`` files are identical. To compare two trees, snapshot
+each and diff the directories:
 
     PYTHONPATH=/path/to/old/src python scripts/cli_snapshot.py /tmp/snap-old
     PYTHONPATH=/path/to/new/src python scripts/cli_snapshot.py /tmp/snap-new
@@ -152,6 +156,9 @@ def commands() -> list[tuple[int, list[str]]]:
     # Bell where <K> - 2 crosses TOL, near theta = 5e-11 and pi/2 - 5e-11, and kd on phases far outside (-pi, pi]
     table += [(0, ["scenario", "bell", "--theta", theta]) for theta in ("5.00005e-11", "1.5707963267448957")]
     table.append((0, ["kd", "haar-d4-phases-1e8.json"]))
+    # more angles in process: each scenario row that exits 0 adds its report's bits to reports.txt
+    table += [(0, ["scenario", "leggett-garg", "--theta", theta]) for theta in ("0.3", "1.1", "3.0", "0.001")]
+    table += [(0, ["scenario", "bell", "--theta", theta]) for theta in ("1.1", "1.5")]
     return table
 
 
@@ -163,15 +170,34 @@ def scenario_key(args: list[str]) -> tuple[str, float | None]:
     return args[1], theta
 
 
+def _hex(value) -> str:
+    """The real and imaginary part of a number as ``float.hex``."""
+    value = complex(value)
+    return f"{value.real.hex()} {value.imag.hex()}"
+
+
 def report_bits(keys) -> str:
-    """Per report: every check name with the hex bits of its ``got``, then the joint table's bytes in hex."""
+    """Per report: its verdicts, every check, the negativity record and the joint table's bytes, all as bits.
+
+    A check line holds its name, the hex bits of ``got`` and of ``expected``, its tolerance in hex and its
+    verdict; the negativity line holds ``total_negativity``, ``min_real`` and ``max_abs_phase`` in hex, then
+    ``argmin``.
+    """
     lines = []
     for name, theta in keys:
         report = build(name, theta)
         lines.append(f"scenario {name} theta={theta!r}")
+        lines.append(f"  passed: {report.passed} violated_inequality: {report.violated_inequality!r}")
         for check in report.checks:
-            got = complex(check.got)
-            lines.append(f"  {check.name}: {got.real.hex()} {got.imag.hex()}")
+            lines.append(
+                f"  {check.name}: {_hex(check.got)} expected {_hex(check.expected)}"
+                f" tolerance {float(check.tolerance).hex()} passed {check.passed}"
+            )
+        neg = report.negativity
+        lines.append(
+            f"  negativity: {neg.total_negativity.hex()} {neg.min_real.hex()} {neg.max_abs_phase.hex()}"
+            f" argmin {neg.argmin!r}"
+        )
         lines.append(f"  table: {report.kd.table.tobytes().hex()}")
     return "\n".join(lines) + "\n"
 

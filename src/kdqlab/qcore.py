@@ -295,6 +295,13 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
     Deterministic Gram-Schmidt over the standard basis vectors in index
     order; the seed vectors themselves keep their positions at the front, and
     only the completion vectors are new. At most ``dim`` seeds are accepted.
+
+    The standard directions always suffice. While k < d orthonormal vectors
+    are kept, the residuals of the d standard directions have squared norms
+    that sum to d - k >= 1; a direction already taken leaves none and one
+    already skipped at most 1e-12, so some candidate still to come has a
+    residual of norm at least 1/4, far above the 1e-6 cut. Seeds that are not
+    orthonormal void the argument, and ``OrthonormalBasis`` rejects them.
     """
     if not seed_vectors:
         raise ValueError("at least one seed vector required")
@@ -313,8 +320,6 @@ def complete_basis(seed_vectors: Sequence[StateVector], labels: Sequence[str]) -
         norm = float(np.linalg.norm(cand))
         if norm > 1e-6:
             vecs.append(cand / norm)
-    if len(vecs) != dim:
-        raise ValueError("could not complete the basis from standard directions")
     return OrthonormalBasis(tuple(labels), (*seed_vectors, *(StateVector(v) for v in vecs[len(seed_vectors) :])))
 
 

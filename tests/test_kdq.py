@@ -112,9 +112,6 @@ def reference_outcome(a, basis_m, basis_b, table):
     real = sums.real
     if np.max(real) > 1.0 + TOL:
         return f"marginal outside [0, 1]: {real}"
-    totals = np.sum(real, axis=1)
-    if np.max(np.abs(totals - 1.0)) > TOL:
-        return f"marginal does not sum to 1: {totals}"
     probs = np.clip(real, 0.0, 1.0)
     return probs[0].tobytes(), probs[1].tobytes()
 
@@ -272,6 +269,29 @@ class TestKDJoint:
         sums = np.concatenate([table.sum(axis=1), table.sum(axis=0)])
         assert np.abs(sums.imag).max() <= TOL
         assert sums.real.min() >= -TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=16),
+        pinned=st.sampled_from([None, "m", "b"]),
+        kind=st.sampled_from(["complex", "imaginary", "column-shift", "scale"]),
+        exponent=st.floats(min_value=-12.0, max_value=-8.0),
+    )
+    def test_accepted_tables_have_axis_totals_of_one(self, seed, dim, pinned, kind, exponent):
+        # The total check alone must bound the totals of the row sums and of the column sums: each is
+        # Re sum T summed in another order, so it lies within 2 gamma_{d^2} sum |T| of the checked total,
+        # with gamma_n = 1.01 n u (Higham 4.2)
+        rng, a, basis_m, basis_b = haar_kd_inputs(seed, dim, pinned)
+        table = np.array(kd_joint(a, basis_m, basis_b).table)
+        perturb(rng, table, kind, 10.0**exponent)
+        try:
+            KDDistribution(a, basis_m, basis_b, table)
+        except ValueError:
+            return
+        totals = np.array((table.sum(axis=1), table.sum(axis=0))).real.sum(axis=1)
+        rounding = 2 * 1.01 * dim**2 * 2.0**-53 * np.abs(table).sum()
+        assert np.abs(totals - 1.0).max() <= TOL + rounding
 
     @settings(max_examples=200, deadline=None)
     @given(

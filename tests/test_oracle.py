@@ -350,6 +350,21 @@ def test_pointer_statistics_near_a_null_direction_of_the_kernel():
         assert p > TOL and abs(got - p) <= pointer_bound(8, float(p)) * p
 
 
+@pytest.mark.parametrize("eps", [2e-5, 1e-4])
+def test_pointer_mean_near_a_null_direction_of_the_kernel(eps):
+    # P(b0) = 2.3e-10 and 5.5e-9; the closed-form mean reads 3.1e-8 and 2.8e-8 of the docstring bound
+    # F (|mean| + g max|k| (1 + sum |c| / sqrt(P(b)))) off the 50-digit value
+    a, basis_m, basis_b, cfg = null_direction_input(seed=11, eps=eps)
+    stats = PointerStatistics(a, basis_m, basis_b, cfg)
+    assert [mean is None for mean in stats.mean] == [p <= TOL for p in stats.probability]
+    p, mean = pointer_oracle(a, basis_m, basis_b, cfg, 0)
+    coefficients = (basis_b.matrix[0].conj() @ basis_m.matrix.T) * (basis_m.matrix.conj() @ a.amp)
+    top = cfg.coupling * max(map(abs, cfg.eigenvalue))
+    scale = abs(mean) + top * (1.0 + float(np.abs(coefficients).sum()) / math.sqrt(float(p)))
+    with mpmath.workdps(DIGITS):
+        assert p > TOL and abs(stats.mean[0] - mean) <= pointer_bound(8, float(p)) * scale
+
+
 @pytest.mark.parametrize(
     "coupling, eigenvalue",
     [(1e-300, (0.0, 0.0, 1e300)), (1e-300, (0.0, 1.5e308, 1.5e308))],

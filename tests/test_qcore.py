@@ -336,6 +336,30 @@ class TestBasisCompletion:
         basis = complete_basis(seeds, ("k0", "k1", "k2"))
         assert all(kept is seed for kept, seed in zip(basis.vectors, seeds))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        dim=st.integers(min_value=1, max_value=MAX_DIM),
+        kind=st.sampled_from(["haar", "standard", "near-standard"]),
+    )
+    def test_standard_directions_always_complete_the_basis(self, seed, dim, kind):
+        # k < d kept vectors leave the d standard directions residuals whose squared norms sum to d - k >= 1;
+        # seeds along, or within 1e-7 of, standard directions make the skipped candidates that sum counts
+        rng = np.random.default_rng(seed)
+        n_seeds = int(rng.integers(1, dim + 1))
+        if kind == "haar":
+            seed_vectors = haar_basis(rng, dim, "h").vectors[:n_seeds]
+        else:
+            columns = np.eye(dim, dtype=complex)[:, rng.permutation(dim)[:n_seeds]]
+            if kind == "near-standard":
+                noise = rng.standard_normal((dim, n_seeds)) + 1j * rng.standard_normal((dim, n_seeds))
+                columns += 1e-7 * rng.uniform(0.0, 1.0, n_seeds) * noise / np.linalg.norm(noise, axis=0)
+                columns, _ = np.linalg.qr(columns)
+            seed_vectors = [StateVector(np.exp(2j * math.pi * rng.random()) * col) for col in columns.T]
+        basis = complete_basis(seed_vectors, tuple(f"k{j}" for j in range(dim)))
+        assert basis.dim == dim
+        assert all(kept is given for kept, given in zip(basis.vectors, seed_vectors))
+
     def test_deterministic(self):
         b1 = complete_basis([X_PLUS], ("p", "q"))
         b2 = complete_basis([X_PLUS], ("p", "q"))
