@@ -5,8 +5,10 @@ Writes seeded scenario files into OUTDIR, runs a fixed table of
 ``python -m kdqlab`` commands in fresh processes from that directory (file
 arguments are relative paths), and writes one file per command under
 ``OUTDIR/runs`` holding its argv, exit code, stdout and stderr. The inputs
-are built with numpy alone, so two source trees get the same files. New rows
-go at the end of the table, so every earlier record keeps its number.
+are built with numpy alone, so two source trees get the same files. The
+scenario rows take the built-ins' names, in order, from
+``kdqlab.scenarios.SCENARIO_NAMES``. New rows go at the end of the table, so
+every earlier record keeps its number.
 
 The CLI prints 12 significant digits, so a change in the last bits of a
 result can hide behind the rounding. ``OUTDIR/reports.txt`` shows it: for
@@ -42,11 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from kdqlab.scenarios import build
+from kdqlab.scenarios import SCENARIO_NAMES, build
 
 HAAR_DIMS = (1, 2, 3, 4, 8, 16)
 FORMATS = ("table", "json", "csv")
-SCENARIOS = ("leggett-garg", "three-box", "cheshire-cat", "hardy", "peres-mermin", "bell")
 # the exit-0 rows that are expected to print a warning line; every other exit-0 row keeps stderr empty
 MAY_WARN = (
     "kd d1-unnormalized.json",
@@ -121,7 +122,7 @@ def input_files() -> dict[str, dict]:
 def commands() -> list[tuple[int, list[str]]]:
     """(expected exit code, arguments after ``kdqlab``) for every command, in run order."""
     table = [(0, ["--help"])] + [(0, [cmd, "--help"]) for cmd in ("scenario", "kd", "weak")]
-    table += [(0, ["scenario", name, "--format", fmt]) for name in SCENARIOS for fmt in FORMATS]
+    table += [(0, ["scenario", name, "--format", fmt]) for name in SCENARIO_NAMES for fmt in FORMATS]
     for theta in ("0", "1e-10", "1.5e-10", "2e-10", "7e-11", "0.3", repr(math.pi / 2)):
         table += [(0, ["scenario", "bell", "--theta", theta, "--format", fmt]) for fmt in ("table", "json")]
     table.append((0, ["scenario", "bell", "--theta", "5e-11"]))

@@ -20,7 +20,9 @@ and checks are computed anew on every call, from per-angle inputs formed
 directly: Leggett-Garg's two spin bases are the Bloch states along theta and
 theta + pi, with no Gram-Schmidt pass, and its two spin observables are
 spectral sums over them; Bell's state is the stabilizers' joint projector
-applied to the seed, checked against both stabilizers in one stacked product.
+applied to the seed. That projector has rank one at every admissible angle,
+so the builder runs no check of its own on it: a wrong construction fails the
+report's closed-form table check.
 """
 
 from __future__ import annotations
@@ -454,28 +456,23 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     """The unique joint +1 eigenstate of two tilted correlation observables, and the two observables.
 
     Built by projecting the seed ``|++>`` onto the joint eigenspace and
-    normalizing; the result is verified to satisfy both eigenvalue equations.
+    normalizing. The construction is not checked here: the observables commute,
+    square to 1 and have ``a1 a2 = Z1Z2``, so their joint +1 projector has rank
+    one at every theta, and a wrong construction fails the report's own checks
+    (the closed-form table, ``<K>``, ``P(K=-2)`` and both correlation conditions).
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    # one numpy expression each on the read-only .mat, wrapped once, as every builder combines
-    # operators; the operations and their order, c XY + s XX, c YX - s YY and
+    # each stabilizer is one numpy expression on the read-only .mat, wrapped once, as every builder
+    # combines operators; the operations and their order, c XY + s XX, c YX - s YY and
     # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
     a1 = Operator(c * _PAULI_PAIRS["XY"].mat + s * _PAULI_PAIRS["XX"].mat)
     a2 = Operator(c * _PAULI_PAIRS["YX"].mat - s * _PAULI_PAIRS["YY"].mat)
-    proj = Operator(0.25 * ((_IDENTITY[4] + a1.mat) @ (_IDENTITY[4] + a2.mat)))
-    trace = complex(np.trace(proj.mat))
-    if abs(trace - 1.0) > TOL:
-        raise ValueError(f"joint eigenspace is not one-dimensional (trace {trace})")
+    proj = 0.25 * ((_IDENTITY[4] + a1.mat) @ (_IDENTITY[4] + a2.mat))
     # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
     # projection of |++> has norm^2 (1 + sin(theta)) / 4 >= 1/4 on [0, pi/2]: it never vanishes
-    state = StateVector.normalize(proj.mat @ _PLUS_PLUS)
-    # both stabilizers in one stacked product; each has entries of modulus <= 1, so its image of a unit
-    # vector needs no overflow guard
-    if float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max()) > TOL:
-        raise ValueError("the projected seed is not a joint +1 eigenstate")
-    return state, a1, a2
+    return StateVector.normalize(proj @ _PLUS_PLUS), a1, a2
 
 
 def bell_scenario(theta: float) -> ScenarioReport:

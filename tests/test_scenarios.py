@@ -31,6 +31,7 @@ from kdqlab import (
     tensor_op,
     three_box,
 )
+from kdqlab.cli import main
 from kdqlab.scenarios import (
     _CHSH_CELLS,
     _CHSH_ORDER,
@@ -440,13 +441,49 @@ class TestBell:
             _bell_state(theta)
 
     def test_stacked_stabilizer_residual_equals_the_per_operator_maximum_bit_for_bit(self):
-        # _bell_state checks both stabilizers in one stacked product; each slice is the product one
-        # operator alone gives, so the residual compared with TOL keeps its bits
+        # the stacked product of both stabilizers that the rank-one test below reads; each slice is the
+        # product one operator alone gives, so the stacked residual keeps the per-operator bits
         for theta in [0.0, 1e-10, 5e-11, math.pi / 2, *np.linspace(0.0, math.pi / 2, 1001).tolist()]:
             state, a1, a2 = _bell_state(theta)
             stacked = float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max())
             per_operator = max(float(np.max(np.abs(op.mat @ state.amp - state.amp))) for op in (a1, a2))
             assert stacked.hex() == per_operator.hex(), theta
+
+    def test_projector_has_rank_one_and_both_stabilizers_fix_the_state(self):
+        # why _bell_state runs no check of its own: at every angle its projector 0.25 (1 + a1)(1 + a2) has
+        # trace 1 and both stabilizers fix the returned state, far inside TOL
+        rng = np.random.default_rng(36)
+        ident = np.eye(4)
+        for theta in [0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 2001).tolist()]:
+            state, a1, a2 = _bell_state(theta)
+            trace = complex(np.trace(0.25 * ((ident + a1.mat) @ (ident + a2.mat))))
+            assert abs(trace - 1.0) <= 1e-15, theta
+            assert float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max()) <= 1e-15, theta
+
+    @pytest.mark.parametrize("mutant", ["rank-two", "sign-flip"])
+    def test_a_wrong_construction_fails_the_report(self, monkeypatch, capsys, mutant):
+        # a mutated Pauli product breaks the construction: "rank-two" makes a2 = a1 (YX -> XY, YY -> -XX),
+        # so the projector has rank 2; "sign-flip" (YY -> -YY) makes the stabilizers no longer commute. The
+        # report's own checks fail on each, and the CLI exits 3 with no error line
+        xx, yy, xy = (_PAULI_PAIRS[key].mat for key in ("XX", "YY", "XY"))
+        if mutant == "rank-two":
+            monkeypatch.setitem(_PAULI_PAIRS, "YX", Operator(xy))
+            monkeypatch.setitem(_PAULI_PAIRS, "YY", Operator(-xx))
+        else:
+            monkeypatch.setitem(_PAULI_PAIRS, "YY", Operator(-yy))
+        _, a1, a2 = _bell_state(0.3)
+        ident = np.eye(4)
+        if mutant == "rank-two":
+            assert np.array_equal(a1.mat, a2.mat)
+            assert np.linalg.matrix_rank(0.25 * ((ident + a1.mat) @ (ident + a2.mat))) == 2
+        else:
+            assert float(abs(a1.mat @ a2.mat - a2.mat @ a1.mat).max()) > 0.1
+        for theta in [0.3, math.pi / 4, 1.2]:
+            report = bell_scenario(theta)
+            failed = [c.name for c in report.checks if not c.passed]
+            assert not report.passed and "joint table matches the closed-form table" in failed, theta
+        assert main(["scenario", "bell", "--theta", "0.3"]) == 3
+        assert "error:" not in capsys.readouterr().err
 
 
 PM_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
