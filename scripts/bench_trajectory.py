@@ -39,7 +39,10 @@ per metric, the parent's median and quartiles, this tree's median and the
 pairs this tree won. A metric whose parent quartile spread, relative to its
 median, exceeds its bound is marked unresolved: its runs spread too widely
 to tell a change. Each ``layers`` row follows, compared the same way (lower
-is better for every row; no bound gates them, so none is marked).
+is better for every row, and no bound gates them). A row is marked
+unresolved when the two medians differ by no more than the parent's quartile
+distance ``q3 - q1``: a gain smaller than the parent's own spread cannot be
+told from it.
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
@@ -206,10 +209,13 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
             spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
             note = "  unresolved" if spread > bound else ""
             print(_line(f"{workload} {name}", base, change["end_to_end"][workload][name], pairs, better, note))
-    print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better)")
+    print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better); unresolved if the")
+    print("medians differ by no more than the parent's q3 - q1")
     for row, base in parent["layers"]["rows"].items():
+        new = change["layers"]["rows"][row]
         pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
-        print(_line(row, base, change["layers"]["rows"][row], pairs, "lower"))
+        note = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
+        print(_line(row, base, new, pairs, "lower", note))
 
 
 def main() -> int:

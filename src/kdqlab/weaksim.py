@@ -317,6 +317,27 @@ def _chunks(
 
     The arguments are checked on the call; the chunks are drawn as they are
     iterated, so a consumer that folds each one never holds the whole draw.
+
+    The conditional draw of b needs none of ``PointerStatistics``' per-cluster
+    care, although its weights ``w_b = |A_b|**2``, ``A_b = sum_n c_bn e_n`` with
+    ``e_n = exp(-d_n (d_n + z))``, can cancel: each shot compares them with
+    their total ``W``, not with P(b). As ``sum_b |b><b| = 1``,
+    ``W = sum_n |<n|a>|**2 e_n**2``, and as ``sum_n |<b|n>|**2 = 1``,
+    Cauchy-Schwarz gives ``(sum_n |c_bn| e_n)**2 <= W`` for every b. So with
+    each term ``c_bn e_n`` off by a relative ``rho`` (about ``(3 + z**2 / 2) u``,
+    ``u = 2**-53``, where the exponent is negative; where it is positive the
+    term decays faster than its error grows), ``A_b`` is off by at most
+    ``eta sqrt(W)``, ``eta = rho + gamma_d``, each weight by about ``2 eta W``,
+    their total by d times that, and the running sums that a threshold meets
+    by ``gamma_d W`` more. Each shot's conditional probability of every b
+    then moves by at most about ``2 (d + 1) eta + 3 gamma_d``, absolute,
+    however small P(b) is: 1.5e-13 at d = 16 and ``|z| = 6``, where
+    ``eta = (d + 21) u``. A shot's outcome changes with probability at most
+    about ``4 d eta = 2.6e-13``, so among ``MAX_SHOTS = 1e8`` shots the
+    expected number it changes is below 1e-4. The coefficients' own rounding
+    perturbs the inputs, as it does for the closed form. ``tests/test_oracle.py`` draws 2e6 shots at an
+    outcome of P(b) = 5.5e-5 near a null direction of the kernel and checks
+    every count against ``PointerStatistics``.
     """
     # bool is an int subclass, but True shots or a False seed is a caller's mistake
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:

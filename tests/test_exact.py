@@ -34,6 +34,12 @@ published column b, with ``P = P(b|a)``, ``N_b`` the column's negative weight an
   three-box, Cheshire cat and Peres-Mermin. Hardy's and Bell's maps miss b, and there the law fails;
 - ``v_c = min over the negative cells of q / (q - Re T)``, ``q = |<b|m>|**2 / d`` the cell of the maximally
   mixed state, is ``1 / (1 + d sqrt P)`` for those four; Hardy's is 3/7 and Bell's sqrt 2 - 1.
+
+On a qubit every cell ``T = <b|m><m|a><a|b>`` is a Bargmann invariant (ROADMAP item 20). With Bloch vectors
+read from states built by ``bloch_state``'s formula, ``N = n_a.(n_m x n_b)`` and
+``D = 1 + n_a.n_m + n_m.n_b + n_b.n_a``, two tilted triples satisfy ``Im T D + Re T N = 0`` (the phase of T is
+``-Omega/2``, with ``tan(Omega/2) = N / D``), ``|T|**2 = prod (1 + n.n') / 2`` over the three pairs, and Re T
+has the sign of D, exactly.
 """
 import math
 
@@ -75,6 +81,13 @@ NEGATIVITY = {
 MAPS_ONTO_B = ["leggett-garg", "three-box", "cheshire-cat", "peres-mermin"]
 X = sp.Matrix([[0, 1], [1, 0]])
 Y = sp.Matrix([[0, -sp.I], [sp.I, 0]])
+Z = sp.Matrix([[1, 0], [0, -1]])
+# two tilted Bloch triples (a, m, b), each direction as (theta, phi), and the first one's N, D and T
+TILTED = [
+    ((sp.pi / 3, 0), (sp.pi / 2, sp.pi / 2), (sp.pi / 2, 0)),
+    ((sp.pi / 3, 0), (sp.pi / 2, sp.pi / 3), (sp.pi / 4, 2 * sp.pi / 3)),
+]
+FIRST_TILTED = (sp.Rational(-1, 2), 1 + sp.sqrt(3) / 2, sp.Rational(1, 4) + sp.sqrt(3) / 8 + sp.I / 8)
 EIGEN = {
     "X": {+1: sp.Matrix([1, 1]) / sp.sqrt(2), -1: sp.Matrix([1, -1]) / sp.sqrt(2)},
     "Y": {+1: sp.Matrix([1, sp.I]) / sp.sqrt(2), -1: sp.Matrix([1, -sp.I]) / sp.sqrt(2)},
@@ -98,6 +111,16 @@ def exact_table(a, basis_m, basis_b):
 
 def bloch(theta):
     return sp.Matrix([sp.cos(theta / 2), sp.sin(theta / 2)])
+
+
+def bloch_state_exact(theta, phi):
+    """``bloch_state``'s formula, ``(cos(theta/2), e^(i phi) sin(theta/2))``, in exact arithmetic."""
+    return sp.Matrix([sp.cos(theta / 2), sp.exp(sp.I * phi) * sp.sin(theta / 2)])
+
+
+def complex_canonical(value):
+    """``canonical`` after writing every ``e^(i phi)`` as ``cos phi + i sin phi``."""
+    return canonical(sp.expand_complex(value))
 
 
 def product_basis(axis):
@@ -322,3 +345,19 @@ def test_critical_visibility(default_inputs, default_tables, name, threshold):
     assert canonical(min(ratios, key=float) - threshold) == 0
     formula = 1 / (1 + dim * sp.sqrt(column(table, FLIPS[name][0])[1]))
     assert (canonical(formula - threshold) == 0) == (name in MAPS_ONTO_B)
+
+
+@pytest.mark.parametrize("triple", TILTED, ids=["first", "second"])
+def test_every_qubit_cell_is_a_bargmann_invariant(triple):
+    a, m, b = (bloch_state_exact(*angles) for angles in triple)
+    n_a, n_m, n_b = (sp.Matrix([complex_canonical(braket(v, P * v)) for P in (X, Y, Z)]) for v in (a, m, b))
+    numerator = complex_canonical(n_a.dot(n_m.cross(n_b)))
+    denominator = complex_canonical(1 + n_a.dot(n_m) + n_m.dot(n_b) + n_b.dot(n_a))
+    cell = complex_canonical(braket(b, m) * braket(m, a) * braket(a, b))
+    real, imag = complex_canonical(sp.re(cell)), complex_canonical(sp.im(cell))
+    assert complex_canonical(imag * denominator + real * numerator) == 0
+    modulus_sq = sp.prod([(1 + p.dot(q)) / 2 for p, q in ((n_a, n_m), (n_m, n_b), (n_b, n_a))])
+    assert complex_canonical(real**2 + imag**2 - modulus_sq) == 0
+    assert sp.sign(real) == sp.sign(denominator) != 0
+    if triple == TILTED[0]:
+        assert [complex_canonical(v - e) for v, e in zip((numerator, denominator, cell), FIRST_TILTED)] == [0, 0, 0]

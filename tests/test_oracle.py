@@ -46,6 +46,9 @@ bound, with ``u = 2**-53`` the unit roundoff:
   moduli. So entry (i, j) is off by at most
   ``sum_{m,b} |M_mi| |C_mb| |B_bj| ((d + 2) u / |<b|m>| + (2d + 10) u)``; the bound below allows
   ``(d + 4) u / |<b|m>| + (2d + 16) u`` for second-order terms.
+- The sampler's conditional draw of b, near the same null direction of K, is checked by its counts
+  against ``PointerStatistics`` (|z| <= 6 at 2e6 shots), not against mpmath: its rounding moves each
+  shot's conditional probability by far less than one shot in ``MAX_SHOTS`` (``_chunks``' docstring).
 """
 
 import math
@@ -70,6 +73,7 @@ from kdqlab import (
     overlap_from_kd,
     post_selection_basis,
     reconstruct_state,
+    sample_moments,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -363,6 +367,19 @@ def test_pointer_mean_near_a_null_direction_of_the_kernel(eps):
     scale = abs(mean) + top * (1.0 + float(np.abs(coefficients).sum()) / math.sqrt(float(p)))
     with mpmath.workdps(DIGITS):
         assert p > TOL and abs(stats.mean[0] - mean) <= pointer_bound(8, float(p)) * scale
+
+
+def test_sampled_counts_near_a_null_direction_of_the_kernel():
+    # ROADMAP item 8: the sampler's conditional draw of b has no sum of squares, and needs none (see _chunks'
+    # docstring). At eps 1e-2, P(b0) = 5.5e-5: 2e6 shots expect 111 of b0, and every count lies within
+    # |z| <= 6 of the closed form
+    a, basis_m, basis_b, cfg = null_direction_input(seed=11, eps=1e-2)
+    probability = np.array(PointerStatistics(a, basis_m, basis_b, cfg).probability)
+    assert 5e-5 < probability[0] < 6e-5
+    shots = 2_000_000
+    count = np.array(sample_moments(a, basis_m, basis_b, cfg, shots, seed=11)[0])
+    z = (count - shots * probability) / np.sqrt(shots * probability * (1.0 - probability))
+    assert count.sum() == shots and float(abs(z).max()) <= 6.0
 
 
 @pytest.mark.parametrize(

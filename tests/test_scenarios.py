@@ -36,6 +36,9 @@ from kdqlab.scenarios import (
     _CHSH_CELLS,
     _CHSH_ORDER,
     _PAULI_PAIRS,
+    _SWAP_BASIS,
+    _XY_BASIS,
+    _YX_BASIS,
     _bell_state,
     _chsh_target,
     _eigenvalues_of,
@@ -307,17 +310,26 @@ class TestPeresMermin:
             one_by_one = [complex(np.vdot(v, op.mat @ v)).real for v in vectors]
             assert _eigenvalues_of(op, vectors).tobytes() == np.array(one_by_one).tobytes()
 
-    @pytest.mark.parametrize(
-        "op, vectors, message",
-        [
-            (pauli("X"), [[math.sqrt(0.5), math.sqrt(0.5)], [1.0, 0.0]], "state is not an eigenvector of the operator"),
-            (Operator(np.diag([1.0, 1j])), [[1.0, 0.0], [0.0, 1.0]], "eigenvalue is not real: 1j"),
-        ],
-    )
-    def test_eigenvalue_checks_keep_their_messages(self, op, vectors, message):
-        # the first vector passes both checks, the second fails one of them
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            _eigenvalues_of(op, np.array(vectors, dtype=complex))
+    def test_the_constants_carry_their_eigenvalues(self):
+        # why _eigenvalues_of checks nothing on a build: the five (operator, vectors) pairs that the builder
+        # passes are read-only constants. Each row is an eigenvector within 1e-15, each quotient is exactly
+        # real, and the rows of eigenvalues are S (-1, -1, -1), Tx (-1, +1, +1), Ty (+1, -1, +1) and
+        # Tz (+1, +1, -1) under X1X2, Y1Y2 and Z1Z2, and +1 for a under X1Y2 and for b under Y1X2. The report
+        # cannot stand in for this test: with Tx and Tz rotated into each other it passes at every angle tried
+        pairs = [(key, _SWAP_BASIS.matrix) for key in ("XX", "YY", "ZZ")]
+        pairs += [("XY", _XY_BASIS.matrix[:1]), ("YX", _YX_BASIS.matrix[:1])]
+        columns = []
+        for key, vectors in pairs:
+            op = _PAULI_PAIRS[key]
+            images = vectors @ op.mat.T
+            values = (vectors.conj() * images).sum(axis=1)
+            assert float(abs(images - values[:, None] * vectors).max()) <= 1e-15, key
+            assert np.all(values.imag == 0.0), key
+            columns.append(values.real)
+        expected = [[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
+        np.testing.assert_allclose(np.stack(columns[:3], axis=1), expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.concatenate(columns[3:]), [1.0, 1.0], rtol=0.0, atol=1e-15)
+        assert _SWAP_BASIS.labels == ("S", "Tx", "Ty", "Tz")
 
     def test_conditional_averages(self):
         report = peres_mermin_swap()
@@ -604,7 +616,8 @@ class TestSharedConstants:
         found = {name for name, arrays in held.items() if arrays}
         assert {"_LG_PREPARATION", "_THREE_BOX", "_BOX1", "_BOX3", "_CHESHIRE_CAT", "_PATH1", "_EIGEN"} <= found
         assert {"_HARDY_A", "_HARDY_PATHS", "_HARDY_PORTS", "_B1_OUTER2", "_OUTER1_B2", "_PAULI_PAIRS"} <= found
-        assert {"_XY_BASIS", "_SWAP_BASIS", "_CHSH_CELLS", "_XX_BASIS", "_PLUS_PLUS"} <= found
+        assert {"_XY_BASIS", "_SWAP_BASIS", "_CONTEXTS", "_LITERAL_SWAP", "_CHSH_CELLS", "_XX_BASIS"} <= found
+        assert "_PLUS_PLUS" in found
         for name, arrays in held.items():
             for array in arrays:
                 assert not array.flags.writeable, name
