@@ -23,13 +23,17 @@ box 3) and on Haar inputs at dimensions 8 and 16. The sampler's rows time
 8. Random inputs come from fixed seeds, and only public names are used, so
 the snippet runs on any tree that has them.
 Its ``import.<module>_us`` rows are the cumulative times that
-``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Each
-seed runs one fresh process of each kind per tree, after that seed's
-workloads and in its order of trees. Every process's rows stay in
-``layers.runs``, in seed order, and ``layers.rows`` summarizes each row over
-the processes as the end-to-end metrics are summarized: median, quartiles and
-count, so a reader can tell a row's spread from a change (the least value is
-still in ``runs``).
+``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Its
+``process.<command>_us`` rows are the best of ``PROCESS_REPEAT`` wall times
+of one whole fresh process, the unit that the cli-cold workload measures:
+``python -m kdqlab scenario three-box``, ``python -m kdqlab kd`` on a seeded
+dimension-4 file (a Haar preparation and two Haar bases) and
+``python -c "import kdqlab"``. Each seed runs one fresh process of each
+kind per tree, after that seed's workloads and in its order of trees. Every
+process's rows stay in ``layers.runs``, in seed order, and ``layers.rows``
+summarizes each row over the processes as the end-to-end metrics are
+summarized: median, quartiles and count, so a reader can tell a row's spread
+from a change (the least value is still in ``runs``).
 
 With ``--parent DIR`` (another checkout, such as the commit before a change),
 both trees run every (workload, seed) pair, and which one runs first
@@ -38,11 +42,14 @@ The parent's summary goes to ``--parent-out``, and a comparison is printed:
 per metric, the parent's median and quartiles, this tree's median and the
 pairs this tree won. A metric whose parent quartile spread, relative to its
 median, exceeds its bound is marked unresolved: its runs spread too widely
-to tell a change. Each ``layers`` row follows, compared the same way (lower
-is better for every row, and no bound gates them). A row is marked
-unresolved when the two medians differ by no more than the parent's quartile
-distance ``q3 - q1``: a gain smaller than the parent's own spread cannot be
-told from it.
+to tell a change. A metric is marked ``gain resolved`` when this tree won at
+least nine tenths of the pairs (ties count for neither) and its median is
+better than the parent's by more than the parent's quartile distance
+``q3 - q1``: the rule a claimed gain must meet. Each ``layers`` row
+follows, compared the same way (lower is better for every row, and no bound
+gates them). A row is marked unresolved when the two medians differ by no
+more than the parent's quartile distance ``q3 - q1``: a gain smaller than
+the parent's own spread cannot be told from it.
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
@@ -57,12 +64,17 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER, REPEAT = 50, 20
 SHOTS = 10**5  # per timed call of the sampler
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
+PROCESS_REPEAT = 5  # fresh processes per process row; the least wall time is kept
 # in one fresh process on the tree's src/: best-of-repeat time of one call, in microseconds
 LAYERS = """
 import json, sys, timeit
@@ -140,8 +152,29 @@ def _run(tree: Path, workload: str, seed: int, args: argparse.Namespace) -> dict
     return {"workload": workload, "seed": seed, "env": env, **counts, "metrics": metrics}
 
 
-def _layers(tree: Path) -> dict:
-    """The rows of one fresh ``LAYERS`` process and one ``-X importtime`` process on the tree's src/."""
+def _kd_file(path: Path) -> Path:
+    """The seeded dimension-4 scenario file of the ``process.kd_us`` row."""
+    rng = np.random.default_rng(4)
+    rows = [np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0] for _ in "amb"]
+    pairs = lambda vector: [[z.real, z.imag] for z in vector.tolist()]
+    payload = {"dim": 4, "state_a": pairs(rows[0][0])}
+    payload.update(basis_m=list(map(pairs, rows[1])), basis_b=list(map(pairs, rows[2])))
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _wall_us(argv: list[str], tree: Path, env: dict) -> float:
+    """The least wall time of ``PROCESS_REPEAT`` fresh processes, in microseconds."""
+    times = []
+    for _ in range(PROCESS_REPEAT):
+        start = time.perf_counter()
+        subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True)
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e6
+
+
+def _layers(tree: Path, kd_file: Path) -> dict:
+    """The rows of one fresh ``LAYERS`` process, one ``-X importtime`` process and the process rows on src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT), str(SHOTS)]
     layers = json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
@@ -151,6 +184,10 @@ def _layers(tree: Path) -> dict:
         fields = line.split("|")
         if len(fields) == 3 and fields[2].strip() in IMPORTS:
             layers[f"import.{fields[2].strip()}_us"] = float(fields[1])
+    kdqlab = [sys.executable, "-m", "kdqlab"]
+    layers["process.scenario_us"] = _wall_us([*kdqlab, "scenario", "three-box"], tree, env)
+    layers["process.kd_us"] = _wall_us([*kdqlab, "kd", str(kd_file)], tree, env)
+    layers["process.import_us"] = _wall_us([sys.executable, "-c", "import kdqlab"], tree, env)
     return layers
 
 
@@ -187,35 +224,43 @@ def _summary(runs: list[dict], layers: list[dict], args: argparse.Namespace) -> 
     }
 
 
-def _line(label: str, base: dict, new: dict, pairs: list[tuple[float, float]], better: str, note: str = "") -> str:
+def _won(pairs: list[tuple[float, float]], better: str) -> int:
+    """The pairs (parent, change) that this tree won; a tie counts for neither."""
+    return sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+
+
+def _line(label: str, base: dict, new: dict, won: int, runs: int, note: str = "") -> str:
     """One compared row: the parent's median [q1, q3] -> this tree's median, and the pairs this tree won."""
-    won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
-    return (
-        f"{label}: {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> {new['median']:.4g},"
-        f" {won}/{len(pairs)}{note}"
-    )
+    quartiles = f"{base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}]"
+    return f"{label}: {quartiles} -> {new['median']:.4g}, {won}/{runs}{note}"
 
 
 def _compare(parent: dict, change: dict, bounds: dict) -> None:
-    print("workload metric: parent median [q1, q3] -> change median, pairs won; unresolved if parent spread > bound")
+    print("workload metric: parent median [q1, q3] -> change median, pairs won; unresolved if parent spread > bound;")
+    print("gain resolved if the change won 9/10 of the pairs and its median is better by more than parent q3 - q1")
     for workload, metrics in parent["end_to_end"].items():
         for name, base in metrics.items():
             bound, better = bounds[name]
+            new = change["end_to_end"][workload][name]
             pairs = [
                 (p["metrics"][name], c["metrics"][name])
                 for p, c in zip(parent["runs"], change["runs"])
                 if p["workload"] == workload
             ]
+            won = _won(pairs, better)
             spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
+            gain = (base["median"] - new["median"]) * (1 if better == "lower" else -1)
             note = "  unresolved" if spread > bound else ""
-            print(_line(f"{workload} {name}", base, change["end_to_end"][workload][name], pairs, better, note))
+            if 10 * won >= 9 * len(pairs) and gain > base["q3"] - base["q1"]:
+                note += "  gain resolved"
+            print(_line(f"{workload} {name}", base, new, won, len(pairs), note))
     print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better); unresolved if the")
     print("medians differ by no more than the parent's q3 - q1")
     for row, base in parent["layers"]["rows"].items():
         new = change["layers"]["rows"][row]
         pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
         note = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
-        print(_line(row, base, new, pairs, "lower", note))
+        print(_line(row, base, new, _won(pairs, "lower"), len(pairs), note))
 
 
 def main() -> int:
@@ -234,14 +279,16 @@ def main() -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     trees = {"change": ROOT} if args.parent is None else {"change": ROOT, "parent": args.parent.resolve()}
     runs, layers = {label: [] for label in trees}, {label: [] for label in trees}
-    for index, seed in enumerate(args.seeds):
-        order = list(trees) if index % 2 else list(trees)[::-1]  # the parent first at the first seed
-        for workload in workloads:
+    with tempfile.TemporaryDirectory() as scratch:
+        kd_file = _kd_file(Path(scratch) / "kd-d4.json")
+        for index, seed in enumerate(args.seeds):
+            order = list(trees) if index % 2 else list(trees)[::-1]  # the parent first at the first seed
+            for workload in workloads:
+                for label in order:
+                    runs[label].append(_run(trees[label], workload, seed, args))
+                    print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
             for label in order:
-                runs[label].append(_run(trees[label], workload, seed, args))
-                print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
-        for label in order:
-            layers[label].append(_layers(trees[label]))
+                layers[label].append(_layers(trees[label], kd_file))
     summaries = {label: _summary(runs[label], layers[label], args) for label in trees}
 
     args.out.write_text(json.dumps(summaries["change"], indent=1) + "\n", encoding="utf-8")

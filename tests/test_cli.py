@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 import kdqlab
 from helpers import NON_FINITE, declared_transformation
 from kdqlab import SCENARIO_NAMES, bell_scenario, kd_joint, three_box
-from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main
+from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main, run
 from kdqlab.qcore import TOL
 from kdqlab.scenario_file import load_scenario_file
 
@@ -795,6 +796,50 @@ class TestProcess:
             monkeypatch.undo()
         assert code == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["scenario", "kd", "weak"])
+    def test_main_never_freezes_the_collector(self, capsys, tmp_path, command):
+        # main is the in-process API: a library must not make its caller's garbage uncollectable
+        path = str(three_box_file(tmp_path, kappa=[0.0, 0.0, 1.0]))
+        argv = {
+            "scenario": ["scenario", "three-box"],
+            "kd": ["kd", path],
+            "weak": ["weak", path, "--coupling", "1", "--width", "50", "--shots", "1000", "--seed", "1"],
+        }[command]
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+    ENTRY_CHECK = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count()))\n"
+        "sys.argv = ['kdqlab', *sys.argv[1:]]\n"
+        "runpy.run_module('kdqlab', run_name='__main__')\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["scenario", "three-box"], EXIT_OK),
+            (["weak", "x.json", "--coupling", "1", "--width", "1", "--seed", "-1"], EXIT_USAGE),
+        ],
+        ids=["exit-0", "exit-2"],
+    )
+    def test_the_process_entry_freezes_the_collector_before_exit(self, argv, code):
+        # python -m kdqlab runs cli.run: the exit collections then skip every object tracked
+        # when main returned, whatever its exit code
+        proc = run_python("-c", self.ENTRY_CHECK, *argv, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen:" and int(count) > 0
+
+    def test_both_launchers_call_the_same_entry(self):
+        # a text match, so that it runs where tomllib does not exist (Python 3.10)
+        root = Path(__file__).resolve().parents[1]
+        script = re.search(r'^kdqlab = "kdqlab\.cli:(\w+)"$', (root / "pyproject.toml").read_text(), re.M)
+        module = (root / "src" / "kdqlab" / "__main__.py").read_text()
+        assert script is not None and script.group(1) == run.__name__
+        assert re.search(r"^from \.cli import run$", module, re.M) and "\nsys.exit(run())\n" in module
 
     IMPORT_CHECK = (
         "import json, sys\n"
