@@ -23,9 +23,9 @@ strings and None alone; the text views print floats through ``_fmt``.
 interpreter's exit collections skip the roughly 22,000 objects that numpy,
 the standard library and kdqlab allocated, and the OS reclaims them with the
 process. No output depends on that teardown, and it was about a tenth of
-every process: on a 2 vCPU shared VM (Python 3.11.7, numpy 2.4.6) the median
-``python -m kdqlab`` request of the cli-cold benchmark took 145 ms with it and
-130 ms without it. Numpy's heap is nearly all of it: ``python -c "import
+every process: on a 2 vCPU shared VM (Python 3.11.7, numpy 2.4.6), over 30
+runs of the cli-cold benchmark, the median ``python -m kdqlab`` request took
+142 ms with it and 128 ms without it. Numpy's heap is nearly all of it: ``python -c "import
 numpy"`` took 113 ms, and 98 ms with a freeze before exit. ``main`` itself
 never freezes: a library must not make its caller's garbage uncollectable,
 so tests, embedding callers and in-process replays are unaffected. An
