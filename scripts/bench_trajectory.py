@@ -51,6 +51,19 @@ gates them). A row is marked unresolved when the two medians differ by no
 more than the parent's quartile distance ``q3 - q1``: a gain smaller than
 the parent's own spread cannot be told from it.
 
+Those per-process rows move by 10-60% on unchanged code, so ``--parent``
+also pairs the in-process rows. After the last seed, each tree's
+``src/kdqlab`` is copied into a temporary directory as ``kdqlab_parent``
+and ``kdqlab_change`` (relative imports keep each copy whole), and one fresh
+process imports both. Each row of ``ROWS`` is timed in ``ROUNDS`` rounds of
+three blocks, parent, change, parent, of as many calls as its per-process
+timing makes; each round gives one ratio, the change's block over the mean
+of the two parent blocks, so drift of the host within a round cancels. A
+row's rounds run back to back, so no block starts on caches that another
+row left. The median and quartiles of each row's ratios go into both
+summaries as ``layers.paired`` and are printed beside the row's
+per-process comparison.
+
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
     python3 scripts/bench_trajectory.py --out /tmp/bench.json --seeds 1 --seconds 0 --requests 3
@@ -61,6 +74,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -75,18 +89,13 @@ NUMBER, REPEAT = 50, 20
 SHOTS = 10**5  # per timed call of the sampler
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 PROCESS_REPEAT = 5  # fresh processes per process row; the least wall time is kept
-# in one fresh process on the tree's src/: best-of-repeat time of one call, in microseconds
-LAYERS = """
+ROUNDS = 40  # A, B, A rounds of each paired row
+# the in-process rows, on any package with kdqlab's public names: name -> (call, calls per timing, factor from
+# microseconds per call to the row's unit); partial binds each row's inputs, so every call is built before timing
+ROWS = """
 import json, sys, timeit
+from functools import partial
 import numpy as np
-from kdqlab import (
-    OrthonormalBasis, PointerConfig, PointerStatistics, StateVector, Transformation, kd_joint, negativity, sample,
-    scenarios,
-)
-number, repeat, shots = map(int, sys.argv[1:])
-
-def best(call, calls=number):
-    return min(timeit.repeat(call, number=calls, repeat=repeat)) / calls * 1e6
 
 def kernel(a, m, b):  # kd_joint's three products on the stacked vectors, without its validation
     return (b.conj() @ m.T).T * (m.conj() @ a)[:, None] * (a.conj() @ b.T)[None, :]
@@ -94,38 +103,71 @@ def kernel(a, m, b):  # kd_joint's three products on the stacked vectors, withou
 def unitary(rng, dim):
     return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
 
-layers = {f"scenarios.build_us.{name}": best(lambda: scenarios.build(name)) for name in scenarios.SCENARIO_NAMES}
-for name, theta in (("leggett-garg", 1.1), ("bell", 0.6)):
-    layers[f"scenarios.build_us.{name}(theta={theta})"] = best(lambda: scenarios.build(name, theta))
-rng = np.random.default_rng(0)
-for dim in (2, 4, 16):
-    a = StateVector(unitary(rng, dim)[0])
-    m, b = (OrthonormalBasis(tuple(map(str, range(dim))), tuple(map(StateVector, unitary(rng, dim)))) for _ in "mb")
-    layers[f"kdq.kd_joint_us.d{dim}"] = best(lambda: kd_joint(a, m, b))
-    layers[f"kdq.kernel_us.d{dim}"] = best(lambda: kernel(a.amp, m.matrix, b.matrix))
-rng = np.random.default_rng(1)
-inputs = {"three-box": (scenarios.build("three-box").kd, (0.0, 0.0, 1.0))}
-for dim in (2, 4, 8, 16):
-    rows, labels = unitary(rng, dim), tuple(map(str, range(dim)))
-    vectors, scaled = tuple(map(StateVector, rows)), 3.0 * rows[0]
-    basis_m, basis_b = OrthonormalBasis(labels, vectors), OrthonormalBasis(labels, vectors[::-1])
-    dist = kd_joint(StateVector(unitary(rng, dim)[0]), basis_m, basis_b)
-    inputs[f"d{dim}"] = (dist, tuple(rng.uniform(-1.0, 1.0, dim).tolist()))
-    if dim in (4, 16):
-        layers[f"qcore.state_us.d{dim}"] = best(lambda: StateVector(rows[0]))
-        layers[f"qcore.normalize_us.d{dim}"] = best(lambda: StateVector.normalize(scaled))
-        layers[f"qcore.basis_us.d{dim}"] = best(lambda: OrthonormalBasis(labels, vectors))
-        layers[f"kdq.negativity_us.d{dim}"] = best(lambda: negativity(dist))
-    if dim != 8:
-        phases = tuple(rng.choice((0.0, np.pi), dim).tolist())
-        layers[f"kdq.transformation_us.d{dim}"] = best(lambda: Transformation(dist, phases, 0))
-for name in ("three-box", "d8", "d16"):
-    dist, kappa = inputs[name]
-    pointer = (dist.state_a, dist.basis_m, dist.basis_b, PointerConfig(1.0, 1.0, kappa))
-    layers[f"weaksim.pointer_statistics_us.{name}"] = best(lambda: PointerStatistics(*pointer))
-    if name != "d16":
-        layers[f"weaksim.sample_ns_per_shot.{name}"] = best(lambda: sample(*pointer, shots, 0), 1) * 1e3 / shots
+def rows(kdqlab, number, shots):
+    timed = {}
+
+    def add(name, call, *args, calls=number, factor=1.0):  # factor: from microseconds per call to the row's unit
+        timed[name] = (partial(call, *args), calls, factor)
+
+    OrthonormalBasis, StateVector, scenarios = kdqlab.OrthonormalBasis, kdqlab.StateVector, kdqlab.scenarios
+    for name in scenarios.SCENARIO_NAMES:
+        add(f"scenarios.build_us.{name}", scenarios.build, name)
+    for name, theta in (("leggett-garg", 1.1), ("bell", 0.6)):
+        add(f"scenarios.build_us.{name}(theta={theta})", scenarios.build, name, theta)
+    rng = np.random.default_rng(0)
+    for dim in (2, 4, 16):
+        a = StateVector(unitary(rng, dim)[0])
+        m, b = (OrthonormalBasis(tuple(map(str, range(dim))), tuple(map(StateVector, unitary(rng, dim)))) for _ in "mb")
+        add(f"kdq.kd_joint_us.d{dim}", kdqlab.kd_joint, a, m, b)
+        add(f"kdq.kernel_us.d{dim}", kernel, a.amp, m.matrix, b.matrix)
+    rng = np.random.default_rng(1)
+    inputs = {"three-box": (scenarios.build("three-box").kd, (0.0, 0.0, 1.0))}
+    for dim in (2, 4, 8, 16):
+        matrix, labels = unitary(rng, dim), tuple(map(str, range(dim)))
+        vectors = tuple(map(StateVector, matrix))
+        basis_m, basis_b = OrthonormalBasis(labels, vectors), OrthonormalBasis(labels, vectors[::-1])
+        dist = kdqlab.kd_joint(StateVector(unitary(rng, dim)[0]), basis_m, basis_b)
+        inputs[f"d{dim}"] = (dist, tuple(rng.uniform(-1.0, 1.0, dim).tolist()))
+        if dim in (4, 16):
+            add(f"qcore.state_us.d{dim}", StateVector, matrix[0])
+            add(f"qcore.normalize_us.d{dim}", StateVector.normalize, 3.0 * matrix[0])
+            add(f"qcore.basis_us.d{dim}", OrthonormalBasis, labels, vectors)
+            add(f"kdq.negativity_us.d{dim}", kdqlab.negativity, dist)
+        if dim != 8:
+            phases = tuple(rng.choice((0.0, np.pi), dim).tolist())
+            add(f"kdq.transformation_us.d{dim}", kdqlab.Transformation, dist, phases, 0)
+    for name in ("three-box", "d8", "d16"):
+        dist, kappa = inputs[name]
+        pointer = (dist.state_a, dist.basis_m, dist.basis_b, kdqlab.PointerConfig(1.0, 1.0, kappa))
+        add(f"weaksim.pointer_statistics_us.{name}", kdqlab.PointerStatistics, *pointer)
+        if name != "d16":
+            add(f"weaksim.sample_ns_per_shot.{name}", kdqlab.sample, *pointer, shots, 0, calls=1, factor=1e3 / shots)
+    return timed
+"""
+# in one fresh process on the tree's src/: each row's best-of-repeat time of one call, in its unit
+LAYERS = ROWS + """
+import kdqlab
+number, repeat, shots = map(int, sys.argv[1:])
+layers = {
+    name: min(timeit.repeat(call, number=calls, repeat=repeat)) / calls * 1e6 * factor
+    for name, (call, calls, factor) in rows(kdqlab, number, shots).items()
+}
 print(json.dumps(layers))
+"""
+# in one fresh process with both trees' packages, kdqlab_parent and kdqlab_change: per row, one change/parent
+# ratio per round, the change's block of calls over the mean of the parent's blocks before and after it
+PAIRED = ROWS + """
+import importlib
+number, shots, rounds = map(int, sys.argv[1:])
+parent, change = (rows(importlib.import_module(f"kdqlab_{label}"), number, shots) for label in ("parent", "change"))
+for call, _, _ in [*parent.values(), *change.values()]:  # one untimed call each, so no block meets a cold cache
+    call()
+ratios = {name: [] for name in change}
+for name, (call, calls, _) in change.items():
+    for _ in range(rounds):
+        first, new, last = (timeit.timeit(f, number=calls) for f in (parent[name][0], call, parent[name][0]))
+        ratios[name].append(2.0 * new / (first + last))
+print(json.dumps(ratios))
 """
 
 
@@ -189,6 +231,21 @@ def _layers(tree: Path, kd_file: Path) -> dict:
     layers["process.kd_us"] = _wall_us([*kdqlab, "kd", str(kd_file)], tree, env)
     layers["process.import_us"] = _wall_us([sys.executable, "-c", "import kdqlab"], tree, env)
     return layers
+
+
+def _paired(trees: dict, scratch: Path) -> dict:
+    """The median and quartiles of each ``ROWS`` row's change/parent ratio over the rounds of one ``PAIRED`` process.
+
+    Each tree's ``src/kdqlab`` is copied under the name ``kdqlab_<label>``; its relative imports keep it whole.
+    """
+    ignore = shutil.ignore_patterns("__pycache__")
+    for label, tree in trees.items():
+        shutil.copytree(tree / "src" / "kdqlab", scratch / "paired" / f"kdqlab_{label}", ignore=ignore)
+    env = dict(os.environ, PYTHONPATH=str(scratch / "paired"))
+    argv = [sys.executable, "-c", PAIRED, str(NUMBER), str(SHOTS), str(ROUNDS)]
+    ratios = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    rows = {row: _quartiles(values) for row, values in ratios.items()}
+    return {"ratio": "change / parent", "rounds": ROUNDS, "rows": rows}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -255,11 +312,16 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
                 note += "  gain resolved"
             print(_line(f"{workload} {name}", base, new, won, len(pairs), note))
     print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better); unresolved if the")
-    print("medians differ by no more than the parent's q3 - q1")
+    print("medians differ by no more than the parent's q3 - q1; then, for in-process rows, the paired change/parent")
+    print("ratio's median [q1, q3] over the rounds of one process")
+    paired = change["layers"]["paired"]["rows"]
     for row, base in parent["layers"]["rows"].items():
         new = change["layers"]["rows"][row]
         pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
         note = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
+        if row in paired:
+            ratio = paired[row]
+            note += f"; paired {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
         print(_line(row, base, new, _won(pairs, "lower"), len(pairs), note))
 
 
@@ -289,8 +351,12 @@ def main() -> int:
                     print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
             for label in order:
                 layers[label].append(_layers(trees[label], kd_file))
+        paired = None if args.parent is None else _paired(trees, Path(scratch))
     summaries = {label: _summary(runs[label], layers[label], args) for label in trees}
 
+    if paired is not None:
+        for summary in summaries.values():
+            summary["layers"]["paired"] = paired
     args.out.write_text(json.dumps(summaries["change"], indent=1) + "\n", encoding="utf-8")
     if args.parent is not None:
         args.parent_out.write_text(json.dumps(summaries["parent"], indent=1) + "\n", encoding="utf-8")

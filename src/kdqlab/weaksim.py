@@ -318,6 +318,25 @@ def _chunks(
     The arguments are checked on the call; the chunks are drawn as they are
     iterated, so a consumer that folds each one never holds the whole draw.
 
+    Each chunk makes the floating-point operations of ``reference_sample`` in
+    ``tests/test_weaksim.py`` in the same order, in passes chosen by measurement
+    (best of 7 x 3,000 calls on 8,192 shots, microseconds at d = 3 / 8 / 16, 2
+    vCPU shared VM, Python 3.11.7, numpy 2.4.6). Two draws are numpy
+    reductions that count comparisons, with the same integer as their direct
+    forms: the component draw, ``searchsorted(cumulative, u, side="right")``,
+    is ``(cumulative[:-1] <= u).sum(axis=0)`` (14.8 / 39.2 / 78.7 against
+    52.5 / 112.6 / 184.3 for ``searchsorted`` and 14.5 / 47.9 / 94.3 for a loop
+    over the rows), and the outcome draw, ``sum(weight <= threshold, axis=0)``,
+    sums straight into ``uint8`` (9.0 / 29.5 / 33.2 against 11.3 / 46.8 / 56.3
+    for the row loop). Three passes stay hand-written, each faster than its
+    direct form: the in-place exponent, the cumulative sum over outcomes as a
+    loop over contiguous rows (14.3 / 36.0 / 84.0 against 168 / 312 / 788 for
+    ``np.cumsum(axis=0)``), and one real matmul for Re and Im of every
+    amplitude. The exponent reads the gap stored negated, ``nd = -d``, as
+    ``(z - nd) * nd``, which is ``-(d (d + z))`` exactly (33 / 121 at d = 3 / 8
+    against 174 / 383 for ``exp(-d * (d + z))``); a zero gap gives ``exp(+-0) = 1``
+    either way.
+
     The conditional draw of b needs none of ``PointerStatistics``' per-cluster
     care, although its weights ``w_b = |A_b|**2``, ``A_b = sum_n c_bn e_n`` with
     ``e_n = exp(-d_n (d_n + z))``, can cancel: each shot compares them with
@@ -352,20 +371,18 @@ def _chunks(
     cumulative /= cumulative[-1]
     cumulative[-1] = 1.0
     centers = cfg.coupling * np.asarray(cfg.eigenvalue)
-    half_gap = (centers[None, :] - centers[:, None]) / (2.0 * cfg.width)  # [n, m] = (c_m - c_n) / 2w
+    neg_gap = (centers[:, None] - centers[None, :]) / (2.0 * cfg.width)  # [n, m] = (c_n - c_m) / 2w = -d
 
     def draw(start: int) -> tuple[np.ndarray, np.ndarray]:
         count = min(CHUNK, shots - start)
         rng = np.random.default_rng([int(seed), start // CHUNK])
         u = rng.random(count)
-        drawn = np.zeros(count, dtype=np.intp)
-        for k in range(dim - 1):  # searchsorted(cumulative, u, side="right"), as cumulative[-1] = 1 > u
-            drawn += cumulative[k] <= u
+        # searchsorted(cumulative, u, side="right"), as cumulative[-1] = 1 > u
+        drawn = (cumulative[:-1, None] <= u).sum(axis=0, dtype=np.intp)
         z = rng.standard_normal(count)
-        d = half_gap.take(drawn, axis=1)  # (dim, count), C-contiguous
-        e = d + z
-        e *= d
-        np.negative(e, out=e)  # exact, so this is exp(-d * (d + z)) bit for bit
+        nd = neg_gap.take(drawn, axis=1)  # (dim, count), C-contiguous
+        e = z - nd
+        e *= nd  # -(d * (d + z)) exactly, so exp(-d * (d + z)) bit for bit
         np.exp(e, out=e)
         amps = stacked @ e
         np.square(amps, out=amps)
@@ -375,9 +392,7 @@ def _chunks(
             weight[k] += weight[k - 1]
         threshold = rng.random(count)
         threshold *= weight[-1]
-        b_index = np.zeros(count, dtype=np.uint8)  # dim <= MAX_DIM = 16 fits in one byte
-        for k in range(dim):  # sum(weight <= threshold, axis=0) without its int64 temporary
-            b_index += weight[k] <= threshold
+        b_index = (weight <= threshold).sum(axis=0, dtype=np.uint8)  # dim <= MAX_DIM = 16 fits in one byte
         return centers[drawn] + cfg.width * z, b_index
 
     return map(draw, range(0, shots, CHUNK))
@@ -400,11 +415,15 @@ def sample(
     no width or eigenvalue spread overflows or empties the conditional, and
     outcomes of zero weight are never drawn. Chunk k of ``CHUNK`` shots uses the
     generator derived from (seed, k) and chunks concatenate in order, so the
-    batch is a pure function of (seed, shots, config). Each chunk runs in
-    contiguous, in-place passes that make the same floating-point operations in
-    the same order as the direct form (a column gather, ``exp(-d * (d + z))``
-    and a cumulative sum over outcomes), so they change no bit of the batch.
-    ``b_index`` is ``uint8``, so the batch takes 9 bytes per shot.
+    batch is a pure function of (seed, shots, config). Each chunk makes the
+    floating-point operations of the direct form (``searchsorted`` for m, a
+    column gather, ``exp(-d * (d + z))``, a cumulative sum over outcomes and a
+    count of the sums below the threshold for b) in the same order, so no bit
+    of the batch depends on how they are written: both draws are numpy
+    reductions that count comparisons, and the exponent and the cumulative sum
+    are in-place passes over contiguous rows, which measure faster than their
+    direct forms (see ``_chunks``). ``b_index`` is ``uint8``, so the batch
+    takes 9 bytes per shot.
     """
     chunks = _chunks(a, basis_m, basis_b, cfg, shots, seed)  # checks the arguments before anything is allocated
     readings = np.empty(shots, dtype=float)

@@ -477,12 +477,18 @@ class TestSampling:
         if name == "hardy":
             kd = scenarios.build("hardy").kd
             return kd.state_a, kd.basis_m, kd.basis_b, (0.0, 1.0, -1.0, 2.0), (1e-3, 1.0, 50.0)
+        if name == "flat":
+            # every center equal, so every gap is 0 and every exponent exp(+-0) = 1; component "2" has zero
+            # Born weight, so cumulative holds a tie that the component draw must step past, never landing on it
+            basis_m = OrthonormalBasis.standard(3, ("1", "2", "3"))
+            a = StateVector.normalize([1.0, 0.0, 1.0])
+            return a, basis_m, haar_basis(np.random.default_rng(3), 3), (0.5, 0.5, 0.5), (1e-3, 1.0, 50.0)
         dim = int(name.removeprefix("dim"))  # dim8, or dim16 for MAX_DIM and the kernel's widest row loops
         rng = np.random.default_rng(dim)
         kappa = tuple(rng.uniform(-1.0, 1.0, dim))
         return random_state(rng, dim), haar_basis(rng, dim), haar_basis(rng, dim, "w"), kappa, (1e-3, 1.0, 50.0)
 
-    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8", "dim16"])
+    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "flat", "dim8", "dim16"])
     def test_stream_matches_the_reference_kernel(self, name):
         a, basis_m, basis_b, kappa, widths = self.stream_case(name)
         for width in widths:
@@ -494,7 +500,7 @@ class TestSampling:
                     assert np.array_equal(batch.readings, readings), (width, seed, shots)
                     assert np.array_equal(batch.b_index, b_index), (width, seed, shots)
 
-    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "dim8", "dim16"])
+    @pytest.mark.parametrize("name", ["dim1", "three-box", "span-heavy", "hardy", "flat", "dim8", "dim16"])
     def test_moments_fold_the_batch(self, name):
         # A chunk's bincount sum rounds once per reading, so each mean lies within
         # CHUNK * eps * mean|x| of the exact mean; fsum and the division add two roundings more.
