@@ -10,59 +10,60 @@ writes one file with the ``env`` line, whether every run was ``correct``, the
 total ``failed``, and per workload the median and quartiles of every
 end-to-end metric. Each run's own values stay in ``runs``, so pairs can be
 compared later. A ``layers`` block, which no bound gates, holds times in
-microseconds, apart from the sampler's rows, in nanoseconds per shot. Its
-in-process rows are the best of ``REPEAT`` timings of ``NUMBER`` calls each:
-each scenario builder at its default angle, Leggett-Garg and Bell at one
-other angle each, and at dimensions 2, 4 and 16 ``kd_joint`` beside its bare
-kernel, the three products without validation; ``StateVector`` and
-``StateVector.normalize`` at dimensions 4 and 16, ``OrthonormalBasis`` at 4
-and 16, ``Transformation`` with a half-periodic spectrum at 2, 4 and 16, and
-``negativity`` at 4 and 16; ``PointerStatistics`` on three-box (pointer on
-box 3) and on Haar inputs at dimensions 8 and 16. The sampler's rows time
-``SHOTS`` shots of ``sample`` once per repeat, on three-box and at dimension
-8. Random inputs come from fixed seeds, and only public names are used, so
-the snippet runs on any tree that has them.
+microseconds, apart from the sampler's rows, in nanoseconds per shot.
+
+Its in-process rows, ``ROWS``: each scenario builder at its default angle,
+Leggett-Garg and Bell at one other angle each, and at dimensions 2, 4 and 16
+``kd_joint`` beside its bare kernel, the three products without validation;
+``StateVector`` and ``StateVector.normalize`` at dimensions 4 and 16,
+``OrthonormalBasis`` at 4 and 16, ``Transformation`` with a half-periodic
+spectrum at 2, 4 and 16, and ``negativity`` at 4 and 16; ``PointerStatistics``
+on three-box (pointer on box 3) and on Haar inputs at dimensions 8 and 16.
+The sampler's rows time one call of ``sample`` at ``SHOTS`` shots per block,
+on three-box and at dimension 8; every other block is ``NUMBER`` calls.
+Random inputs come from fixed seeds, and only public names are used, so the
+snippet runs on any tree that has them. Before the first seed, each tree's
+``src/kdqlab`` is copied into a temporary directory as ``kdqlab_change`` (and
+``kdqlab_parent``, below); relative imports keep each copy whole. After each
+seed's workloads, one fresh ``PAIRED`` process imports every copy and times
+each row in ``ROUNDS`` rounds, back to back, so no block starts on caches
+that another row left. A round is one block of this tree, or with a parent
+the blocks parent, change, parent. A tree's row in that seed's entry is the
+median time per call of its blocks.
 Its ``import.<module>_us`` rows are the cumulative times that
 ``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Its
 ``process.<command>_us`` rows are the best of ``PROCESS_REPEAT`` wall times
 of one whole fresh process, the unit that the cli-cold workload measures:
 ``python -m kdqlab scenario three-box``, ``python -m kdqlab kd`` on a seeded
 dimension-4 file (a Haar preparation and two Haar bases) and
-``python -c "import kdqlab"``. Each seed runs one fresh process of each
-kind per tree, after that seed's workloads and in its order of trees. Every
-process's rows stay in ``layers.runs``, in seed order, and ``layers.rows``
-summarizes each row over the processes as the end-to-end metrics are
-summarized: median, quartiles and count, so a reader can tell a row's spread
-from a change (the least value is still in ``runs``).
+``python -c "import kdqlab"``. These rows need fresh processes, so each seed
+runs them once per tree, in its order of trees. Every seed's rows stay in
+``layers.runs``, in seed order, and ``layers.rows`` summarizes each row over
+the seeds as the end-to-end metrics are summarized: median, quartiles and
+count, so a reader can tell a row's spread from a change.
 
 With ``--parent DIR`` (another checkout, such as the commit before a change),
 both trees run every (workload, seed) pair, and which one runs first
 alternates from seed to seed, so drift of the host does not favour either.
-The parent's summary goes to ``--parent-out``, and a comparison is printed:
-per metric, the parent's median and quartiles, this tree's median and the
-pairs this tree won. A metric whose parent quartile spread, relative to its
-median, exceeds its bound is marked unresolved: its runs spread too widely
-to tell a change. A metric is marked ``gain resolved`` when this tree won at
-least nine tenths of the pairs (ties count for neither) and its median is
-better than the parent's by more than the parent's quartile distance
-``q3 - q1``: the rule a claimed gain must meet. Each ``layers`` row
-follows, compared the same way (lower is better for every row, and no bound
-gates them). A row is marked unresolved when the two medians differ by no
-more than the parent's quartile distance ``q3 - q1``: a gain smaller than
-the parent's own spread cannot be told from it.
-
-Those per-process rows move by 10-60% on unchanged code, so ``--parent``
-also pairs the in-process rows. After the last seed, each tree's
-``src/kdqlab`` is copied into a temporary directory as ``kdqlab_parent``
-and ``kdqlab_change`` (relative imports keep each copy whole), and one fresh
-process imports both. Each row of ``ROWS`` is timed in ``ROUNDS`` rounds of
-three blocks, parent, change, parent, of as many calls as its per-process
-timing makes; each round gives one ratio, the change's block over the mean
-of the two parent blocks, so drift of the host within a round cancels. A
-row's rounds run back to back, so no block starts on caches that another
-row left. The median and quartiles of each row's ratios go into both
-summaries as ``layers.paired`` and are printed beside the row's
-per-process comparison.
+Each round of the shared process also gives one ratio of each in-process
+row, the change's block over the mean of the two parent blocks around it, so
+drift of the host within a round cancels; the median and quartiles of every
+seed's ratios go into both summaries as ``layers.paired``. The parent's
+summary goes to ``--parent-out``, and a comparison is printed: per metric,
+the parent's median and quartiles, this tree's median, the pairs this tree
+won and a verdict. With fewer than ``MIN_PAIRS`` pairs the verdict is ``too
+few pairs``, since no spread can be read from so few runs. Otherwise a
+metric whose parent quartile spread, relative to its median, exceeds its
+bound is marked unresolved: its runs spread too widely to tell a change. A
+metric is marked ``gain resolved`` when this tree won at least nine tenths of
+the pairs (ties count for neither) and its median is better than the
+parent's by more than the parent's quartile distance ``q3 - q1``: the rule a
+claimed gain must meet. Each ``layers`` row follows, compared the same way
+(lower is better for every row, and no bound gates them), with the same
+``too few pairs`` rule. A row is marked unresolved when the two medians
+differ by no more than the parent's quartile distance ``q3 - q1``: a gain
+smaller than the parent's own spread cannot be told from it. Beside each
+in-process row its paired ratio is printed.
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
@@ -79,18 +80,19 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
+import timeit
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-NUMBER, REPEAT = 50, 20
-SHOTS = 10**5  # per timed call of the sampler
+NUMBER = 50  # calls per block of an in-process row
+SHOTS = 10**5  # per call of the sampler, which makes one call per block
+ROUNDS = 4  # rounds of blocks of each in-process row per seed
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 PROCESS_REPEAT = 5  # fresh processes per process row; the least wall time is kept
-ROUNDS = 40  # A, B, A rounds of each paired row
-# the in-process rows, on any package with kdqlab's public names: name -> (call, calls per timing, factor from
+MIN_PAIRS = 10  # fewer pairs than this get no verdict
+# the in-process rows, on any package with kdqlab's public names: name -> (call, calls per block, factor from
 # microseconds per call to the row's unit); partial binds each row's inputs, so every call is built before timing
 ROWS = """
 import json, sys, timeit
@@ -144,30 +146,23 @@ def rows(kdqlab, number, shots):
             add(f"weaksim.sample_ns_per_shot.{name}", kdqlab.sample, *pointer, shots, 0, calls=1, factor=1e3 / shots)
     return timed
 """
-# in one fresh process on the tree's src/: each row's best-of-repeat time of one call, in its unit
-LAYERS = ROWS + """
-import kdqlab
-number, repeat, shots = map(int, sys.argv[1:])
-layers = {
-    name: min(timeit.repeat(call, number=calls, repeat=repeat)) / calls * 1e6 * factor
-    for name, (call, calls, factor) in rows(kdqlab, number, shots).items()
-}
-print(json.dumps(layers))
-"""
-# in one fresh process with both trees' packages, kdqlab_parent and kdqlab_change: per row, one change/parent
-# ratio per round, the change's block of calls over the mean of the parent's blocks before and after it
+# in one fresh process with every given tree's package, kdqlab_change and with a parent kdqlab_parent: per tree
+# and row, the time per call of each block in the row's unit; a row's rounds run back to back, each round a block
+# of the change alone or, with a parent, the blocks parent, change, parent
 PAIRED = ROWS + """
 import importlib
-number, shots, rounds = map(int, sys.argv[1:])
-parent, change = (rows(importlib.import_module(f"kdqlab_{label}"), number, shots) for label in ("parent", "change"))
-for call, _, _ in [*parent.values(), *change.values()]:  # one untimed call each, so no block meets a cold cache
-    call()
-ratios = {name: [] for name in change}
-for name, (call, calls, _) in change.items():
+number, shots, rounds = map(int, sys.argv[1:4])
+trees = {label: rows(importlib.import_module(f"kdqlab_{label}"), number, shots) for label in sys.argv[4:]}
+for timed in trees.values():  # one untimed call each, so no block meets a cold cache
+    for call, _, _ in timed.values():
+        call()
+order = ("parent", "change", "parent") if "parent" in trees else ("change",)
+blocks = {label: {name: [] for name in trees[label]} for label in trees}
+for name, (_, calls, factor) in trees["change"].items():
     for _ in range(rounds):
-        first, new, last = (timeit.timeit(f, number=calls) for f in (parent[name][0], call, parent[name][0]))
-        ratios[name].append(2.0 * new / (first + last))
-print(json.dumps(ratios))
+        for label in order:
+            blocks[label][name].append(timeit.timeit(trees[label][name][0], number=calls) / calls * 1e6 * factor)
+print(json.dumps(blocks))
 """
 
 
@@ -207,25 +202,18 @@ def _kd_file(path: Path) -> Path:
 
 def _wall_us(argv: list[str], tree: Path, env: dict) -> float:
     """The least wall time of ``PROCESS_REPEAT`` fresh processes, in microseconds."""
-    times = []
-    for _ in range(PROCESS_REPEAT):
-        start = time.perf_counter()
-        subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True)
-        times.append(time.perf_counter() - start)
-    return min(times) * 1e6
+    run = lambda: subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True)
+    return min(timeit.repeat(run, number=1, repeat=PROCESS_REPEAT)) * 1e6
 
 
 def _layers(tree: Path, kd_file: Path) -> dict:
-    """The rows of one fresh ``LAYERS`` process, one ``-X importtime`` process and the process rows on src/."""
+    """The rows that need fresh processes on the tree's src/: one ``-X importtime`` process and the process rows."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", LAYERS, str(NUMBER), str(REPEAT), str(SHOTS)]
-    layers = json.loads(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout)
     argv = [sys.executable, "-X", "importtime", "-c", "import kdqlab"]
     report = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stderr
-    for line in report.splitlines():  # "import time: <self us> | <cumulative us> | <indented module name>"
-        fields = line.split("|")
-        if len(fields) == 3 and fields[2].strip() in IMPORTS:
-            layers[f"import.{fields[2].strip()}_us"] = float(fields[1])
+    # each line: "import time: <self us> | <cumulative us> | <indented module name>"
+    fields = [[field.strip() for field in line.split("|")] for line in report.splitlines()]
+    layers = {f"import.{f[2]}_us": float(f[1]) for f in fields if len(f) == 3 and f[2] in IMPORTS}
     kdqlab = [sys.executable, "-m", "kdqlab"]
     layers["process.scenario_us"] = _wall_us([*kdqlab, "scenario", "three-box"], tree, env)
     layers["process.kd_us"] = _wall_us([*kdqlab, "kd", str(kd_file)], tree, env)
@@ -233,19 +221,23 @@ def _layers(tree: Path, kd_file: Path) -> dict:
     return layers
 
 
-def _paired(trees: dict, scratch: Path) -> dict:
-    """The median and quartiles of each ``ROWS`` row's change/parent ratio over the rounds of one ``PAIRED`` process.
+def _blocks(trees: dict, packages: Path) -> dict:
+    """Each tree's blocks of every ``ROWS`` row from one fresh ``PAIRED`` process on the copies in ``packages``."""
+    env = dict(os.environ, PYTHONPATH=str(packages))
+    argv = [sys.executable, "-c", PAIRED, str(NUMBER), str(SHOTS), str(ROUNDS), *trees]
+    return json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
 
-    Each tree's ``src/kdqlab`` is copied under the name ``kdqlab_<label>``; its relative imports keep it whole.
+
+def _split(blocks: dict, ratios: dict) -> dict:
+    """Each tree's median block per row; with a parent, appends each round's ratio to ``ratios[row]``.
+
+    A round's ratio is the change's block over the mean of the parent's blocks before and after it.
     """
-    ignore = shutil.ignore_patterns("__pycache__")
-    for label, tree in trees.items():
-        shutil.copytree(tree / "src" / "kdqlab", scratch / "paired" / f"kdqlab_{label}", ignore=ignore)
-    env = dict(os.environ, PYTHONPATH=str(scratch / "paired"))
-    argv = [sys.executable, "-c", PAIRED, str(NUMBER), str(SHOTS), str(ROUNDS)]
-    ratios = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
-    rows = {row: _quartiles(values) for row, values in ratios.items()}
-    return {"ratio": "change / parent", "rounds": ROUNDS, "rows": rows}
+    if "parent" in blocks:
+        for row, times in blocks["change"].items():
+            around = zip(blocks["parent"][row][::2], blocks["parent"][row][1::2])
+            ratios.setdefault(row, []).extend(2.0 * new / (first + last) for new, (first, last) in zip(times, around))
+    return {label: {row: statistics.median(times) for row, times in rows.items()} for label, rows in blocks.items()}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -253,11 +245,12 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def _summary(runs: list[dict], layers: list[dict], args: argparse.Namespace) -> dict:
+def _summary(runs: list[dict], layers: list[dict], ratios: dict, args: argparse.Namespace) -> dict:
+    """One tree's summary; ``ratios`` (each in-process row's change/parent ratios) is empty without a parent."""
     workloads = {}
     for run in runs:
         workloads.setdefault(run["workload"], []).append(run)
-    return {
+    summary = {
         "command": f"perfbench/run.py --seconds {args.seconds} --trace 0"
         + ("" if args.requests is None else f" --requests {args.requests}"),
         "env": runs[0]["env"],
@@ -272,13 +265,16 @@ def _summary(runs: list[dict], layers: list[dict], args: argparse.Namespace) -> 
         "layers": {
             "unit": "us",
             "number": NUMBER,
-            "repeat": REPEAT,
-            "processes": len(layers),
+            "rounds_per_seed": ROUNDS,
             "rows": {row: _quartiles([rows[row] for rows in layers]) for row in layers[0]},
             "runs": layers,
         },
         "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
     }
+    if ratios:
+        rows = {row: _quartiles(values) for row, values in ratios.items()}
+        summary["layers"]["paired"] = {"ratio": "change / parent", "rounds": ROUNDS * len(layers), "rows": rows}
+    return summary
 
 
 def _won(pairs: list[tuple[float, float]], better: str) -> int:
@@ -286,15 +282,22 @@ def _won(pairs: list[tuple[float, float]], better: str) -> int:
     return sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
 
 
-def _line(label: str, base: dict, new: dict, won: int, runs: int, note: str = "") -> str:
-    """One compared row: the parent's median [q1, q3] -> this tree's median, and the pairs this tree won."""
+def _line(label: str, base: dict, new: dict, won: int, runs: int, verdict: str, note: str = "") -> str:
+    """One compared row: the parent's median [q1, q3] -> this tree's median, the pairs this tree won, the verdict.
+
+    Below ``MIN_PAIRS`` pairs the verdict is ``too few pairs``: neither rule can tell a change from the spread there.
+    """
     quartiles = f"{base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}]"
-    return f"{label}: {quartiles} -> {new['median']:.4g}, {won}/{runs}{note}"
+    verdict = "  too few pairs" if runs < MIN_PAIRS else verdict
+    return f"{label}: {quartiles} -> {new['median']:.4g}, {won}/{runs}{verdict}{note}"
 
 
 def _compare(parent: dict, change: dict, bounds: dict) -> None:
-    print("workload metric: parent median [q1, q3] -> change median, pairs won; unresolved if parent spread > bound;")
-    print("gain resolved if the change won 9/10 of the pairs and its median is better by more than parent q3 - q1")
+    print(
+        f"workload metric: parent median [q1, q3] -> change median, pairs won; too few pairs below {MIN_PAIRS};\n"
+        "else unresolved if parent spread > bound, and gain resolved if the change won 9/10 of the pairs and its\n"
+        "median is better by more than parent q3 - q1"
+    )
     for workload, metrics in parent["end_to_end"].items():
         for name, base in metrics.items():
             bound, better = bounds[name]
@@ -307,22 +310,21 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
             won = _won(pairs, better)
             spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
             gain = (base["median"] - new["median"]) * (1 if better == "lower" else -1)
-            note = "  unresolved" if spread > bound else ""
-            if 10 * won >= 9 * len(pairs) and gain > base["q3"] - base["q1"]:
-                note += "  gain resolved"
-            print(_line(f"{workload} {name}", base, new, won, len(pairs), note))
-    print("layers row: parent median [q1, q3] -> change median, pairs won (lower is better); unresolved if the")
-    print("medians differ by no more than the parent's q3 - q1; then, for in-process rows, the paired change/parent")
-    print("ratio's median [q1, q3] over the rounds of one process")
+            verdict = "  unresolved" if spread > bound else ""
+            verdict += "  gain resolved" if 10 * won >= 9 * len(pairs) and gain > base["q3"] - base["q1"] else ""
+            print(_line(f"{workload} {name}", base, new, won, len(pairs), verdict))
+    print(
+        "layers row: parent median [q1, q3] -> change median, pairs won (lower is better); too few pairs below\n"
+        f"{MIN_PAIRS}, else unresolved if the medians differ by no more than the parent's q3 - q1; then, for\n"
+        "in-process rows, the paired change/parent ratio's median [q1, q3] over every seed's rounds"
+    )
     paired = change["layers"]["paired"]["rows"]
     for row, base in parent["layers"]["rows"].items():
         new = change["layers"]["rows"][row]
         pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
-        note = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
-        if row in paired:
-            ratio = paired[row]
-            note += f"; paired {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
-        print(_line(row, base, new, _won(pairs, "lower"), len(pairs), note))
+        verdict = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
+        note = "; paired {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**paired[row]) if row in paired else ""
+        print(_line(row, base, new, _won(pairs, "lower"), len(pairs), verdict, note))
 
 
 def main() -> int:
@@ -340,23 +342,22 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     trees = {"change": ROOT} if args.parent is None else {"change": ROOT, "parent": args.parent.resolve()}
-    runs, layers = {label: [] for label in trees}, {label: [] for label in trees}
+    runs, layers, ratios = {label: [] for label in trees}, {label: [] for label in trees}, {}
     with tempfile.TemporaryDirectory() as scratch:
         kd_file = _kd_file(Path(scratch) / "kd-d4.json")
+        packages, ignore = Path(scratch) / "packages", shutil.ignore_patterns("__pycache__")
+        for label, tree in trees.items():  # as kdqlab_<label>: its relative imports keep each copy whole
+            shutil.copytree(tree / "src" / "kdqlab", packages / f"kdqlab_{label}", ignore=ignore)
         for index, seed in enumerate(args.seeds):
             order = list(trees) if index % 2 else list(trees)[::-1]  # the parent first at the first seed
             for workload in workloads:
                 for label in order:
                     runs[label].append(_run(trees[label], workload, seed, args))
                     print(f"seed {seed} {workload} {label}: correct={runs[label][-1]['correct']}", file=sys.stderr)
+            medians = _split(_blocks(trees, packages), ratios)
             for label in order:
-                layers[label].append(_layers(trees[label], kd_file))
-        paired = None if args.parent is None else _paired(trees, Path(scratch))
-    summaries = {label: _summary(runs[label], layers[label], args) for label in trees}
-
-    if paired is not None:
-        for summary in summaries.values():
-            summary["layers"]["paired"] = paired
+                layers[label].append({**medians[label], **_layers(trees[label], kd_file)})
+    summaries = {label: _summary(runs[label], layers[label], ratios, args) for label in trees}
     args.out.write_text(json.dumps(summaries["change"], indent=1) + "\n", encoding="utf-8")
     if args.parent is not None:
         args.parent_out.write_text(json.dumps(summaries["parent"], indent=1) + "\n", encoding="utf-8")
