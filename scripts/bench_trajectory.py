@@ -48,7 +48,8 @@ alternates from seed to seed, so drift of the host does not favour either.
 Each round of the shared process also gives one ratio of each in-process
 row, the change's block over the mean of the two parent blocks around it, so
 drift of the host within a round cancels; the median and quartiles of every
-seed's ratios go into both summaries as ``layers.paired``. The parent's
+seed's ratios go into both summaries as ``layers.paired``, with the count
+of rounds that read below 1 and of those that read above it. The parent's
 summary goes to ``--parent-out``, and a comparison is printed: per metric,
 the parent's median and quartiles, this tree's median, the pairs this tree
 won and a verdict. With fewer than ``MIN_PAIRS`` pairs the verdict is ``too
@@ -58,12 +59,18 @@ bound is marked unresolved: its runs spread too widely to tell a change. A
 metric is marked ``gain resolved`` when this tree won at least nine tenths of
 the pairs (ties count for neither) and its median is better than the
 parent's by more than the parent's quartile distance ``q3 - q1``: the rule a
-claimed gain must meet. Each ``layers`` row follows, compared the same way
-(lower is better for every row, and no bound gates them), with the same
-``too few pairs`` rule. A row is marked unresolved when the two medians
-differ by no more than the parent's quartile distance ``q3 - q1``: a gain
-smaller than the parent's own spread cannot be told from it. Beside each
-in-process row its paired ratio is printed.
+claimed gain must meet. Each ``layers`` row follows (lower is better for
+every row, and no bound gates them). An in-process row is judged by its
+paired rounds, not by the per-seed medians, which spread by tens of percent
+on unchanged code: it is ``gain resolved`` where at least nine tenths of its
+rounds read below 1, ``loss resolved`` where at least nine tenths read above
+1, and unresolved otherwise; its count is the rounds that read below 1, and
+below ``MIN_PAIRS`` rounds it is ``too few pairs``. Its paired ratio is
+printed beside it. An ``import.*`` or ``process.*`` row, which has no paired
+rounds, is compared by its per-seed medians, with the same ``too few pairs``
+rule, and marked unresolved when the two medians differ by no more than the
+parent's quartile distance ``q3 - q1``: a gain smaller than the parent's own
+spread cannot be told from it.
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json --seeds 1-10 \\
         --parent /path/to/parent --parent-out BENCH_<n-1>.json
@@ -91,7 +98,7 @@ SHOTS = 10**5  # per call of the sampler, which makes one call per block
 ROUNDS = 4  # rounds of blocks of each in-process row per seed
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 PROCESS_REPEAT = 5  # fresh processes per process row; the least wall time is kept
-MIN_PAIRS = 10  # fewer pairs than this get no verdict
+MIN_PAIRS = 10  # fewer pairs, or paired rounds, than this get no verdict
 # the in-process rows, on any package with kdqlab's public names: name -> (call, calls per block, factor from
 # microseconds per call to the row's unit); partial binds each row's inputs, so every call is built before timing
 ROWS = """
@@ -272,7 +279,10 @@ def _summary(runs: list[dict], layers: list[dict], ratios: dict, args: argparse.
         "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
     }
     if ratios:
-        rows = {row: _quartiles(values) for row, values in ratios.items()}
+        rows = {
+            row: {**_quartiles(values), "below": sum(v < 1.0 for v in values), "above": sum(v > 1.0 for v in values)}
+            for row, values in ratios.items()
+        }
         summary["layers"]["paired"] = {"ratio": "change / parent", "rounds": ROUNDS * len(layers), "rows": rows}
     return summary
 
@@ -285,7 +295,7 @@ def _won(pairs: list[tuple[float, float]], better: str) -> int:
 def _line(label: str, base: dict, new: dict, won: int, runs: int, verdict: str, note: str = "") -> str:
     """One compared row: the parent's median [q1, q3] -> this tree's median, the pairs this tree won, the verdict.
 
-    Below ``MIN_PAIRS`` pairs the verdict is ``too few pairs``: neither rule can tell a change from the spread there.
+    Below ``MIN_PAIRS`` pairs the verdict is ``too few pairs``: no rule can tell a change from the spread there.
     """
     quartiles = f"{base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}]"
     verdict = "  too few pairs" if runs < MIN_PAIRS else verdict
@@ -314,17 +324,29 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
             verdict += "  gain resolved" if 10 * won >= 9 * len(pairs) and gain > base["q3"] - base["q1"] else ""
             print(_line(f"{workload} {name}", base, new, won, len(pairs), verdict))
     print(
-        "layers row: parent median [q1, q3] -> change median, pairs won (lower is better); too few pairs below\n"
-        f"{MIN_PAIRS}, else unresolved if the medians differ by no more than the parent's q3 - q1; then, for\n"
-        "in-process rows, the paired change/parent ratio's median [q1, q3] over every seed's rounds"
+        "layers row: parent median [q1, q3] -> change median (lower is better). In-process rows: the paired rounds\n"
+        f"that read below 1, of all rounds; too few pairs below {MIN_PAIRS} rounds, else gain resolved if 9/10 of\n"
+        "the rounds read below 1, loss resolved if 9/10 read above 1, and unresolved otherwise; then the paired\n"
+        f"change/parent ratio's median [q1, q3]. Other rows: pairs won; too few pairs below {MIN_PAIRS}, else\n"
+        "unresolved if the medians differ by no more than the parent's q3 - q1"
     )
     paired = change["layers"]["paired"]["rows"]
     for row, base in parent["layers"]["rows"].items():
         new = change["layers"]["rows"][row]
-        pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
-        verdict = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
-        note = "; paired {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**paired[row]) if row in paired else ""
-        print(_line(row, base, new, _won(pairs, "lower"), len(pairs), verdict, note))
+        if row in paired:
+            rounds = paired[row]
+            if 10 * rounds["below"] >= 9 * rounds["n"]:
+                verdict = "  gain resolved"
+            elif 10 * rounds["above"] >= 9 * rounds["n"]:
+                verdict = "  loss resolved"
+            else:
+                verdict = "  unresolved"
+            note = "; paired {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**rounds)
+            print(_line(row, base, new, rounds["below"], rounds["n"], verdict, note))
+        else:
+            pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]
+            verdict = "  unresolved" if abs(new["median"] - base["median"]) <= base["q3"] - base["q1"] else ""
+            print(_line(row, base, new, _won(pairs, "lower"), len(pairs), verdict))
 
 
 def main() -> int:

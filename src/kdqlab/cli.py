@@ -12,7 +12,10 @@ command runs, by the loader, the quadrature or numpy, prints as one
 
 ``scenario`` and ``kd`` each build one payload, a dict of unrounded engine
 values: the joint table, its marginals and negativity, then the report's
-checks or the file's overlap rows. The JSON, CSV and table views read only
+checks or the file's overlap rows. A built-in and a file are both a
+``ScenarioFile`` value, and both tables come from one step,
+``scenarios.evaluate``, with the transformation that the report's checks or
+the file's overlap rows read. The JSON, CSV and table views read only
 that payload, so the three formats show the same numbers. There is one
 rounding rule: every float is shown with 12 significant digits. The JSON view
 rounds each float, writes complex values as [re, im] and leaves ints, bools,
@@ -54,7 +57,6 @@ from .kdq import (
     NegativityReport,
     PostSelectionError,
     Transformation,
-    kd_joint,
     negativity,
     weak_value,
 )
@@ -213,8 +215,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]:
-    rows, transform = [], Transformation(dist, phases, 0)
+def _overlap_rows(dist: KDDistribution, transform: Transformation) -> list[dict]:
+    rows = []
     for j, label in enumerate(dist.basis_b.labels):
         direct, from_kd = transform.column(j)
         from_kd, difference = ("undefined", "undefined") if from_kd is None else (from_kd, abs(from_kd - direct))
@@ -223,12 +225,11 @@ def _overlap_rows(dist: KDDistribution, phases: tuple[float, ...]) -> list[dict]
 
 
 def _cmd_kd(args: argparse.Namespace) -> int:
-    config = load_scenario_file(args.file)
     # the loader's 1e-10 orthonormality can still fail the engine's checks at that tolerance
-    dist = kd_joint(config.state_a, config.basis_m, config.basis_b)
+    dist, transform = scenarios.evaluate(load_scenario_file(args.file))
     payload = _payload(None, dist, negativity(dist))
-    if config.action_phase is not None:
-        payload["overlaps"] = _overlap_rows(dist, config.action_phase)
+    if transform is not None:
+        payload["overlaps"] = _overlap_rows(dist, transform)
     print(_VIEWS[args.format](payload))
     return EXIT_OK
 

@@ -15,11 +15,12 @@ the scenario reports all read.
 ``Transformation`` bundles one transformation of ``a``: the spectrum, its
 unitary, its image ``U a`` and both overlaps onto one column b, set once at
 construction; ``column(b)`` reads the overlaps of any other column from the
-same spectrum and image. The built-in scenario reports and ``kdqlab kd`` read
-their overlaps from it, so the rule for when the table's overlap is undefined
-lives only in ``overlap_from_kd``. Every index into the table goes through
-``qcore.check_index``: a negative index is rejected, not wrapped, and so is a
-``bool`` or a float.
+same spectrum and image. ``scenarios.evaluate``, the one step that the
+built-in scenario reports and ``kdqlab kd`` share, makes it from a scenario
+value's action phases, and both read their overlaps from it, so the rule for
+when the table's overlap is undefined lives only in ``overlap_from_kd``.
+Every index into the table goes through ``qcore.check_index``: a negative
+index is rejected, not wrapped, and so is a ``bool`` or a float.
 """
 
 from __future__ import annotations

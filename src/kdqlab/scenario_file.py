@@ -1,7 +1,10 @@
-"""User scenario files: JSON objects with complex entries as [re, im] pairs.
+"""Scenario files: JSON objects with complex entries as [re, im] pairs, loaded into a ``ScenarioFile``.
 
-A file the loader can repair, such as a ``state_a`` that is not normalized,
-loads with a ``UserWarning``; a file it cannot use raises ``ScenarioFileError``.
+``ScenarioFile`` is the one value of a scenario: a file loads into it, and each
+built-in scenario declares its own. ``scenarios.evaluate`` turns either into
+the joint table and the declared transformation. A file the loader can
+repair, such as a ``state_a`` that is not normalized, loads with a
+``UserWarning``; a file it cannot use raises ``ScenarioFileError``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ class ScenarioFileError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed user configuration: preparation, two bases, optional extras."""
+    """One scenario: preparation, two labeled bases, optional action phases on m and pointer eigenvalues.
+
+    A scenario file and a built-in scenario are both this value; ``scenarios.evaluate`` gives its joint
+    table and, where ``action_phase`` is set, the transformation those phases declare.
+    """
 
     state_a: StateVector
     basis_m: OrthonormalBasis

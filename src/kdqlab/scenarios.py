@@ -1,31 +1,36 @@
 """Executable paradox scenarios built on the quasi-probability engine.
 
-Each builder assembles a preparation, an intermediate basis and a final
-basis, lets the engine produce the complex joint table, and declares the
-transformation behind its paradox as a ``kdq.Transformation``: action phases
-on the m basis and the target column b. ``_report`` turns the table, that
-transformation, its noun and the builder's published values into
-machine-checked ``Check`` records, and adds the checks every transformation
-gets: half-periodicity, the overlap identity against the direct overlap and,
-where the transformation maps a onto b, the half-periodic law for column b.
-Builders contain no arithmetic shortcuts: every number in a report comes from
-the engine. Every input that no angle changes is a read-only module constant,
-built once at import and shared by every build: the fixed scenarios' states,
-bases and check operators (three-box and Cheshire cat from one recipe, equal
-weight on d boxes post-selected with a pi phase on the last), Leggett-Garg's
-preparation, the Pauli product bases and the Pauli products, Peres-Mermin's
-swap eigenbasis, its eight product-context states and the literal swap, and
-Bell's CHSH sign vectors, cell values, flip phases, the closed-form table's
-parity and sign tables, the K = -2 mask and the seed ``|++>``. No build
-re-verifies a constant: what a builder relies on about one, such as the swap
-eigenbasis being a joint eigenbasis of X1X2, Y1Y2 and Z1Z2, is checked once,
-by a test. Tables, transformations and checks are computed anew on every
-call, from per-angle inputs formed directly: Leggett-Garg's two spin bases
-are the Bloch states along theta and theta + pi, with no Gram-Schmidt pass,
-and its two spin observables are spectral sums over them; Bell's state is the
-stabilizers' joint projector applied to the seed. That projector has rank one
-at every admissible angle, so the builder runs no check of its own on it: a
-wrong construction fails the report's closed-form table check.
+A built-in scenario and a scenario file are one kind of value, a
+``ScenarioFile``: a preparation, an intermediate basis m and a final basis b,
+both labeled, and the action phases on m of the transformation behind the
+paradox. ``evaluate`` is the one step from a value to engine results: the
+complex joint table and, where the value declares phases, their
+``kdq.Transformation`` read at a column b. Every builder and ``kdqlab kd``
+go through it. ``_report`` turns the table, that transformation, its noun
+and the builder's published values into machine-checked ``Check`` records,
+and adds the checks every transformation gets: half-periodicity, the overlap
+identity against the direct overlap and, where the transformation maps a
+onto b, the half-periodic law for column b. Builders contain no arithmetic
+shortcuts: every number in a report comes from the engine. Every input that
+no angle changes is a read-only module constant, built once at import and
+shared by every build: the fixed scenarios' values ``_THREE_BOX`` and
+``_CHESHIRE_CAT`` (from one recipe, equal weight on d boxes post-selected
+with a pi phase on the last), ``_HARDY`` and ``_PERES_MERMIN``, and their
+check operators and states; Leggett-Garg's preparation, the Pauli product
+bases and the Pauli products, Peres-Mermin's swap eigenbasis, its eight
+product-context states and the literal swap, and Bell's CHSH sign vectors,
+cell values, flip phases, the closed-form table's parity and sign tables,
+the K = -2 mask and the seed ``|++>``. No build re-verifies a constant: what
+a builder relies on about one, such as the swap eigenbasis being a joint
+eigenbasis of X1X2, Y1Y2 and Z1Z2, is checked once, by a test. Leggett-Garg
+and Bell form their value per angle, from inputs formed directly:
+Leggett-Garg's two spin bases are the Bloch states along theta and
+theta + pi, with no Gram-Schmidt pass, and its two spin observables are
+spectral sums over them; Bell's state is the stabilizers' joint projector
+applied to the seed. That projector has rank one at every admissible angle,
+so the builder runs no check of its own on it: a wrong construction fails
+the report's closed-form table check. Tables, transformations and checks are
+computed anew on every call.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .qcore import (
     tensor_op,
     tensor_state,
 )
+from .scenario_file import ScenarioFile
 
 DEFAULT_LG_THETA = math.pi / 3  # maximal Leggett-Garg violation (cos = 1/2)
 DEFAULT_BELL_THETA = math.pi / 4  # maximal CHSH violation
@@ -90,14 +96,16 @@ class Check:
 class ScenarioReport:
     """Named paradox run: its joint table ``kd`` and the checks on it.
 
-    ``negativity`` is derived from ``kd`` once, at construction; the
-    dimension is ``kd.dim``.
+    ``transform`` is the declared transformation the report's checks read;
+    every report that ``build`` returns has one. ``negativity`` is derived
+    from ``kd`` once, at construction; the dimension is ``kd.dim``.
     """
 
     scenario: str
     kd: KDDistribution
     checks: tuple[Check, ...]
     violated_inequality: str | None = None
+    transform: Transformation | None = field(default=None, repr=False)
     negativity: NegativityReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,7 +150,13 @@ def _report(
         phase = transform.spectrum.factor.conj()  # e^{i phase(m)}
         residual = float(abs(col - phase * dist.prob_m * (dist.prob_m / phase).sum()).max())
         generic.append(Check("column b follows the half-periodic law e^(i phase) P(m|a) S", 0.0, residual))
-    return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated)
+    return ScenarioReport(scenario, dist, (*entries, *checks, *generic), violated, transform)
+
+
+def evaluate(value: ScenarioFile, b: int = 0) -> tuple[KDDistribution, Transformation | None]:
+    """The joint table of a scenario value and, where it declares action phases, their transformation at column b."""
+    dist = kd_joint(value.state_a, value.basis_m, value.basis_b)
+    return dist, None if value.action_phase is None else Transformation(dist, value.action_phase, b)
 
 
 # Each scenario's inputs that no angle changes are module constants below, built once at import and shared by
@@ -167,7 +181,10 @@ def leggett_garg(theta: float) -> ScenarioReport:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    dist = kd_joint(_LG_PREPARATION, _spin_basis(theta), _spin_basis(2.0 * theta))
+    # the value declares route 3's flip about the m axis, the phases (0, pi)
+    dist, flip = evaluate(
+        ScenarioFile(_LG_PREPARATION, _spin_basis(theta), _spin_basis(2.0 * theta), (0.0, math.pi), None)
+    )
     a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
@@ -185,7 +202,6 @@ def leggett_garg(theta: float) -> ScenarioReport:
 
     # route 3: half-periodic flip about the m axis; the signed difference of
     # the two joint probabilities is the real transformation amplitude
-    flip = Transformation(dist, (0.0, math.pi), 0)
     b_plus = basis_b.vectors[0]
     p_b = float(abs(inner(b_plus, a)) ** 2)
     amplitude = complex(np.vdot(b_plus.amp, flip.image)) * inner(a, b_plus)
@@ -203,20 +219,20 @@ def leggett_garg(theta: float) -> ScenarioReport:
     return _report("leggett-garg", dist, flip, "flip spectrum", checks, violated=violated)
 
 
-def _boxes(
-    labels: tuple[str, ...], final_labels: tuple[str, ...]
-) -> tuple[StateVector, StateVector, OrthonormalBasis, OrthonormalBasis]:
+def _boxes(labels: tuple[str, ...], final_labels: tuple[str, ...]) -> ScenarioFile:
     """Equal weight on one box per label, post-selected with a pi phase on the last box.
 
-    Returns a, b, the box basis and the post-selection basis, whose vectors carry ``final_labels``.
+    The value's m basis is the box basis, and its final basis, whose vectors carry ``final_labels``, starts
+    with the post-selected state b. Its action phases, pi on the last box, map a onto b.
     """
     d = len(labels)
     a, b = StateVector.normalize([1.0] * d), StateVector.normalize([1.0] * (d - 1) + [-1.0])
-    return a, b, OrthonormalBasis.standard(d, labels), post_selection_basis(a, b, final_labels)
+    phases = (0.0,) * (d - 1) + (math.pi,)
+    return ScenarioFile(a, OrthonormalBasis.standard(d, labels), post_selection_basis(a, b, final_labels), phases, None)
 
 
 _THREE_BOX = _boxes(("1", "2", "3"), ("b", "rest", "null"))
-_BOX1, _BOX3 = (projector(_THREE_BOX[2].vectors[k]) for k in (0, 2))  # the projectors on boxes 1 and 3
+_BOX1, _BOX3 = (projector(_THREE_BOX.basis_m.vectors[k]) for k in (0, 2))  # the projectors on boxes 1 and 3
 
 
 def three_box() -> ScenarioReport:
@@ -225,10 +241,8 @@ def three_box() -> ScenarioReport:
     Both the "only box 1" and the "only box 2" inferences hold marginally,
     yet the joint table resolves them with a negative weight on box 3.
     """
-    a, b, basis_m, basis_b = _THREE_BOX
-    dist = kd_joint(a, basis_m, basis_b)
-    flip = Transformation(dist, (0.0, 0.0, math.pi), 0)
-    col = dist.table[:, 0]
+    dist, flip = evaluate(_THREE_BOX)
+    a, b, col = dist.state_a, dist.basis_b.vectors[0], dist.table[:, 0]
 
     checks = (
         Check("post-selection probability P(b|a) = 1/9", 1.0 / 9.0, float(dist.prob_b[0])),
@@ -244,7 +258,7 @@ def three_box() -> ScenarioReport:
 
 _CHESHIRE_CAT = _boxes(("p1H", "p1V", "p2H", "p2V"), ("b", "rest", "null1", "null2"))
 # the projector on path p1
-_PATH1 = Operator(projector(_CHESHIRE_CAT[2].vectors[0]).mat + projector(_CHESHIRE_CAT[2].vectors[1]).mat)
+_PATH1 = Operator(projector(_CHESHIRE_CAT.basis_m.vectors[0]).mat + projector(_CHESHIRE_CAT.basis_m.vectors[1]).mat)
 
 
 def cheshire_cat() -> ScenarioReport:
@@ -254,9 +268,8 @@ def cheshire_cat() -> ScenarioReport:
     by a pi phase on (p2, V); conditional weights then place the particle
     entirely in path p1 while the full polarization difference sits in p2.
     """
-    a, b, basis_m, basis_b = _CHESHIRE_CAT
-    dist = kd_joint(a, basis_m, basis_b)
-    flip = Transformation(dist, (0.0, 0.0, 0.0, math.pi), 0)
+    dist, flip = evaluate(_CHESHIRE_CAT)
+    a, b = dist.state_a, dist.basis_b.vectors[0]
 
     p_b = float(dist.prob_b[0])
     col = dist.table[:, 0]
@@ -294,12 +307,15 @@ _EIGEN = {
     "X": {+1: StateVector.normalize([1.0, 1.0]), -1: StateVector.normalize([1.0, -1.0])},
     "Y": {+1: StateVector.normalize([1.0, 1.0j]), -1: StateVector.normalize([1.0, -1.0j])},
 }
-# Hardy's a, its path basis and port basis, and the two mixed path/port states (b1, O2) and (O1, b2)
+# Hardy's value: a, the products of the paths O and I, the products of the ports and the double flip, pi on the
+# two mixed paths; and the two mixed path/port states (b1, O2) and (O1, b2)
 _PORTS, _OUTER = (_EIGEN["X"][+1], _EIGEN["X"][-1]), StateVector([1.0, 0.0])  # the ports c and b, the path O
-_HARDY_A = StateVector.normalize([1.0, 1.0, 1.0, 0.0])
-_HARDY_PATHS = OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2"))  # products of the paths O, I
-_HARDY_PORTS = OrthonormalBasis(
-    ("c1c2", "c1b2", "b1c2", "b1b2"), tuple(tensor_state(u, v) for u in _PORTS for v in _PORTS)
+_HARDY = ScenarioFile(
+    StateVector.normalize([1.0, 1.0, 1.0, 0.0]),
+    OrthonormalBasis.standard(4, ("O1O2", "O1I2", "I1O2", "I1I2")),
+    OrthonormalBasis(("c1c2", "c1b2", "b1c2", "b1b2"), tuple(tensor_state(u, v) for u in _PORTS for v in _PORTS)),
+    (0.0, math.pi, math.pi, 0.0),
+    None,
 )
 _B1_OUTER2, _OUTER1_B2 = tensor_state(_PORTS[1], _OUTER), tensor_state(_OUTER, _PORTS[1])
 
@@ -312,14 +328,13 @@ def hardy() -> ScenarioReport:
     probability 1/12 even though each opposite port alone, paired with the
     other particle's outer path, has probability zero.
     """
-    dist = kd_joint(_HARDY_A, _HARDY_PATHS, _HARDY_PORTS)
     b_idx = 3  # both particles in the opposite ports
-    flip = Transformation(dist, (0.0, math.pi, math.pi, 0.0), b_idx)
+    dist, flip = evaluate(_HARDY, b_idx)
     col = dist.table[:, b_idx]
 
     # mixed path/port events that are directly observable and vanish
-    p_b1_outer2 = float(abs(inner(_B1_OUTER2, _HARDY_A)) ** 2)
-    p_outer1_b2 = float(abs(inner(_OUTER1_B2, _HARDY_A)) ** 2)
+    p_b1_outer2 = float(abs(inner(_B1_OUTER2, dist.state_a)) ** 2)
+    p_outer1_b2 = float(abs(inner(_OUTER1_B2, dist.state_a)) ** 2)
 
     checks = (
         Check("P(b1, b2 | a) = 1/12", 1.0 / 12.0, float(dist.prob_b[b_idx])),
@@ -368,6 +383,8 @@ _SWAP_BASIS = OrthonormalBasis(
 _CONTEXTS, _LITERAL_SWAP = np.concatenate((_XY_BASIS.matrix, _YX_BASIS.matrix)), _IDENTITY[4][[0, 2, 1, 3]]
 for _array in (_CONTEXTS, _LITERAL_SWAP):
     _array.setflags(write=False)
+# Peres-Mermin's value: a in the (X1, Y2) basis, the swap eigenbasis, the (Y1, X2) basis of b and the swap's phases
+_PERES_MERMIN = ScenarioFile(_XY_BASIS.vectors[0], _SWAP_BASIS, _YX_BASIS, (math.pi, 0.0, 0.0, 0.0), None)
 
 
 def _eigenvalues_of(op: Operator, vectors: np.ndarray) -> np.ndarray:
@@ -394,10 +411,8 @@ def peres_mermin_swap() -> ScenarioReport:
     swap that maps one onto the other is half-periodic with the antisymmetric
     state as its pi eigenvector, forcing a -1/8 joint weight on it.
     """
-    a, b, basis_m = _XY_BASIS.vectors[0], _YX_BASIS.vectors[0], _SWAP_BASIS
-    dist = kd_joint(a, basis_m, _YX_BASIS)
-    swap = Transformation(dist, (math.pi, 0.0, 0.0, 0.0), 0)
-    col = dist.table[:, 0]
+    dist, swap = evaluate(_PERES_MERMIN)
+    a, b, basis_m, col = dist.state_a, dist.basis_b.vectors[0], dist.basis_m, dist.table[:, 0]
 
     xx, yy, zz, x1y2, y1x2 = (_PAULI_PAIRS[key] for key in ("XX", "YY", "ZZ", "XY", "YX"))
 
@@ -510,7 +525,8 @@ def bell_scenario(theta: float) -> ScenarioReport:
     where ``<K>`` lies in it: there the sums cannot decide the verdict.
     """
     a, a1, a2 = _bell_state(theta)
-    dist = kd_joint(a, _XX_BASIS, _YY_BASIS)
+    b_plus = 3  # b = (+1, +1)
+    dist, flip = evaluate(ScenarioFile(a, _XX_BASIS, _YY_BASIS, _CHSH_FLIP, None), b_plus)
 
     real = dist.table.real
     k_expectation = float((_CHSH_CELLS * real).sum())
@@ -521,9 +537,6 @@ def bell_scenario(theta: float) -> ScenarioReport:
     negative_mass = p_k_minus2 < -TOL / 4  # <K> - 2 = 2 (S - 1) - 4 P(K=-2): the flags switch together but for rounding
     band = 2.0 * abs(float(real.sum()) - 1.0) + 92 * 2.0**-53 * float(abs(real).sum())
     flags_agree = bound_violated == negative_mass or abs(k_expectation - (2.0 + TOL)) <= band
-
-    b_plus = 3  # b = (+1, +1)
-    flip = Transformation(dist, _CHSH_FLIP, b_plus)
 
     checks = [
         Check("joint table matches the closed-form table", 0.0, float(abs(real - _chsh_target(theta)).max())),

@@ -7,9 +7,7 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-import pytest
 
-import kdqlab.scenarios
 from kdqlab import KDDistribution, Operator, OrthonormalBasis, PointerConfig, StateVector
 from kdqlab.qcore import _finite, same_dim
 
@@ -102,18 +100,3 @@ def chsh_cell_value(m: tuple[int, int], b: tuple[int, int]) -> int:
     m1, m2 = m
     b1, b2 = b
     return m1 * m2 + m1 * b2 + b1 * m2 - b1 * b2
-
-
-def declared_transformation(name: str):
-    """The scenario's joint table and the one ``Transformation`` its builder declares, recorded as built."""
-    made, original = [], kdqlab.scenarios.Transformation
-
-    def record(*args):
-        made.append(original(*args))
-        return made[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kdqlab.scenarios, "Transformation", record)
-        report = kdqlab.scenarios.build(name)
-    (transform,) = made
-    return report.kd, transform

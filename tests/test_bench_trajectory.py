@@ -13,7 +13,8 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_trajectory.py"
 ARGS = argparse.Namespace(seconds=0.0, requests=3)
 BOUNDS = {"latency_p50_s": (0.25, "lower")}
-ROW = "kdq.kd_joint_us.d2"
+ROW = "kdq.kd_joint_us.d2"  # an in-process row, judged by its paired rounds
+PROCESS_ROW = "process.kd_us"  # a row without paired rounds, judged by its per-seed medians
 PARENT = [1.0 + 0.01 * k for k in range(10)]  # quartiles 1.0225 and 1.0675: a relative spread of 4.4%
 
 
@@ -26,51 +27,77 @@ def bench():
 
 
 def summary(bench, latencies, row_times, ratios):
-    """A summary whose seeds each give one engine-batch run and one ``layers`` entry of the row ``ROW``."""
+    """A summary whose seeds each give one engine-batch run and one ``layers`` entry of ``ROW`` and ``PROCESS_ROW``."""
     runs = [
         {"workload": "engine-batch", "seed": seed, "env": {}, "correct": True, "attempted": 1, "failed": 0,
          "metrics": {"latency_p50_s": value}}
         for seed, value in enumerate(latencies, 1)
     ]
-    return bench._summary(runs, [{ROW: time} for time in row_times], ratios, ARGS)
+    return bench._summary(runs, [{ROW: time, PROCESS_ROW: time} for time in row_times], ratios, ARGS)
 
 
-def compared(bench, capsys, parent, change, parent_rows=None, change_rows=None):
-    """The printed end-to-end line and ``layers`` line of ``_compare`` on the two summaries."""
-    ratios = {ROW: [1.0] * bench.ROUNDS * len(parent)}
+def compared(bench, capsys, parent, change, parent_rows=None, change_rows=None, rounds=None):
+    """The printed end-to-end line, ``ROW`` line and ``PROCESS_ROW`` line of ``_compare`` on the two summaries.
+
+    ``rounds`` are ``ROW``'s paired change/parent ratios, by default 1.0 in each of ``ROUNDS`` rounds per seed.
+    """
+    ratios = {ROW: [1.0] * bench.ROUNDS * len(parent) if rounds is None else rounds}
     before = summary(bench, parent, parent if parent_rows is None else parent_rows, ratios)
     after = summary(bench, change, change if change_rows is None else change_rows, ratios)
     bench._compare(before, after, BOUNDS)
     lines = capsys.readouterr().out.splitlines()
-    metric = next(line for line in lines if line.startswith("engine-batch latency_p50_s:"))
-    return metric, next(line for line in lines if line.startswith(f"{ROW}:"))
+    starts = ("engine-batch latency_p50_s:", f"{ROW}:", f"{PROCESS_ROW}:")
+    return tuple(next(line for line in lines if line.startswith(start)) for start in starts)
 
 
 def test_one_pair_gets_no_verdict(bench, capsys):
-    # the change wins its one pair by half, and the two layers medians are equal: either rule would fire on
-    # quartile distances of 0
-    metric, row = compared(bench, capsys, [1.0], [0.5], [1.0], [1.0])
+    # the change wins its one pair by half, all its paired rounds read below 1, and the two medians of the
+    # process row are equal: each rule would fire on quartile distances of 0
+    metric, row, process = compared(bench, capsys, [1.0], [0.5], [1.0], [1.0], [0.5] * bench.ROUNDS)
     assert metric.endswith("1/1  too few pairs")
-    assert "0/1  too few pairs;" in row
-    assert "resolved" not in metric + row
+    assert "4/4  too few pairs;" in row
+    assert process.endswith("0/1  too few pairs")
+    assert "resolved" not in metric + row + process
 
 
 def test_nine_pairs_in_ten_and_a_gap_beyond_the_spread_resolve_a_gain(bench, capsys):
-    metric, row = compared(bench, capsys, PARENT, [0.5] * 9 + [2.0], PARENT, [0.5] * 10)
+    metric, row, process = compared(bench, capsys, PARENT, [0.5] * 9 + [2.0], PARENT, [0.5] * 10)
     assert metric.endswith("9/10  gain resolved")
-    assert row.endswith("10/10; paired 1.000 [1.000, 1.000]")
+    assert process.endswith("10/10")
+    # the per-seed medians halve, but the paired rounds read level: they, not the medians, judge an in-process row
+    assert row.endswith("0/40  unresolved; paired 1.000 [1.000, 1.000]")
+
+
+@pytest.mark.parametrize(
+    "rounds, verdict",
+    [
+        ([0.9] * 36 + [1.1] * 4, "36/40  gain resolved"),
+        ([1.1] * 36 + [0.9] * 4, "4/40  loss resolved"),
+        ([0.9] * 35 + [1.1] * 5, "35/40  unresolved"),
+        ([0.9] * 35 + [1.0] * 5, "35/40  unresolved"),  # a tie counts for neither side
+        ([0.5] * 9, "9/9  too few pairs"),
+    ],
+)
+def test_paired_rounds_give_an_in_process_row_its_verdict(bench, capsys, rounds, verdict):
+    _, row, _ = compared(bench, capsys, PARENT, PARENT, rounds=rounds)
+    assert f"{verdict};" in row
+
+
+def test_paired_rounds_are_counted_below_and_above_one(bench):
+    paired = summary(bench, PARENT, PARENT, {ROW: [0.9, 1.0, 1.1, 1.2]})["layers"]["paired"]["rows"]
+    assert (paired[ROW]["below"], paired[ROW]["above"], paired[ROW]["n"]) == (1, 2, 4)
 
 
 def test_eight_pairs_in_ten_resolve_no_gain(bench, capsys):
-    metric, _ = compared(bench, capsys, PARENT, [0.5] * 8 + [2.0] * 2)
+    metric, _, _ = compared(bench, capsys, PARENT, [0.5] * 8 + [2.0] * 2)
     assert metric.endswith("8/10")
 
 
 def test_a_parent_spread_beyond_the_bound_is_unresolved(bench, capsys):
     wide = [float(k) for k in range(1, 11)]  # quartiles 3.25 and 7.75 about a median of 5.5: 82% > 25%
-    metric, row = compared(bench, capsys, wide, wide)
+    metric, _, process = compared(bench, capsys, wide, wide)
     assert metric.endswith("0/10  unresolved")
-    assert "0/10  unresolved;" in row
+    assert process.endswith("0/10  unresolved")
 
 
 def test_each_change_block_is_paired_with_the_parent_blocks_around_it(bench):

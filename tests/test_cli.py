@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import kdqlab
-from helpers import NON_FINITE, declared_transformation
+from helpers import NON_FINITE
 from kdqlab import SCENARIO_NAMES, bell_scenario, kd_joint, three_box
 from kdqlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, MAX_SHOTS, main, run
 from kdqlab.qcore import TOL
 from kdqlab.scenario_file import load_scenario_file
+from kdqlab.scenarios import build, evaluate
 
 NINES = int("9" * 400)  # an integer literal beyond the float range
 
@@ -167,9 +168,11 @@ class TestKdCommand:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_builtin_round_trips_through_a_scenario_file(self, name, capsys, tmp_path):
-        # one pipeline: the builder's state, bases, labels and declared phases, written as a file, give
-        # the table the builder reports, bit for bit: the loader keeps a unit-norm state_a as given
-        dist, transform = declared_transformation(name)
+        # one pipeline: the builder's state, bases, labels and declared phases, written as a file, load as the
+        # builder's own value, field for field, and give the table the builder reports, bit for bit: the loader
+        # keeps a unit-norm state_a as given
+        report = build(name)
+        dist, transform = report.kd, report.transform
         path = tmp_path / f"{name}.json"
         content = {"dim": dist.dim, "state_a": state_pairs(dist.state_a.amp)}
         for axis, basis in (("m", dist.basis_m), ("b", dist.basis_b)):
@@ -187,12 +190,27 @@ class TestKdCommand:
             assert loaded[key][part] == reported[key][part]
 
         config = load_scenario_file(path)
-        table = kd_joint(config.state_a, config.basis_m, config.basis_b).table
-        assert table.tobytes() == dist.table.tobytes()
+        assert config.state_a.amp.tobytes() == dist.state_a.amp.tobytes()
+        for built, read in ((dist.basis_m, config.basis_m), (dist.basis_b, config.basis_b)):
+            assert read.labels == built.labels
+            assert read.matrix.tobytes() == built.matrix.tobytes()
+        assert config.action_phase == transform.spectrum.phase and config.kappa is None
+        table, again = evaluate(config, transform.b)
+        assert table.table.tobytes() == dist.table.tobytes()
+        assert (again.direct, again.from_kd) == (transform.direct, transform.from_kd)
         row = loaded["overlaps"][transform.b]
         assert row["b"] == dist.basis_b.labels[transform.b]
         assert abs(row["overlap_direct"] - transform.direct) <= TOL
         assert abs(row["overlap_from_kd"] - transform.from_kd) <= TOL
+
+    def test_a_file_without_action_phases_evaluates_to_its_table_alone(self, capsys, tmp_path):
+        config = load_scenario_file(three_box_file(tmp_path))
+        assert config.action_phase is None
+        dist, transform = evaluate(config)
+        assert transform is None
+        assert dist.table.tobytes() == kd_joint(config.state_a, config.basis_m, config.basis_b).table.tobytes()
+        code, out, _ = run_cli(capsys, "kd", str(tmp_path / "three_box.json"), "--format", "json")
+        assert code == EXIT_OK and "overlaps" not in json.loads(out)
 
     def test_json_round_trip_within_tolerance(self, capsys, tmp_path):
         path = three_box_file(tmp_path)

@@ -57,7 +57,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import declared_transformation, haar_basis, random_state
+from helpers import haar_basis, random_state
 from kdqlab import (
     SCENARIO_NAMES,
     TOL,
@@ -171,8 +171,8 @@ def assert_overlaps_within_bound(dist, spectrum, declared=None):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenario_overlaps_against_the_oracle(name):
-    dist, transform = declared_transformation(name)
-    assert_overlaps_within_bound(dist, transform.spectrum)
+    report = build(name)
+    assert_overlaps_within_bound(report.kd, report.transform.spectrum)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16])
@@ -200,8 +200,8 @@ def test_the_overlap_oracle_sees_a_moved_factor():
     # three-box, column b: T = (1, 1, -1) / 9, factors (1, 1, -1), P(b) = 1/9 and O*_b = 1. Moving
     # the first factor by 1e-14 moves the overlap by 2 (1/3) (1/9) 1e-14 / (1/9) = 6.7e-15, above
     # the bound of 26 u = 2.9e-15
-    dist, transform = declared_transformation("three-box")
-    spectrum = transform.spectrum
+    report = build("three-box")
+    dist, spectrum = report.kd, report.transform.spectrum
     factor = spectrum.factor.copy()
     factor[0] += 1e-14
     error, bound = overlap_error(dist, SimpleNamespace(basis=spectrum.basis, phase=spectrum.phase, factor=factor), 0)

@@ -14,6 +14,7 @@ from kdqlab import (
     Check,
     Operator,
     OrthonormalBasis,
+    ScenarioFile,
     StateVector,
     bell_scenario,
     bloch_state,
@@ -518,13 +519,13 @@ PRODUCT_BASES = {
 }
 PAULI_PAIRS = ["XX", "YY", "ZZ", "XY", "YX"]  # the keys of the scenarios module's Pauli products, in order
 # each fixed scenario's inputs, once built by a cached helper of the given name, and the module constants that hold
-# them now
+# them now: the scenario values and the check operators and states beside them
 FIXED_INPUTS = {
     "_leggett_garg_preparation": ("_LG_PREPARATION",),
     "_three_box_inputs": ("_THREE_BOX", "_BOX1", "_BOX3"),
     "_cheshire_cat_inputs": ("_CHESHIRE_CAT", "_PATH1"),
-    "_hardy_inputs": ("_HARDY_A", "_HARDY_PATHS", "_HARDY_PORTS", "_B1_OUTER2", "_OUTER1_B2"),
-    "_swap_basis": ("_SWAP_BASIS",),
+    "_hardy_inputs": ("_HARDY", "_B1_OUTER2", "_OUTER1_B2"),
+    "_swap_basis": ("_SWAP_BASIS", "_PERES_MERMIN"),
 }
 
 
@@ -532,8 +533,10 @@ def arrays_of(value):
     """Every array a value holds, and none for a value that holds no array.
 
     That is the value itself if it is an array, its amplitudes or matrix if it is a state, an operator or a basis,
-    and the arrays of every item of a tuple and every value of a dict.
+    and the arrays of every item of a tuple, every value of a dict and every field of a scenario value.
     """
+    if isinstance(value, ScenarioFile):
+        value = vars(value)
     if isinstance(value, dict):
         value = tuple(value.values())
     if isinstance(value, tuple):
@@ -615,7 +618,7 @@ class TestSharedConstants:
         held = {name: arrays_of(value) for name, value in vars(kdqlab.scenarios).items()}
         found = {name for name, arrays in held.items() if arrays}
         assert {"_LG_PREPARATION", "_THREE_BOX", "_BOX1", "_BOX3", "_CHESHIRE_CAT", "_PATH1", "_EIGEN"} <= found
-        assert {"_HARDY_A", "_HARDY_PATHS", "_HARDY_PORTS", "_B1_OUTER2", "_OUTER1_B2", "_PAULI_PAIRS"} <= found
+        assert {"_HARDY", "_B1_OUTER2", "_OUTER1_B2", "_PAULI_PAIRS", "_PERES_MERMIN"} <= found
         assert {"_XY_BASIS", "_SWAP_BASIS", "_CONTEXTS", "_LITERAL_SWAP", "_CHSH_CELLS", "_XX_BASIS"} <= found
         assert "_PLUS_PLUS" in found
         for name, arrays in held.items():
