@@ -30,8 +30,11 @@ each row in ``ROUNDS`` rounds, back to back, so no block starts on caches
 that another row left. A round is one block of this tree, or with a parent
 the blocks parent, change, parent. A tree's row in that seed's entry is the
 median time per call of its blocks.
-Its ``import.<module>_us`` rows are the cumulative times that
-``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``. Its
+Its ``import.<module>_us`` rows are the times that
+``python -X importtime -c "import kdqlab"`` reports for ``IMPORTS``: the
+cumulative time of ``kdqlab`` and ``numpy``, and the self time of each
+``kdqlab.<module>``, which holds only that module's own body, so moving an
+import from one module to another does not read as a cost of either. Its
 ``process.<command>_us`` rows are the best of ``PROCESS_REPEAT`` wall times
 of one whole fresh process, the unit that the cli-cold workload measures:
 ``python -m kdqlab scenario three-box``, ``python -m kdqlab kd`` on a seeded
@@ -49,7 +52,10 @@ Each round of the shared process also gives one ratio of each in-process
 row, the change's block over the mean of the two parent blocks around it, so
 drift of the host within a round cancels; the median and quartiles of every
 seed's ratios go into both summaries as ``layers.paired``, with the count
-of rounds that read below 1 and of those that read above it. The parent's
+of rounds that read below 1 and of those that read above it, and a 95%
+interval of the median ratio: the 2.5th and 97.5th percentiles of the
+medians of ``BOOTSTRAP`` resamples of the rounds, drawn with replacement
+from a fixed seed (``ci95``). The parent's
 summary goes to ``--parent-out``, and a comparison is printed: per metric,
 the parent's median and quartiles, this tree's median, the pairs this tree
 won and a verdict. With fewer than ``MIN_PAIRS`` pairs the verdict is ``too
@@ -65,8 +71,9 @@ paired rounds, not by the per-seed medians, which spread by tens of percent
 on unchanged code: it is ``gain resolved`` where at least nine tenths of its
 rounds read below 1, ``loss resolved`` where at least nine tenths read above
 1, and unresolved otherwise; its count is the rounds that read below 1, and
-below ``MIN_PAIRS`` rounds it is ``too few pairs``. Its paired ratio is
-printed beside it. An ``import.*`` or ``process.*`` row, which has no paired
+below ``MIN_PAIRS`` rounds it is ``too few pairs``. Its paired ratio and
+that ratio's 95% interval are printed beside it; the interval does not
+change the verdict. An ``import.*`` or ``process.*`` row, which has no paired
 rounds, is compared by its per-seed medians, with the same ``too few pairs``
 rule, and marked unresolved when the two medians differ by no more than the
 parent's quartile distance ``q3 - q1``: a gain smaller than the parent's own
@@ -99,6 +106,7 @@ ROUNDS = 4  # rounds of blocks of each in-process row per seed
 IMPORTS = ("kdqlab", "numpy", "kdqlab.scenarios", "kdqlab.weaksim")
 PROCESS_REPEAT = 5  # fresh processes per process row; the least wall time is kept
 MIN_PAIRS = 10  # fewer pairs, or paired rounds, than this get no verdict
+BOOTSTRAP = 2000  # resamples of a paired row's rounds for the 95% interval of its median ratio
 # the in-process rows, on any package with kdqlab's public names: name -> (call, calls per block, factor from
 # microseconds per call to the row's unit); partial binds each row's inputs, so every call is built before timing
 ROWS = """
@@ -213,14 +221,25 @@ def _wall_us(argv: list[str], tree: Path, env: dict) -> float:
     return min(timeit.repeat(run, number=1, repeat=PROCESS_REPEAT)) * 1e6
 
 
+def _import_rows(report: str) -> dict:
+    """The ``import.*`` rows of ``-X importtime`` output: a package's cumulative time, a submodule's self time.
+
+    A submodule's cumulative time also counts the modules first imported under it, so it would move whenever an
+    import moves to another module; its self time counts its own body alone.
+    """
+    rows = {}
+    for line in report.splitlines():  # "import time: <self us> | <cumulative us> | <indented module name>"
+        fields = [field.strip() for field in line.removeprefix("import time:").split("|")]
+        if len(fields) == 3 and fields[2] in IMPORTS:
+            rows[f"import.{fields[2]}_us"] = float(fields[0] if "." in fields[2] else fields[1])
+    return rows
+
+
 def _layers(tree: Path, kd_file: Path) -> dict:
     """The rows that need fresh processes on the tree's src/: one ``-X importtime`` process and the process rows."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-X", "importtime", "-c", "import kdqlab"]
-    report = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stderr
-    # each line: "import time: <self us> | <cumulative us> | <indented module name>"
-    fields = [[field.strip() for field in line.split("|")] for line in report.splitlines()]
-    layers = {f"import.{f[2]}_us": float(f[1]) for f in fields if len(f) == 3 and f[2] in IMPORTS}
+    layers = _import_rows(subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True).stderr)
     kdqlab = [sys.executable, "-m", "kdqlab"]
     layers["process.scenario_us"] = _wall_us([*kdqlab, "scenario", "three-box"], tree, env)
     layers["process.kd_us"] = _wall_us([*kdqlab, "kd", str(kd_file)], tree, env)
@@ -245,6 +264,12 @@ def _split(blocks: dict, ratios: dict) -> dict:
             around = zip(blocks["parent"][row][::2], blocks["parent"][row][1::2])
             ratios.setdefault(row, []).extend(2.0 * new / (first + last) for new, (first, last) in zip(times, around))
     return {label: {row: statistics.median(times) for row, times in rows.items()} for label, rows in blocks.items()}
+
+
+def _interval(values: list[float]) -> list[float]:
+    """A seeded bootstrap 95% interval of the median of ``values``, from ``BOOTSTRAP`` resamples with replacement."""
+    resamples = np.random.default_rng(0).choice(np.asarray(values), size=(BOOTSTRAP, len(values)))
+    return np.percentile(np.median(resamples, axis=1), (2.5, 97.5)).tolist()
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -280,7 +305,12 @@ def _summary(runs: list[dict], layers: list[dict], ratios: dict, args: argparse.
     }
     if ratios:
         rows = {
-            row: {**_quartiles(values), "below": sum(v < 1.0 for v in values), "above": sum(v > 1.0 for v in values)}
+            row: {
+                **_quartiles(values),
+                "below": sum(v < 1.0 for v in values),
+                "above": sum(v > 1.0 for v in values),
+                "ci95": _interval(values),
+            }
             for row, values in ratios.items()
         }
         summary["layers"]["paired"] = {"ratio": "change / parent", "rounds": ROUNDS * len(layers), "rows": rows}
@@ -327,7 +357,8 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
         "layers row: parent median [q1, q3] -> change median (lower is better). In-process rows: the paired rounds\n"
         f"that read below 1, of all rounds; too few pairs below {MIN_PAIRS} rounds, else gain resolved if 9/10 of\n"
         "the rounds read below 1, loss resolved if 9/10 read above 1, and unresolved otherwise; then the paired\n"
-        f"change/parent ratio's median [q1, q3]. Other rows: pairs won; too few pairs below {MIN_PAIRS}, else\n"
+        "change/parent ratio's median [q1, q3] and the bootstrap 95% interval of that median, which does not\n"
+        f"change the verdict. Other rows: pairs won; too few pairs below {MIN_PAIRS}, else\n"
         "unresolved if the medians differ by no more than the parent's q3 - q1"
     )
     paired = change["layers"]["paired"]["rows"]
@@ -342,6 +373,7 @@ def _compare(parent: dict, change: dict, bounds: dict) -> None:
             else:
                 verdict = "  unresolved"
             note = "; paired {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**rounds)
+            note += ", 95% CI [{:.3f}, {:.3f}]".format(*rounds["ci95"])
             print(_line(row, base, new, rounds["below"], rounds["n"], verdict, note))
         else:
             pairs = [(p[row], c[row]) for p, c in zip(parent["layers"]["runs"], change["layers"]["runs"])]

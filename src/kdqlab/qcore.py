@@ -5,7 +5,10 @@ and Pauli and Bloch-sphere constructors. Everything is an immutable value
 after construction and every function is pure, so the whole module is safe
 for concurrent use. An ``Operator`` is a validated value, not an algebra: the
 constructors here build it, and a caller that combines operators computes one
-numpy expression on their read-only ``.mat`` and wraps the result once.
+numpy expression on their read-only ``.mat`` and wraps the result once. A
+result that is read once, such as a scalar ``<v|A|v>`` or an operator used
+only to form one, needs no wrapper where its entries are bounded by
+construction: the guards could not fire.
 
 A value that no input changes is a read-only module constant, built once at
 import and shared, the rule ``scenarios`` follows too: here the Pauli

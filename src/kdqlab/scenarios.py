@@ -29,14 +29,22 @@ theta + pi, with no Gram-Schmidt pass, and its two spin observables are
 spectral sums over them; Bell's state is the stabilizers' joint projector
 applied to the seed. That projector has rank one at every admissible angle,
 so the builder runs no check of its own on it: a wrong construction fails
-the report's closed-form table check. Tables, transformations and checks are
-computed anew on every call.
+the report's closed-form table check. Builders read validated arrays without
+re-wrapping bounded arithmetic: the spin observables, their product and
+Bell's stabilizers stay plain arrays, and each expectation value a check
+reads is one ``np.vdot``, since the entries are bounded (about 1 and at
+most sqrt 2 in modulus) and no ``Operator`` or ``expectation`` guard could
+fire on them; the operations and their order are the wrapped ones, so every
+bit is too. Tables, transformations and checks are computed anew on every
+call; a report's negativity summary is computed on its first read, since no
+check reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +63,7 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     _IDENTITY,
-    _spectral_sum,
     bloch_state,
-    expectation,
     inner,
     pauli,
     post_selection_basis,
@@ -98,7 +104,8 @@ class ScenarioReport:
 
     ``transform`` is the declared transformation the report's checks read;
     every report that ``build`` returns has one. ``negativity`` is derived
-    from ``kd`` once, at construction; the dimension is ``kd.dim``.
+    from ``kd`` on its first read and kept, so a caller that reads only
+    ``checks`` and ``passed`` never computes it; the dimension is ``kd.dim``.
     """
 
     scenario: str
@@ -106,12 +113,15 @@ class ScenarioReport:
     checks: tuple[Check, ...]
     violated_inequality: str | None = None
     transform: Transformation | None = field(default=None, repr=False)
-    negativity: NegativityReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.checks) < 3:
             raise ValueError("a scenario report needs at least three checks")
-        object.__setattr__(self, "negativity", negativity(self.kd))
+
+    @cached_property
+    def negativity(self) -> NegativityReport:
+        """The negativity summary of ``kd``; every read after the first returns the same record."""
+        return negativity(self.kd)
 
     @property
     def passed(self) -> bool:
@@ -188,13 +198,15 @@ def leggett_garg(theta: float) -> ScenarioReport:
     a, basis_m, basis_b = dist.state_a, dist.basis_m, dist.basis_b
     entry = complex(dist.table[1, 0])  # (spin_m = -1, spin_b = +1)
 
-    # route 1: separate expectation values of the three spin observables
-    sigma_m, sigma_b = (_spectral_sum(basis, (1.0, -1.0)) for basis in (basis_m, basis_b))
+    # route 1: separate expectation values <a|M|a> of the three spin observables, as plain arrays: the bases'
+    # rows pass the Gram check, so by Cauchy-Schwarz every entry of sigma_m, sigma_b and their product is at
+    # most about 1 in modulus, and no Operator or expectation guard could fire on them
+    sigma_m, sigma_b = ((basis.matrix.T * (1.0, -1.0)) @ basis.matrix.conj() for basis in (basis_m, basis_b))
     p_expectation = 0.25 * (
         1.0
-        + expectation(sigma_b, a).real
-        - expectation(sigma_m, a).real
-        - expectation(Operator(sigma_m.mat @ sigma_b.mat), a).real
+        + complex(np.vdot(a.amp, sigma_b @ a.amp)).real
+        - complex(np.vdot(a.amp, sigma_m @ a.amp)).real
+        - complex(np.vdot(a.amp, (sigma_m @ sigma_b) @ a.amp)).real
     )
 
     # route 2: closed form for the symmetric coplanar geometry
@@ -477,7 +489,7 @@ def _chsh_target(theta: float) -> np.ndarray:
     return np.where(_CHSH_SPLIT, (1.0 + _CHSH_PARITY * math.sin(theta)) / 8.0, _CHSH_CROSS * math.cos(theta) / 8.0)
 
 
-def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
+def _bell_state(theta: float) -> tuple[StateVector, np.ndarray, np.ndarray]:
     """The unique joint +1 eigenstate of two tilted correlation observables, and the two observables.
 
     Built by projecting the seed ``|++>`` onto the joint eigenspace and
@@ -485,16 +497,21 @@ def _bell_state(theta: float) -> tuple[StateVector, Operator, Operator]:
     square to 1 and have ``a1 a2 = Z1Z2``, so their joint +1 projector has rank
     one at every theta, and a wrong construction fails the report's own checks
     (the closed-form table, ``<K>``, ``P(K=-2)`` and both correlation conditions).
+    The observables are returned as read-only 4 x 4 arrays, not ``Operator``
+    values: each entry is ``c p + s q`` for Pauli-product entries p and q of
+    modulus at most 1, so at most ``|cos theta| + |sin theta| <= sqrt 2``, and
+    the finiteness test an ``Operator`` runs cannot fire on them.
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    # each stabilizer is one numpy expression on the read-only .mat, wrapped once, as every builder
-    # combines operators; the operations and their order, c XY + s XX, c YX - s YY and
-    # 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
-    a1 = Operator(c * _PAULI_PAIRS["XY"].mat + s * _PAULI_PAIRS["XX"].mat)
-    a2 = Operator(c * _PAULI_PAIRS["YX"].mat - s * _PAULI_PAIRS["YY"].mat)
-    proj = 0.25 * ((_IDENTITY[4] + a1.mat) @ (_IDENTITY[4] + a2.mat))
+    # each stabilizer is one numpy expression on the read-only .mat; the operations and their order,
+    # c XY + s XX, c YX - s YY and 0.25 (1 + a1)(1 + a2), fix the bits of the state and of both stabilizers
+    a1 = c * _PAULI_PAIRS["XY"].mat + s * _PAULI_PAIRS["XX"].mat
+    a2 = c * _PAULI_PAIRS["YX"].mat - s * _PAULI_PAIRS["YY"].mat
+    a1.setflags(write=False)
+    a2.setflags(write=False)
+    proj = 0.25 * ((_IDENTITY[4] + a1) @ (_IDENTITY[4] + a2))
     # <++|a1|++> = sin(theta), <++|a2|++> = 0 and a1 a2 = Z1Z2 with <++|Z1Z2|++> = 0, so the
     # projection of |++> has norm^2 (1 + sin(theta)) / 4 >= 1/4 on [0, pi/2]: it never vanishes
     return StateVector.normalize(proj @ _PLUS_PLUS), a1, a2
@@ -543,8 +560,8 @@ def bell_scenario(theta: float) -> ScenarioReport:
         Check("joint table entries are real", 0.0, float(abs(dist.table.imag).max())),
         Check("<K> = 2 (sin + cos)", k_target, k_expectation),
         Check("P(K=-2) = (1 - sin - cos) / 2", p_minus2_target, p_k_minus2),
-        Check("preparation satisfies the first correlation condition", 1.0, expectation(a1, a).real),
-        Check("preparation satisfies the second correlation condition", 1.0, expectation(a2, a).real),
+        Check("preparation satisfies the first correlation condition", 1.0, complex(np.vdot(a.amp, a1 @ a.amp)).real),
+        Check("preparation satisfies the second correlation condition", 1.0, complex(np.vdot(a.amp, a2 @ a.amp)).real),
         Check("P(K=-2) < 0 exactly when <K> > 2", 1.0, float(flags_agree), 0.0),
     ]
     if flip.from_kd is not None:

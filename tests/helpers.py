@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from kdqlab import KDDistribution, Operator, OrthonormalBasis, PointerConfig, StateVector
-from kdqlab.qcore import _finite, same_dim
+from kdqlab import KDDistribution, Operator, OrthonormalBasis, PointerConfig, StateVector, expectation
+from kdqlab.qcore import _finite, _spectral_sum, same_dim
 
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # as _fmt and json.dumps print them
 
@@ -44,6 +44,18 @@ def real_haar_basis(rng: np.random.Generator, dim: int, prefix: str = "v") -> Or
 def entry(dist: KDDistribution, m_label: str, b_label: str) -> complex:
     """The table cell ``<b|m><m|a><a|b>`` named by its two basis labels."""
     return complex(dist.table[dist.basis_m.labels.index(m_label), dist.basis_b.labels.index(b_label)])
+
+
+def wrapped_leggett_garg_route_one(dist: KDDistribution) -> float:
+    """Leggett-Garg's joint probability from three expectation values, by the wrapped route.
+
+    Each spin observable is an ``Operator`` spectral sum over its basis, their product is wrapped once more, and
+    each expectation value goes through ``expectation``: the route the builder took before it read plain arrays.
+    """
+    a = dist.state_a
+    sigma_m, sigma_b = (_spectral_sum(basis, (1.0, -1.0)) for basis in (dist.basis_m, dist.basis_b))
+    product = Operator(sigma_m.mat @ sigma_b.mat)
+    return 0.25 * (1.0 + expectation(sigma_b, a).real - expectation(sigma_m, a).real - expectation(product, a).real)
 
 
 def product_trace(ops: Sequence[Operator]) -> complex:

@@ -8,6 +8,7 @@ import argparse
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_trajectory.py"
@@ -65,7 +66,7 @@ def test_nine_pairs_in_ten_and_a_gap_beyond_the_spread_resolve_a_gain(bench, cap
     assert metric.endswith("9/10  gain resolved")
     assert process.endswith("10/10")
     # the per-seed medians halve, but the paired rounds read level: they, not the medians, judge an in-process row
-    assert row.endswith("0/40  unresolved; paired 1.000 [1.000, 1.000]")
+    assert row.endswith("0/40  unresolved; paired 1.000 [1.000, 1.000], 95% CI [1.000, 1.000]")
 
 
 @pytest.mark.parametrize(
@@ -120,3 +121,60 @@ def test_single_tree_mode_writes_no_paired_key(bench):
     layers = summary(bench, [1.0], [medians["change"][ROW]], ratios)["layers"]
     assert "paired" not in layers
     assert layers["rows"][ROW]["median"] == 2.5
+
+
+def test_each_paired_row_carries_a_seeded_bootstrap_interval_of_its_median(bench, capsys):
+    rounds = np.random.default_rng(7).normal(0.95, 0.05, 400).tolist()
+    row = summary(bench, PARENT, PARENT, {ROW: rounds})["layers"]["paired"]["rows"][ROW]
+    low, high = row["ci95"]
+    assert low < row["median"] < high
+    # the median of n normal draws has standard error 1.2533 s / sqrt(n): the interval is about 0.012 wide here
+    assert 0.006 < high - low < 0.02
+    assert bench._interval(rounds) == [low, high]  # seeded: the same rounds give the same interval
+    assert bench._interval(rounds[:40])[1] - bench._interval(rounds[:40])[0] > high - low  # fewer rounds, wider
+    assert bench._interval([0.98] * 40) == [0.98, 0.98]
+    # printed beside the verdict, which still comes from the 9/10 sign rule alone: every round below 1 but the
+    # interval spans 1, and the verdict is still gain resolved
+    _, line, _ = compared(bench, capsys, PARENT, PARENT, rounds=[0.999] * 36 + [1.5] * 4)
+    assert "36/40  gain resolved; paired 0.999 [0.999, 0.999], 95% CI [0.999, 0.999]" in line
+    _, line, _ = compared(bench, capsys, PARENT, PARENT, rounds=[0.9] * 20 + [1.1] * 20)
+    assert "20/40  unresolved; paired 1.000 [0.900, 1.100], 95% CI [0.900, 1.100]" in line
+
+
+# -X importtime lines for one import of kdqlab: (self us, cumulative us, name); scenario_file first imported under
+# kdqlab itself (before) or under kdqlab.scenarios (after), as when scenarios starts to import it
+IMPORTTIME = {
+    "before": [
+        (2000, 90000, "numpy"),
+        (900, 900, "kdqlab.qcore"),
+        (700, 700, "kdqlab.scenario_file"),
+        (1500, 2400, "kdqlab.scenarios"),
+        (1200, 1200, "kdqlab.weaksim"),
+        (300, 95500, "kdqlab"),
+    ],
+    "after": [
+        (2000, 90000, "numpy"),
+        (900, 900, "kdqlab.qcore"),
+        (700, 700, "  kdqlab.scenario_file"),
+        (1500, 3100, "kdqlab.scenarios"),
+        (1200, 1200, "kdqlab.weaksim"),
+        (300, 95500, "kdqlab"),
+    ],
+}
+
+
+def importtime(lines):
+    header = "import time: self [us] | cumulative | imported package"
+    return "\n".join([header, *(f"import time: {a:>9} | {b:>10} | {name}" for a, b, name in lines)])
+
+
+def test_a_submodule_import_row_is_its_self_time_and_the_package_row_its_total(bench):
+    before, after = (bench._import_rows(importtime(IMPORTTIME[key])) for key in ("before", "after"))
+    assert before == {
+        "import.numpy_us": 90000.0,
+        "import.kdqlab.scenarios_us": 1500.0,
+        "import.kdqlab.weaksim_us": 1200.0,
+        "import.kdqlab_us": 95500.0,
+    }
+    # moving scenario_file under scenarios moves scenarios' cumulative time, 2400 -> 3100 us, but no row
+    assert after == before

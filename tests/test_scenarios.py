@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kdqlab
-from helpers import chsh_cell_value, entry
+from helpers import chsh_cell_value, entry, wrapped_leggett_garg_route_one
 from kdqlab import (
     Check,
     Operator,
@@ -33,6 +33,7 @@ from kdqlab import (
     three_box,
 )
 from kdqlab.cli import main
+from kdqlab.qcore import _spectral_sum
 from kdqlab.scenarios import (
     _CHSH_CELLS,
     _CHSH_ORDER,
@@ -458,8 +459,8 @@ class TestBell:
         # product one operator alone gives, so the stacked residual keeps the per-operator bits
         for theta in [0.0, 1e-10, 5e-11, math.pi / 2, *np.linspace(0.0, math.pi / 2, 1001).tolist()]:
             state, a1, a2 = _bell_state(theta)
-            stacked = float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max())
-            per_operator = max(float(np.max(np.abs(op.mat @ state.amp - state.amp))) for op in (a1, a2))
+            stacked = float(abs(np.array((a1, a2)) @ state.amp - state.amp).max())
+            per_operator = max(float(np.max(np.abs(op @ state.amp - state.amp))) for op in (a1, a2))
             assert stacked.hex() == per_operator.hex(), theta
 
     def test_projector_has_rank_one_and_both_stabilizers_fix_the_state(self):
@@ -469,9 +470,9 @@ class TestBell:
         ident = np.eye(4)
         for theta in [0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 2001).tolist()]:
             state, a1, a2 = _bell_state(theta)
-            trace = complex(np.trace(0.25 * ((ident + a1.mat) @ (ident + a2.mat))))
+            trace = complex(np.trace(0.25 * ((ident + a1) @ (ident + a2))))
             assert abs(trace - 1.0) <= 1e-15, theta
-            assert float(abs(np.array((a1.mat, a2.mat)) @ state.amp - state.amp).max()) <= 1e-15, theta
+            assert float(abs(np.array((a1, a2)) @ state.amp - state.amp).max()) <= 1e-15, theta
 
     @pytest.mark.parametrize("mutant", ["rank-two", "sign-flip"])
     def test_a_wrong_construction_fails_the_report(self, monkeypatch, capsys, mutant):
@@ -487,10 +488,10 @@ class TestBell:
         _, a1, a2 = _bell_state(0.3)
         ident = np.eye(4)
         if mutant == "rank-two":
-            assert np.array_equal(a1.mat, a2.mat)
-            assert np.linalg.matrix_rank(0.25 * ((ident + a1.mat) @ (ident + a2.mat))) == 2
+            assert np.array_equal(a1, a2)
+            assert np.linalg.matrix_rank(0.25 * ((ident + a1) @ (ident + a2))) == 2
         else:
-            assert float(abs(a1.mat @ a2.mat - a2.mat @ a1.mat).max()) > 0.1
+            assert float(abs(a1 @ a2 - a2 @ a1).max()) > 0.1
         for theta in [0.3, math.pi / 4, 1.2]:
             report = bell_scenario(theta)
             failed = [c.name for c in report.checks if not c.passed]
@@ -647,8 +648,59 @@ class TestSharedConstants:
             state, a1, a2 = _bell_state(float(theta))
             want_state, want_a1, want_a2 = chained_bell_state(float(theta))
             assert np.array_equal(state.amp, want_state.amp), theta
-            assert np.array_equal(a1.mat, want_a1.mat), theta
-            assert np.array_equal(a2.mat, want_a2.mat), theta
+            assert np.array_equal(a1, want_a1.mat), theta
+            assert np.array_equal(a2, want_a2.mat), theta
+
+
+LG_GRID = np.linspace(0.0, math.pi, 2003)[1:-1].tolist()  # 2,001 angles inside (0, pi)
+BELL_GRID = np.linspace(0.0, math.pi / 2, 2001).tolist()  # 2,001 angles on [0, pi/2]
+CONDITIONS = (
+    "preparation satisfies the first correlation condition",
+    "preparation satisfies the second correlation condition",
+)
+
+
+class TestUnwrappedArithmetic:
+    """Builders read bounded arithmetic on plain arrays with the wrapped route's bits; negativity waits for a read."""
+
+    def test_negativity_is_computed_once_on_first_read_with_the_engine_bits(self):
+        builders = [
+            *ALL_BUILDERS.values(),
+            *(lambda theta=theta: leggett_garg(theta) for theta in LG_GRID[::10]),  # 201 angles each
+            *(lambda theta=theta: bell_scenario(theta) for theta in BELL_GRID[::10]),
+        ]
+        assert len(builders) == 6 + 2 * 201
+        for builder in builders:
+            report = builder()
+            assert "negativity" not in vars(report), report.scenario  # not computed at construction
+            first, want = report.negativity, negativity(report.kd)
+            for name in ("total_negativity", "min_real", "max_abs_phase"):
+                assert getattr(first, name).hex() == getattr(want, name).hex(), (report.scenario, name)
+            assert first.argmin == want.argmin
+            assert report.negativity is first
+
+    def test_leggett_garg_route_one_equals_the_wrapped_route_bit_for_bit(self):
+        largest = 0.0
+        for theta in LG_GRID:
+            report = leggett_garg(theta)
+            got = check_values(report)["joint probability via expectation values"]
+            assert got.hex() == wrapped_leggett_garg_route_one(report.kd).hex(), theta
+            # the bound that lets the builder skip the Operator and expectation guards
+            kd = report.kd
+            sigma_m, sigma_b = (_spectral_sum(basis, (1.0, -1.0)).mat for basis in (kd.basis_m, kd.basis_b))
+            largest = max(largest, *(float(abs(op).max()) for op in (sigma_m, sigma_b, sigma_m @ sigma_b)))
+        assert largest <= 1.0 + 1e-15
+
+    def test_bell_correlation_conditions_equal_the_wrapped_route_bit_for_bit(self):
+        largest = 0.0
+        for theta in BELL_GRID:
+            report, (_, a1, a2) = bell_scenario(theta), _bell_state(theta)
+            assert not a1.flags.writeable and not a2.flags.writeable
+            values = check_values(report)
+            for name, op in zip(CONDITIONS, (a1, a2)):  # the wrapped route, with both of its guards
+                assert values[name].hex() == expectation(Operator(op), report.kd.state_a).real.hex(), (theta, name)
+            largest = max(largest, float(abs(a1).max()), float(abs(a2).max()))  # |cos| + |sin| <= sqrt 2
+        assert largest <= math.sqrt(2.0) + 1e-15
 
 
 class TestRegistry:
